@@ -21,7 +21,7 @@ See ``examples/quickstart.py`` for a complete runnable tour.
 
 from typing import TYPE_CHECKING
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 #: Lazily resolved exports (PEP 562): attribute -> defining module.
 #: Keeps ``import repro`` light — the simulator only loads when used.
@@ -49,7 +49,6 @@ _LAZY_EXPORTS = {
     "get_engine": "repro.engine",
     "FaultConfig": "repro.resilience.faults",
     "FaultInjector": "repro.resilience.faults",
-    "ServeClient": "repro.client",
     "ReproError": "repro.errors",
     "Cancelled": "repro.errors",
     "ConfigError": "repro.errors",
@@ -63,7 +62,6 @@ __all__ = ["__version__"] + sorted(_LAZY_EXPORTS)
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
     from repro.api import as_spec, run_experiment, simulate  # noqa: F401
     from repro.engine import engine_names, get_engine  # noqa: F401
-    from repro.client import ServeClient  # noqa: F401
     from repro.errors import (  # noqa: F401
         Cancelled,
         ConfigError,

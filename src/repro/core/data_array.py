@@ -20,6 +20,25 @@ from repro.cache.replacement import make_policy
 from repro.core.tag_array import NULL_PTR
 
 
+def map_set_index(map_value: int, num_sets: int) -> int:
+    """Set index of a map value: multiplicatively hashed map bits.
+
+    The paper indexes with "the lower portion of the map", but for
+    narrow integer data types (e.g. jpeg's 8-bit pixels under the
+    omit-mapping rule) the low map bits *are* the block average, which
+    concentrates heavily for smooth data; and integer ranges leave the
+    low bin bits structured (multiples of four for canneal's grid
+    coordinates), collapsing the effective set count. A Fibonacci-style
+    multiplicative hash (Knuth's 2^32 / golden-ratio constant) — a
+    standard index-hashing technique with no storage cost — spreads
+    both; DESIGN.md records the deviation. The structural
+    :class:`MTagDataArray` and the functional error model
+    (:mod:`repro.core.functional`) both index through this function,
+    so error and runtime describe the same cache.
+    """
+    return (((map_value * 2654435761) & 0xFFFFFFFF) >> 12) % num_sets
+
+
 class DataEntry:
     """One MTag/data-array entry."""
 
@@ -86,24 +105,9 @@ class MTagDataArray:
     def _key(self, map_value: int, precise: bool) -> tuple:
         return (precise, map_value)
 
-    #: Knuth's multiplicative hash constant (2^32 / golden ratio).
-    _MIX = 2654435761
-
     def set_index(self, map_value: int) -> int:
-        """Set index: multiplicatively hashed map bits.
-
-        The paper indexes with "the lower portion of the map", but for
-        narrow integer data types (e.g. jpeg's 8-bit pixels under the
-        omit-mapping rule) the low map bits *are* the block average,
-        which concentrates heavily for smooth data; and integer ranges
-        leave the low bin bits structured (multiples of four for
-        canneal's grid coordinates), collapsing the effective set
-        count. A Fibonacci-style multiplicative hash — a standard
-        index-hashing technique with no storage cost — spreads both;
-        DESIGN.md records the deviation.
-        """
-        mixed = (map_value * self._MIX) & 0xFFFFFFFF
-        return (mixed >> 12) % self.num_sets
+        """Set index of ``map_value`` (see :func:`map_set_index`)."""
+        return map_set_index(map_value, self.num_sets)
 
     def map_tag(self, map_value: int) -> int:
         """Map tag: upper portion of the map."""
@@ -113,7 +117,7 @@ class MTagDataArray:
 
     def probe(self, map_value: int, precise: bool = False) -> Optional[DataEntry]:
         """Look up a map value without touching replacement state."""
-        set_idx = self.set_index(map_value)
+        set_idx = map_set_index(map_value, self.num_sets)
         return self._lookup[set_idx].get(self._key(map_value, precise))
 
     def touch(self, entry: DataEntry) -> None:
@@ -132,7 +136,7 @@ class MTagDataArray:
         Raises if the map value is already resident — callers must probe
         first (Sec. 3.3 reuses an existing similar block instead).
         """
-        set_idx = self.set_index(map_value)
+        set_idx = map_set_index(map_value, self.num_sets)
         lookup = self._lookup[set_idx]
         key = self._key(map_value, precise)
         if key in lookup:

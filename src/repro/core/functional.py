@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.data_array import map_set_index
 from repro.core.maps import MapConfig, MapGenerator
 from repro.trace.record import DType
 from repro.trace.region import Region
@@ -61,10 +62,7 @@ class FunctionalDoppelganger:
         full.
         """
         self.lookups += 1
-        # Same multiplicative index hash as the structural MTag array
-        # (see repro.core.data_array.MTagDataArray.set_index).
-        mixed = (map_value * 2654435761) & 0xFFFFFFFF
-        set_idx = (mixed >> 12) % self.num_sets
+        set_idx = map_set_index(map_value, self.num_sets)
         # Block length is part of the key so a trailing partial block
         # can never alias (and shape-mismatch) a full block.
         key = (int(dtype), len(block), map_value)

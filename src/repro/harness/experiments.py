@@ -7,12 +7,14 @@ paper's series. The benchmark suite in ``benchmarks/`` wraps each
 driver, prints the tables and records timings; EXPERIMENTS.md records
 the paper-vs-measured comparison.
 
-Each driver is wrapped by an
-:class:`~repro.harness.strategy.ExperimentStrategy` subclass declaring
-its simulation requirements; the :data:`STRATEGIES` tuple (paper
-order) is what the global strategy registry discovers from this
-module, and the CLI, :func:`repro.run_experiment` and the ``--jobs``
-prefetch planner all dispatch through that registry.
+Each driver is registered with
+:func:`~repro.harness.strategy.experiment`, which declares its name,
+description and simulation requirements and appends it to
+:data:`STRATEGIES` (paper order) — what the global strategy registry
+discovers from this module. The CLI, :func:`repro.run_experiment` and
+the ``--jobs`` prefetch planner all dispatch through that registry,
+while the benchmark suite and the seed-sweep harness call the driver
+functions directly.
 """
 
 from __future__ import annotations
@@ -45,7 +47,11 @@ from repro.harness.runner import (
     dopp_spec,
     uni_spec,
 )
-from repro.harness.strategy import ExperimentStrategy, Requirements
+from repro.harness.strategy import Requirements, experiment
+
+#: The built-in strategies in paper order, appended by the
+#: :func:`~repro.harness.strategy.experiment` registrations below.
+STRATEGIES: list = []
 
 #: Fig. 2's similarity thresholds, as fractions.
 FIG2_THRESHOLDS = (0.0, 0.0001, 0.001, 0.01, 0.10)
@@ -87,6 +93,16 @@ def faultsweep_specs() -> list:
     ]
 
 
+def _sweep(specs, errors: bool = True) -> Requirements:
+    """Requirements of a sweep: the baseline plus ``specs`` simulated,
+    and the output error of ``specs`` evaluated when ``errors``."""
+    specs = tuple(specs)
+    return Requirements(
+        run_specs=(baseline_spec(),) + specs,
+        error_specs=specs if errors else (),
+    )
+
+
 def _snapshot(ctx: ExperimentContext, name: str) -> LLCSnapshot:
     """Approximate-data snapshot for storage analyses (Figs. 2, 7, 8)."""
     return snapshot_from_workload(ctx.workload(name))
@@ -95,6 +111,7 @@ def _snapshot(ctx: ExperimentContext, name: str) -> LLCSnapshot:
 # --------------------------------------------------------------------- Fig 2
 
 
+@experiment("fig02", "storage savings vs element-wise similarity threshold")
 def fig02_threshold_similarity(
     ctx: ExperimentContext, max_blocks_per_region: int = 3072
 ) -> Table:
@@ -132,6 +149,11 @@ def fig02_threshold_similarity(
 # ------------------------------------------------------------------- Table 2
 
 
+@experiment(
+    "table2",
+    "approximate fraction of LLC blocks vs paper",
+    requires=Requirements(run_specs=(baseline_spec(),)),
+)
 def table2_approx_footprint(ctx: ExperimentContext) -> Table:
     """Table 2: percentage of LLC blocks that are approximate.
 
@@ -163,6 +185,7 @@ def table2_approx_footprint(ctx: ExperimentContext) -> Table:
 # --------------------------------------------------------------------- Fig 7
 
 
+@experiment("fig07", "approx data storage savings vs map space size")
 def fig07_map_space_savings(
     ctx: ExperimentContext, bits_sweep: Sequence[int] = MAP_BITS_SWEEP
 ) -> Table:
@@ -186,6 +209,7 @@ def fig07_map_space_savings(
 # --------------------------------------------------------------------- Fig 8
 
 
+@experiment("fig08", "storage savings vs compression and deduplication")
 def fig08_compression_comparison(ctx: ExperimentContext) -> Table:
     """Fig. 8: Doppelgänger vs BΔI vs exact dedup (and Dopp+BΔI)."""
     table = Table(
@@ -218,6 +242,11 @@ def fig08_compression_comparison(ctx: ExperimentContext) -> Table:
 # --------------------------------------------------------------------- Fig 9
 
 
+@experiment(
+    "fig09",
+    "output error and normalized runtime vs map bits",
+    requires=_sweep(dopp_spec(b, 0.25) for b in MAP_BITS_SWEEP),
+)
 def fig09_map_space(ctx: ExperimentContext) -> Dict[str, Table]:
     """Fig. 9: output error (a) and normalized runtime (b) vs map bits."""
     specs = {b: dopp_spec(map_bits=b, data_fraction=0.25) for b in MAP_BITS_SWEEP}
@@ -245,6 +274,11 @@ def fig09_map_space(ctx: ExperimentContext) -> Dict[str, Table]:
 # -------------------------------------------------------------------- Fig 10
 
 
+@experiment(
+    "fig10",
+    "output error and normalized runtime vs data array size",
+    requires=_sweep(dopp_spec(14, f) for f in DATA_FRACTIONS),
+)
 def fig10_data_array(ctx: ExperimentContext) -> Dict[str, Table]:
     """Fig. 10: output error (a) and normalized runtime (b) vs data array."""
     specs = {f: dopp_spec(map_bits=14, data_fraction=f) for f in DATA_FRACTIONS}
@@ -288,6 +322,11 @@ def fig10_data_array(ctx: ExperimentContext) -> Dict[str, Table]:
 # -------------------------------------------------------------------- Fig 11
 
 
+@experiment(
+    "fig11",
+    "LLC dynamic and leakage energy reduction",
+    requires=_sweep((dopp_spec(14, f) for f in DATA_FRACTIONS), errors=False),
+)
 def fig11_energy_reduction(ctx: ExperimentContext) -> Dict[str, Table]:
     """Fig. 11: LLC dynamic (a) and leakage (b) energy reductions."""
     specs = {f: dopp_spec(map_bits=14, data_fraction=f) for f in DATA_FRACTIONS}
@@ -322,6 +361,11 @@ def fig11_energy_reduction(ctx: ExperimentContext) -> Dict[str, Table]:
 # -------------------------------------------------------------------- Fig 12
 
 
+@experiment(
+    "fig12",
+    "normalized off-chip memory traffic",
+    requires=_sweep((dopp_spec(14, f) for f in DATA_FRACTIONS), errors=False),
+)
 def fig12_offchip_traffic(ctx: ExperimentContext) -> Table:
     """Fig. 12: off-chip memory traffic normalized to baseline."""
     specs = {f: dopp_spec(map_bits=14, data_fraction=f) for f in DATA_FRACTIONS}
@@ -344,6 +388,11 @@ def fig12_offchip_traffic(ctx: ExperimentContext) -> Table:
 # -------------------------------------------------------------------- Fig 13
 
 
+@experiment(
+    "fig13",
+    "LLC area reduction across both designs",
+    requires=Requirements(context=False),
+)
 def fig13_area_reduction(cacti: Optional[CactiModel] = None) -> Table:
     """Fig. 13: LLC area reduction across both designs (config-only)."""
     cacti = cacti or CactiModel()
@@ -368,6 +417,11 @@ def fig13_area_reduction(cacti: Optional[CactiModel] = None) -> Table:
 # -------------------------------------------------------------------- Fig 14
 
 
+@experiment(
+    "fig14",
+    "uniDoppelganger error, runtime and dynamic energy",
+    requires=_sweep(uni_spec(14, f) for f in UNI_FRACTIONS),
+)
 def fig14_unidoppelganger(ctx: ExperimentContext) -> Dict[str, Table]:
     """Fig. 14: uniDoppelgänger error, runtime, and dynamic energy."""
     specs = {f: uni_spec(map_bits=14, data_fraction=f) for f in UNI_FRACTIONS}
@@ -405,6 +459,11 @@ def fig14_unidoppelganger(ctx: ExperimentContext) -> Dict[str, Table]:
 # ------------------------------------------------------------------- Table 3
 
 
+@experiment(
+    "table3",
+    "per-structure size, area, latency and energy",
+    requires=Requirements(context=False),
+)
 def table3_hardware_cost(cacti: Optional[CactiModel] = None) -> Table:
     """Table 3: per-structure size / area / latency / energy.
 
@@ -453,6 +512,11 @@ def table3_hardware_cost(cacti: Optional[CactiModel] = None) -> Table:
     return table
 
 
+@experiment(
+    "headline",
+    "the abstract's headline claims, measured",
+    requires=_sweep([dopp_spec(14, 0.25)], errors=False),
+)
 def summary_headline(ctx: ExperimentContext) -> Table:
     """The abstract's headline claims, measured.
 
@@ -485,6 +549,12 @@ def summary_headline(ctx: ExperimentContext) -> Table:
 # --------------------------------------------------------------- faultsweep
 
 
+@experiment(
+    "faultsweep",
+    "output quality and cost vs injected fault rate",
+    # Built on use: the sweep specs pull in the fault model.
+    requires=lambda: _sweep(faultsweep_specs()),
+)
 def faultsweep_resilience(ctx: ExperimentContext) -> Dict[str, Table]:
     """Resilience sweep: output quality and cost vs injected fault rate.
 
@@ -538,212 +608,6 @@ def faultsweep_resilience(ctx: ExperimentContext) -> Dict[str, Table]:
     injected.add_note("counts are deterministic in (seed, rate): see "
                       "docs/robustness.md")
     return {"error": err, "runtime": run, "injected": injected}
-
-
-# ---------------------------------------------------------------- strategies
-#
-# Each table/figure is an ExperimentStrategy wrapping its driver
-# function (the functions stay public: the benchmark suite and the
-# seed-sweep harness call them directly). The ``requires`` metadata is
-# the single source of truth for what a --jobs prefetch must simulate;
-# see docs/experiments.md for the plugin contract.
-
-
-class Fig02Strategy(ExperimentStrategy):
-    """Fig. 2: storage savings vs similarity threshold (snapshot only)."""
-
-    name = "fig02"
-    description = "storage savings vs element-wise similarity threshold"
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig02_threshold_similarity`."""
-        return fig02_threshold_similarity(ctx)
-
-
-class Table2Strategy(ExperimentStrategy):
-    """Table 2: approximate fraction of baseline LLC blocks."""
-
-    name = "table2"
-    description = "approximate fraction of LLC blocks vs paper"
-    requires = Requirements(run_specs=(baseline_spec(),))
-
-    def execute(self, ctx):
-        """Delegate to :func:`table2_approx_footprint`."""
-        return table2_approx_footprint(ctx)
-
-
-class Fig07Strategy(ExperimentStrategy):
-    """Fig. 7: storage savings vs map-space size (snapshot only)."""
-
-    name = "fig07"
-    description = "approx data storage savings vs map space size"
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig07_map_space_savings`."""
-        return fig07_map_space_savings(ctx)
-
-
-class Fig08Strategy(ExperimentStrategy):
-    """Fig. 8: Doppelgänger vs BΔI vs dedup (snapshot only)."""
-
-    name = "fig08"
-    description = "storage savings vs compression and deduplication"
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig08_compression_comparison`."""
-        return fig08_compression_comparison(ctx)
-
-
-class Fig09Strategy(ExperimentStrategy):
-    """Fig. 9: error and runtime across the map-bits sweep."""
-
-    name = "fig09"
-    description = "output error and normalized runtime vs map bits"
-    requires = Requirements(
-        run_specs=(baseline_spec(),)
-        + tuple(dopp_spec(b, 0.25) for b in MAP_BITS_SWEEP),
-        error_specs=tuple(dopp_spec(b, 0.25) for b in MAP_BITS_SWEEP),
-    )
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig09_map_space`."""
-        return fig09_map_space(ctx)
-
-
-class Fig10Strategy(ExperimentStrategy):
-    """Fig. 10: error, runtime and replacement stats vs data array."""
-
-    name = "fig10"
-    description = "output error and normalized runtime vs data array size"
-    requires = Requirements(
-        run_specs=(baseline_spec(),)
-        + tuple(dopp_spec(14, f) for f in DATA_FRACTIONS),
-        error_specs=tuple(dopp_spec(14, f) for f in DATA_FRACTIONS),
-    )
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig10_data_array`."""
-        return fig10_data_array(ctx)
-
-
-class Fig11Strategy(ExperimentStrategy):
-    """Fig. 11: LLC dynamic and leakage energy reductions."""
-
-    name = "fig11"
-    description = "LLC dynamic and leakage energy reduction"
-    requires = Requirements(
-        run_specs=(baseline_spec(),)
-        + tuple(dopp_spec(14, f) for f in DATA_FRACTIONS),
-    )
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig11_energy_reduction`."""
-        return fig11_energy_reduction(ctx)
-
-
-class Fig12Strategy(ExperimentStrategy):
-    """Fig. 12: off-chip traffic across the data-array sweep."""
-
-    name = "fig12"
-    description = "normalized off-chip memory traffic"
-    requires = Requirements(
-        run_specs=(baseline_spec(),)
-        + tuple(dopp_spec(14, f) for f in DATA_FRACTIONS),
-    )
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig12_offchip_traffic`."""
-        return fig12_offchip_traffic(ctx)
-
-
-class Fig13Strategy(ExperimentStrategy):
-    """Fig. 13: LLC area reduction (config-only, no simulation)."""
-
-    name = "fig13"
-    description = "LLC area reduction across both designs"
-    requires = Requirements(context=False)
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig13_area_reduction` (ignores ``ctx``)."""
-        return fig13_area_reduction()
-
-
-class Fig14Strategy(ExperimentStrategy):
-    """Fig. 14: uniDoppelgänger error, runtime and dynamic energy."""
-
-    name = "fig14"
-    description = "uniDoppelganger error, runtime and dynamic energy"
-    requires = Requirements(
-        run_specs=(baseline_spec(),)
-        + tuple(uni_spec(14, f) for f in UNI_FRACTIONS),
-        error_specs=tuple(uni_spec(14, f) for f in UNI_FRACTIONS),
-    )
-
-    def execute(self, ctx):
-        """Delegate to :func:`fig14_unidoppelganger`."""
-        return fig14_unidoppelganger(ctx)
-
-
-class Table3Strategy(ExperimentStrategy):
-    """Table 3: hardware cost model (config-only, no simulation)."""
-
-    name = "table3"
-    description = "per-structure size, area, latency and energy"
-    requires = Requirements(context=False)
-
-    def execute(self, ctx):
-        """Delegate to :func:`table3_hardware_cost` (ignores ``ctx``)."""
-        return table3_hardware_cost()
-
-
-class HeadlineStrategy(ExperimentStrategy):
-    """The abstract's headline claims under the base configuration."""
-
-    name = "headline"
-    description = "the abstract's headline claims, measured"
-    requires = Requirements(run_specs=(baseline_spec(), dopp_spec(14, 0.25)))
-
-    def execute(self, ctx):
-        """Delegate to :func:`summary_headline`."""
-        return summary_headline(ctx)
-
-
-class FaultsweepStrategy(ExperimentStrategy):
-    """Resilience sweep: quality and cost vs injected fault rate."""
-
-    name = "faultsweep"
-    description = "output quality and cost vs injected fault rate"
-
-    @property
-    def requires(self):
-        """Sweep specs built lazily (they pull in the fault model)."""
-        sweep = tuple(faultsweep_specs())
-        return Requirements(
-            run_specs=(baseline_spec(),) + sweep, error_specs=sweep
-        )
-
-    def execute(self, ctx):
-        """Delegate to :func:`faultsweep_resilience`."""
-        return faultsweep_resilience(ctx)
-
-
-#: The built-in strategies, in paper order — what the global
-#: :data:`repro.harness.strategy.registry` discovers from this module.
-STRATEGIES = (
-    Fig02Strategy,
-    Table2Strategy,
-    Fig07Strategy,
-    Fig08Strategy,
-    Fig09Strategy,
-    Fig10Strategy,
-    Fig11Strategy,
-    Fig12Strategy,
-    Fig13Strategy,
-    Fig14Strategy,
-    Table3Strategy,
-    HeadlineStrategy,
-    FaultsweepStrategy,
-)
 
 
 def experiment_names() -> list:

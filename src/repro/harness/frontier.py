@@ -99,7 +99,6 @@ def _run_search(
     the results sequentially (deterministic order: ``ctx.names``).
     """
     controllers = _build_controllers(ctx, options, ladder)
-    journal = getattr(ctx, "journal", None)
     while True:
         pending = [
             (name, step)
@@ -120,21 +119,11 @@ def _run_search(
                 jobs=jobs,
                 timeout=getattr(ctx, "timeout", None),
                 retries=getattr(ctx, "retries", 0),
-                journal=journal,
             )
         for name, step in pending:
-            spec = ctx.apply_faults(_step_spec(step, options))
-            fresh_run = (name, spec) not in ctx._runs
-            fresh_error = (name, spec) not in ctx._errors
+            spec = _step_spec(step, options)
             error = ctx.error(name, spec)
             record = ctx.run(name, spec)
-            # The prefetch journals worker-computed pairs; journal the
-            # sequentially-computed ones too so a killed single-job
-            # search also resumes without re-simulating.
-            if journal is not None and fresh_run:
-                journal.record_run(name, spec, record)
-            if journal is not None and fresh_error:
-                journal.record_error(name, spec, error)
             controllers[name].observe(
                 step.index,
                 error=error,

@@ -34,14 +34,14 @@ sweep — the pool is torn down, finished results are kept, and the
 failed workloads are retried up to ``retries`` times with exponential
 backoff; the final failure is a typed
 :class:`~repro.errors.SimulationFault` naming every (workload, config)
-that could not be computed. An optional
-:class:`~repro.resilience.checkpoint.SweepJournal` persists each
-merged record so an interrupted sweep resumes instead of restarting.
+that could not be computed. Merged records enter the memo through
+:meth:`~repro.harness.runner.ExperimentContext.remember_run`, which
+also writes the context's checkpoint journal, so an interrupted sweep
+resumes instead of restarting.
 
 Cancellation: every prefetch runs under a :class:`CancelToken`. While
 the pool is live, SIGINT/SIGTERM are routed through
-:func:`cancellation_signals` onto that token (main thread only — the
-serve daemon's job threads set tokens through its API instead), so an
+:func:`cancellation_signals` onto that token (main thread only), so an
 interrupted sweep tears the pool down cleanly, keeps and journals
 every record already merged, and surfaces as the typed
 :class:`~repro.errors.Cancelled` (exit code 130) rather than a raw
@@ -60,7 +60,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import Cancelled, SimulationFault
-from repro.harness.runner import ConfigSpec, ExperimentContext, RunRecord
+from repro.harness.runner import ConfigSpec, ExperimentContext
 from repro.obs import EVENT_WORKER_RETRY, get_logger
 
 log = get_logger("harness.parallel")
@@ -73,8 +73,8 @@ class CancelToken:
     """Cooperative, thread-safe cancellation flag for a sweep.
 
     Created per prefetch (or handed in by a caller that wants to
-    cancel from another thread — the serve daemon's ``DELETE
-    /jobs/<id>``). Setting it is idempotent; the first reason wins.
+    cancel from another thread). Setting it is idempotent; the first
+    reason wins.
     """
 
     def __init__(self):
@@ -105,7 +105,7 @@ def cancellation_signals(
     ``KeyboardInterrupt`` traceback from whatever bytecode the merge
     loop happened to be on. Previous handlers are restored on exit.
     No-op outside the main thread (Python only delivers signals
-    there), so daemon job threads can share the same code path.
+    there), so a sweep started from another thread still runs.
     """
     if threading.current_thread() is not threading.main_thread():
         yield token
@@ -132,7 +132,7 @@ class _RoundCancelled(Exception):
     """Internal: the current round observed a set CancelToken."""
 
 
-def _wait_result(future, timeout: Optional[float], cancel: Optional[CancelToken]):
+def _wait_result(future, timeout: Optional[float], cancel: CancelToken):
     """Await one future in short slices so cancellation stays live.
 
     ``future.result(timeout)`` would block the merge loop for the whole
@@ -146,7 +146,7 @@ def _wait_result(future, timeout: Optional[float], cancel: Optional[CancelToken]
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
-        if cancel is not None and cancel.cancelled():
+        if cancel.cancelled():
             raise _RoundCancelled()
         slice_s = _POLL_S
         if deadline is not None:
@@ -290,7 +290,7 @@ def _run_round(
     tasks: List[dict],
     workers: int,
     timeout: Optional[float],
-    cancel: Optional[CancelToken] = None,
+    cancel: CancelToken,
 ):
     """Run one batch of tasks; returns ``(completed, failed)``.
 
@@ -350,7 +350,6 @@ def prefetch_runs(
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 1.0,
-    journal=None,
     split_fans: bool = True,
     progress=None,
     cancel: Optional[CancelToken] = None,
@@ -377,19 +376,15 @@ def prefetch_runs(
             units so every worker gets a slice (see :func:`_split_fan`;
             results are identical either way). False restores
             one-task-per-workload.
-        journal: optional
-            :class:`~repro.resilience.checkpoint.SweepJournal`; every
-            merged record is journaled as it lands, so a killed sweep
-            resumes from its last completed (workload, config).
         progress: optional
             :class:`~repro.obs.livestream.LiveProgressSink`; workers
             then emit heartbeats (unit, accesses/sec, slow-path
             fraction, RSS) over a manager queue that the sink drains
             live, so a stuck worker is visible mid-run.
-        cancel: optional :class:`CancelToken` shared with another
-            thread (the serve daemon's job queue). A fresh token is
-            created when omitted; either way SIGINT/SIGTERM route onto
-            it while the pool is live (main thread only).
+        cancel: optional :class:`CancelToken` another thread may set.
+            A fresh token is created when omitted; either way
+            SIGINT/SIGTERM route onto it while the pool is live (main
+            thread only).
 
     Raises:
         SimulationFault: tasks still failing after every retry; the
@@ -471,8 +466,7 @@ def prefetch_runs(
     try:
         with cancellation_signals(token):
             fetched = _prefetch_rounds(
-                ctx, tasks, workers, timeout, retries, backoff, journal,
-                cancel=token,
+                ctx, tasks, workers, timeout, retries, backoff, token
             )
     finally:
         if progress is not None:
@@ -491,7 +485,6 @@ def prefetch_pairs(
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 1.0,
-    journal=None,
     cancel: Optional[CancelToken] = None,
 ) -> int:
     """Fan explicit (workload, spec) pairs across worker processes.
@@ -501,7 +494,7 @@ def prefetch_pairs(
     per-workload searches) need the transpose: each workload probes
     its own spec this round. This entry point takes the explicit pair
     lists, groups them into one task per workload and reuses the same
-    retry/backoff/journal machinery, so independent searches advance
+    retry/backoff/cancellation machinery, so independent searches advance
     in parallel with the full crash tolerance of the generic prefetch.
 
     Pairs already memoized in ``ctx`` are skipped; fault configs are
@@ -552,8 +545,7 @@ def prefetch_pairs(
     token = cancel if cancel is not None else CancelToken()
     with cancellation_signals(token):
         return _prefetch_rounds(
-            ctx, tasks, workers, timeout, retries, backoff, journal,
-            cancel=token,
+            ctx, tasks, workers, timeout, retries, backoff, token
         )
 
 
@@ -564,8 +556,7 @@ def _prefetch_rounds(
     timeout: Optional[float],
     retries: int,
     backoff: float,
-    journal,
-    cancel: Optional[CancelToken] = None,
+    cancel: CancelToken,
 ) -> int:
     """Run the retry loop of :func:`prefetch_runs`; returns runs fetched.
 
@@ -583,15 +574,11 @@ def _prefetch_rounds(
             )
             for task, (name, runs, errors) in completed:
                 for spec, record in runs:
-                    ctx._runs[(name, spec)] = record
+                    ctx.remember_run(name, spec, record)
                     fetched += 1
-                    if journal is not None:
-                        journal.record_run(name, spec, record)
                 for spec, err in errors.items():
-                    ctx._errors[(name, spec)] = err
-                    if journal is not None:
-                        journal.record_error(name, spec, err)
-            if cancel is not None and cancel.cancelled():
+                    ctx.remember_error(name, spec, err)
+            if cancel.cancelled():
                 raise Cancelled(
                     f"sweep cancelled ({cancel.reason}); "
                     f"{fetched} completed simulation"
@@ -630,10 +617,3 @@ def _prefetch_rounds(
             time.sleep(delay)
             pending = [task for task, _ in failed]
     return fetched
-
-
-def merge_records(
-    ctx: ExperimentContext, records: Dict[Tuple[str, ConfigSpec], RunRecord]
-) -> None:
-    """Adopt externally computed records into a context's memo."""
-    ctx._runs.update(records)

@@ -387,13 +387,11 @@ class ExperimentContext:
         self.jobs = 1
         self.timeout: Optional[float] = None
         self.retries = 0
+        #: Optional :class:`~repro.resilience.checkpoint.SweepJournal`;
+        #: every result entering the memo is journaled to it.
         self.journal = None
         self.checkpoint_dir: Optional[str] = None
         self.strategy_options: Dict[str, object] = {}
-        #: Optional :class:`~repro.harness.parallel.CancelToken` the
-        #: driver publishes; long-running strategies should poll
-        #: ``ctx.cancel.cancelled()`` to honour job cancellation.
-        self.cancel = None
         #: Event dicts (each with a ``kind``) strategies queue for the
         #: run-history store — how controller decisions become
         #: queryable ``repro history`` rows even when live tracing is
@@ -428,6 +426,26 @@ class ExperimentContext:
         return SystemConfig(
             l2_bytes=max(int(128 * KB * self.size_factor), 32 * KB)
         )
+
+    # ------------------------------------------------------------------ memo
+
+    def remember_run(self, name: str, spec: ConfigSpec, record: RunRecord) -> None:
+        """Adopt one simulation record into the memo, journaling it.
+
+        Every record a context computes or receives from a ``--jobs``
+        worker enters the memo here (resumed ones are already on disk),
+        so ``--checkpoint-dir`` journals sequential and parallel runs
+        alike.
+        """
+        self._runs[(name, spec)] = record
+        if self.journal is not None:
+            self.journal.record_run(name, spec, record)
+
+    def remember_error(self, name: str, spec: ConfigSpec, error: float) -> None:
+        """Adopt one output-error value into the memo, journaling it."""
+        self._errors[(name, spec)] = error
+        if self.journal is not None:
+            self.journal.record_error(name, spec, error)
 
     # ------------------------------------------------------------------ runs
 
@@ -523,13 +541,13 @@ class ExperimentContext:
                 wall_ns = perf_counter_ns() - start_ns
             with self.obs.profiler.phase(f"energy/{name}/{label}"):
                 energy = self.energy_model.dynamic_energy(llc, cycles=result.cycles)
-            self._runs[key] = RunRecord(
+            self.remember_run(name, spec, RunRecord(
                 spec=spec, system=result, energy=energy, llc=llc,
                 wall_ns=wall_ns, accesses=len(trace),
                 faults=injector.summary() if injector is not None else None,
                 engine_used=engine_used,
                 engine_stats=engine_stats,
-            )
+            ))
         return self._runs[key]
 
     def error(self, name: str, spec: ConfigSpec) -> float:
@@ -560,7 +578,9 @@ class ExperimentContext:
             approximator = spec.approximator(self.size_factor)
             with self.obs.profiler.phase(f"error/{name}/{spec.label()}"):
                 approx_out = workload.run(approximator)
-            self._errors[key] = workload.error(self._precise_outputs[name], approx_out)
+            self.remember_error(
+                name, spec, workload.error(self._precise_outputs[name], approx_out)
+            )
         return self._errors[key]
 
     def normalized_runtime(self, name: str, spec: ConfigSpec) -> float:

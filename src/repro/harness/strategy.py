@@ -14,8 +14,9 @@ a harness fork.
 
 Discovery has two sources, in a deterministic, documented order:
 
-1. **Built-ins** — the classes listed in each registered builtin
-   module's ``STRATEGIES`` tuple (paper/declaration order).
+1. **Built-ins** — the strategies in each registered builtin module's
+   ``STRATEGIES`` sequence (paper/declaration order); the paper's
+   drivers land there through :func:`experiment` registrations.
 2. **Entry points** — distributions advertising the
    ``repro.experiments`` group, appended sorted by entry-point name.
    A plugin that fails to import is skipped with a warning (a broken
@@ -174,18 +175,66 @@ class ExperimentStrategy(ABC):
         return self.name or type(self).__name__
 
 
+class FunctionStrategy(ExperimentStrategy):
+    """A strategy whose ``execute`` is one driver function.
+
+    What :func:`experiment` registers. ``requires`` may be a
+    zero-argument callable instead of a :class:`Requirements`, for spec
+    lists too costly to build at import time; it is then rebuilt on
+    each access.
+    """
+
+    def __init__(self, name: str, description: str, driver, requires):
+        """Wrap ``driver`` (called as ``driver(ctx)``) under ``name``."""
+        self.name = name
+        self.description = description
+        self.driver = driver
+        self._requires = requires
+
+    @property
+    def requires(self) -> Requirements:
+        """The driver's declared requirements."""
+        if callable(self._requires):
+            return self._requires()
+        return self._requires
+
+    def execute(self, ctx):
+        """Run the driver (``ctx`` is None for config-only drivers)."""
+        return self.driver(ctx)
+
+
+def experiment(name: str, description: str, requires=Requirements()):
+    """Decorator registering a driver function as a built-in experiment.
+
+    Appends a :class:`FunctionStrategy` to the ``STRATEGIES`` list of
+    the driver's module — the list :class:`StrategyRegistry` discovers
+    built-ins from, so registration order is declaration order — and
+    returns the driver unchanged for direct callers.
+    """
+
+    def register(driver):
+        """Record ``driver`` in its module's ``STRATEGIES`` list."""
+        module = sys.modules[driver.__module__]
+        module.__dict__.setdefault("STRATEGIES", []).append(
+            FunctionStrategy(name, description, driver, requires)
+        )
+        return driver
+
+    return register
+
+
 class StrategyRegistry:
     """Discovers and resolves :class:`ExperimentStrategy` instances.
 
     Iteration order is deterministic and documented: builtin modules'
-    ``STRATEGIES`` tuples in declaration order, then entry-point
+    ``STRATEGIES`` sequences in declaration order, then entry-point
     strategies sorted by entry-point name. Lookups of unknown names
     raise :class:`~repro.errors.UnknownExperimentError` (exit code 2
     through the CLI), never a raw ``KeyError``.
 
     Args:
-        builtin_modules: modules whose ``STRATEGIES`` tuple is
-            registered on first use.
+        builtin_modules: modules whose ``STRATEGIES`` sequence (classes
+            or instances) is registered on first use.
         entry_point_group: importlib.metadata group scanned for
             third-party strategies (``None`` disables scanning).
     """
@@ -245,8 +294,8 @@ class StrategyRegistry:
 
         for module_name in self._builtin_modules:
             module = importlib.import_module(module_name)
-            for cls in getattr(module, "STRATEGIES", ()):
-                self.register(cls)
+            for strategy in getattr(module, "STRATEGIES", ()):
+                self.register(strategy)
         if self._entry_point_group:
             self._discover_entry_points()
 
@@ -391,9 +440,6 @@ class StrategyRunResult:
     outcomes: List[StrategyOutcome] = field(default_factory=list)
     #: The shared context (None when no strategy required one).
     ctx: Optional[ExperimentContext] = None
-    #: History-store run id when ``record_history`` landed one (the
-    #: serve daemon links jobs to ``repro history`` rows through this).
-    run_id: Optional[int] = None
 
     @property
     def tables(self) -> Dict[str, Tables]:
@@ -477,19 +523,23 @@ def _start_history_run(store_path, argv, names, options) -> tuple:
     return store, run_id
 
 
+def _add_results(store, run_id, ctx) -> None:
+    """Land the context's (workload, config) results in the store."""
+    if ctx is None:
+        return
+    records = ctx.run_records()
+    for row in ctx.run_summaries():
+        store.add_result(
+            run_id, row, records.get((row["workload"], row["config"]))
+        )
+
+
 def _record_history_run(
     store, run_id, ctx, progress, *, wall_s, cpu_s, experiments, echo
 ):
     """Land results, heartbeats and final timings in the history store."""
     try:
-        if ctx is not None:
-            records = ctx.run_records()
-            for row in ctx.run_summaries():
-                store.add_result(
-                    run_id,
-                    row,
-                    records.get((row["workload"], row["config"])),
-                )
+        _add_results(store, run_id, ctx)
         if progress is not None:
             store.add_events(run_id, progress.events_for_store())
         if ctx is not None and getattr(ctx, "pending_events", None):
@@ -517,14 +567,7 @@ def _abort_history_run(store, run_id, ctx, reason: str) -> None:
     like everywhere else in the recording path.
     """
     try:
-        if ctx is not None:
-            records = ctx.run_records()
-            for row in ctx.run_summaries():
-                store.add_result(
-                    run_id,
-                    row,
-                    records.get((row["workload"], row["config"])),
-                )
+        _add_results(store, run_id, ctx)
         store.add_event(run_id, "run_cancelled", payload={"reason": reason})
     except Exception:  # pragma: no cover - telemetry must not mask Cancelled
         pass
@@ -602,7 +645,6 @@ def run_strategies(
     record_history: bool = False,
     argv: Optional[Sequence[str]] = None,
     strategy_options: Optional[dict] = None,
-    cancel=None,
 ) -> StrategyRunResult:
     """Run a batch of strategies through the one generic pipeline.
 
@@ -616,7 +658,8 @@ def run_strategies(
       pool (config fans split across idle workers unless
       ``split_fans=False``), with ``timeout``/``retries`` resilience;
     * **checkpointing** — ``checkpoint_dir`` journals every completed
-      (workload, config); ``resume`` loads finished pairs first;
+      (workload, config), sequential or prefetched; ``resume`` loads
+      finished pairs first;
     * **observability** — each strategy runs in its own profiler
       phase, and declared metrics are pre-registered;
     * **history** — with ``record_history``, the invocation lands in
@@ -645,24 +688,20 @@ def run_strategies(
             context as ``ctx.strategy_options`` — how strategy-specific
             CLI knobs (``--error-budget``, ``--voltage-steps``) reach
             the strategies without per-experiment driver branches.
-        cancel: optional
-            :class:`~repro.harness.parallel.CancelToken` another thread
-            may set (the serve daemon's ``DELETE /jobs/<id>``). Checked
-            between strategies and polled continuously during the
-            parallel prefetch; also published as ``ctx.cancel`` so
-            long-running strategies can poll it themselves.
 
     Returns:
-        :class:`StrategyRunResult` with per-strategy tables/wall times,
-        the shared context, and the history run id (when recorded).
+        :class:`StrategyRunResult` with per-strategy tables/wall times
+        and the shared context.
 
     Raises:
         UnknownExperimentError: an experiment name is not registered.
+        ConfigError: ``checkpoint_dir`` names an existing non-directory
+            or a journal written under other (seed, scale, engine)
+            knobs — raised before anything simulates.
         SimulationFault: the parallel prefetch exhausted its retries.
-        Cancelled: the ``cancel`` token was set (or a signal arrived
-            during the prefetch); a recorded history run keeps its
-            completed results plus a ``run_cancelled`` event, without
-            being marked finished.
+        Cancelled: SIGINT/SIGTERM arrived during the parallel prefetch;
+            a recorded history run keeps its completed results plus a
+            ``run_cancelled`` event, without being marked finished.
     """
     reg = strategy_registry if strategy_registry is not None else registry
     resolved = [reg.resolve(item) for item in experiments]
@@ -670,6 +709,40 @@ def run_strategies(
     start_ns = perf_counter_ns()
     cpu_start = os.times()
     names = [s.label() for s in resolved]
+    if ctx is None and any(s.requires.context for s in resolved):
+        ctx = ExperimentContext(
+            seed=seed,
+            scale=scale,
+            workloads=workloads,
+            obs=obs,
+            engine=engine,
+            faults=faults,
+        )
+    journal = None
+    if checkpoint_dir and ctx is not None:
+        from repro.resilience.checkpoint import open_journal
+
+        # Opened before the history run starts, so a bad path fails
+        # fast with nothing recorded and nothing simulated.
+        journal = open_journal(checkpoint_dir, ctx)
+        if resume:
+            runs, errors = journal.load_into(ctx)
+            if echo:
+                echo(
+                    f"[resumed {runs} runs and {errors} errors from "
+                    f"{checkpoint_dir}]"
+                )
+    if ctx is not None:
+        # Publish the harness execution knobs so strategies that
+        # orchestrate their own fan-out (e.g. frontier's adaptive
+        # search) reuse the same jobs/journal/resilience settings.
+        # From here on every result entering the memo is journaled.
+        ctx.jobs = jobs
+        ctx.timeout = timeout
+        ctx.retries = retries
+        ctx.journal = journal
+        ctx.checkpoint_dir = checkpoint_dir
+        ctx.strategy_options = dict(strategy_options or {})
     store = run_id = None
     if record_history:
         store, run_id = _start_history_run(
@@ -686,40 +759,7 @@ def run_strategies(
                 "faults": faults,
             },
         )
-
-    if ctx is None and any(s.requires.context for s in resolved):
-        ctx = ExperimentContext(
-            seed=seed,
-            scale=scale,
-            workloads=workloads,
-            obs=obs,
-            engine=engine,
-            faults=faults,
-        )
-    journal = None
-    if checkpoint_dir and ctx is not None:
-        from repro.resilience.checkpoint import open_journal
-
-        journal = open_journal(checkpoint_dir, ctx)
-        if resume:
-            runs, errors = journal.load_into(ctx)
-            if echo:
-                echo(
-                    f"[resumed {runs} runs and {errors} errors from "
-                    f"{checkpoint_dir}]"
-                )
-    if ctx is not None:
-        # Publish the harness execution knobs so strategies that
-        # orchestrate their own fan-out (e.g. frontier's adaptive
-        # search) reuse the same jobs/journal/resilience settings.
-        ctx.jobs = jobs
-        ctx.timeout = timeout
-        ctx.retries = retries
-        ctx.journal = journal
-        ctx.checkpoint_dir = checkpoint_dir
-        ctx.strategy_options = dict(strategy_options or {})
-        ctx.cancel = cancel
-    result = StrategyRunResult(ctx=ctx, run_id=run_id)
+    result = StrategyRunResult(ctx=ctx)
     try:
         if jobs > 1 and ctx is not None:
             run_specs, error_specs = _plan_from(resolved)
@@ -740,10 +780,8 @@ def run_strategies(
                     error_specs=error_specs,
                     timeout=timeout,
                     retries=retries,
-                    journal=journal,
                     split_fans=split_fans,
                     progress=progress,
-                    cancel=cancel,
                 )
                 if progress is not None and echo:
                     beat = progress.summary()
@@ -755,11 +793,6 @@ def run_strategies(
                     echo(f"[prefetched {fetched} runs across {jobs} jobs]")
 
         for strategy in resolved:
-            if cancel is not None and cancel.cancelled():
-                raise Cancelled(
-                    f"run cancelled ({cancel.reason}) before experiment "
-                    f"{strategy.label()!r}"
-                )
             result.outcomes.append(
                 _execute_one(
                     strategy, ctx, obs, out=out, json_dir=json_dir, echo=echo
@@ -768,7 +801,6 @@ def run_strategies(
     except Cancelled as exc:
         if store is not None:
             _abort_history_run(store, run_id, ctx, str(exc))
-        exc.run_id = run_id  # let callers (the serve daemon) link the run
         raise
 
     if ctx is not None and json_dir:

@@ -21,6 +21,13 @@ class TestCLI:
         assert "unknown experiment" in err
         assert "fig99" in err
 
+    @pytest.mark.parametrize("verb", ["serve", "submit", "jobs", "watch"])
+    def test_no_job_daemon_verbs(self, verb, capsys):
+        # The package ships no job daemon: these are experiment names
+        # like any other, and none is registered.
+        assert main([verb]) == 2
+        assert f"unknown experiment {verb!r}" in capsys.readouterr().err
+
     def test_unknown_experiment_in_sweep(self, capsys):
         assert main(["experiments", "fig99"]) == 2
         assert "unknown experiment" in capsys.readouterr().err

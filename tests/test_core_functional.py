@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.data_array import MTagDataArray
 from repro.core.functional import (
     BlockApproximator,
     FunctionalDoppelganger,
@@ -70,6 +71,28 @@ class TestFunctionalStore:
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             FunctionalDoppelganger(10, 4)
+
+
+class TestMatchesStructuralArray:
+    """The error model and the timing model's MTag array are one cache."""
+
+    @pytest.mark.parametrize("entries,ways", [(4096, 16), (256, 4), (64, 16)])
+    def test_same_resident_maps(self, entries, ways):
+        rng = np.random.default_rng(entries * ways)
+        functional = FunctionalDoppelganger(entries, ways)
+        structural = MTagDataArray(entries, ways, policy="lru")
+        block = np.zeros(16, dtype=np.float32)
+        # Map values over ~3x the capacity: both hits and evictions.
+        for map_value in rng.integers(0, 3 * entries, size=20000).tolist():
+            functional.access(DType.F32, map_value, block)
+            entry = structural.probe(map_value)
+            if entry is None:
+                structural.allocate(map_value)
+            else:
+                structural.touch(entry)
+        assert functional.shared_hits > 0 and functional.evictions > 0
+        resident = sorted(key[2] for entries_ in functional._sets for key in entries_)
+        assert resident == sorted(e.map_value for e in structural.resident())
 
 
 class TestBlockApproximator:

@@ -248,7 +248,6 @@ class TestControllerCheckpoint:
         assert controller_state_dir("/c/dir") == os.path.join(
             "/c/dir", "frontier"
         )
-        assert controller_state_dir("/c/j.zip") == "/c/j.frontier"
 
     def _interrupted(self, tmp_path, n_obs):
         """A controller killed after ``n_obs`` observations."""

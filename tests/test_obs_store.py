@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.obs.store import (
+    _MIGRATION_V2,
     _SCHEMA_V1,
     SCHEMA_VERSION,
     RunStore,
@@ -43,6 +44,78 @@ def summary_row(workload="kmeans", config="baseline-2MB", **over):
 def store(tmp_path):
     with RunStore(str(tmp_path / "history.db")) as s:
         yield s
+
+
+#: The ``jobs`` table schema v3 added for the since-removed job daemon,
+#: as v3 created it, so migrating off it is tested on its real shape.
+V3_JOBS_DDL = (
+    """
+    CREATE TABLE IF NOT EXISTS jobs (
+        id TEXT PRIMARY KEY,
+        submitted_unix REAL NOT NULL,
+        started_unix REAL,
+        finished_unix REAL,
+        state TEXT NOT NULL,
+        spec TEXT NOT NULL,
+        run_id INTEGER REFERENCES runs(id) ON DELETE SET NULL,
+        error TEXT,
+        daemon TEXT
+    )
+    """,
+    "CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state)",
+)
+
+
+def old_store(path, version):
+    """A store as schema ``version`` (1-3) built it, with two runs.
+
+    Each run holds one result row; at v3 the ``jobs`` table also holds
+    one job row per run, linked through ``run_id``.
+    """
+    conn = sqlite3.connect(path)
+    for stmt in _SCHEMA_V1:
+        conn.execute(stmt)
+    if version >= 2:
+        for stmt in _MIGRATION_V2:
+            conn.execute(stmt)
+    if version >= 3:
+        for stmt in V3_JOBS_DDL:
+            conn.execute(stmt)
+    for run_id in (1, 2):
+        conn.execute(
+            "INSERT INTO runs (id, started_unix, experiments, engine, "
+            "git_sha, wall_s, finished) VALUES (?, ?, ?, 'batched', 'abc', "
+            "1.0, 1)",
+            (run_id, float(run_id), json.dumps({"table2": {"wall_s": 0.9}})),
+        )
+        conn.execute(
+            "INSERT INTO results (run_id, workload, config, error, summary) "
+            "VALUES (?, 'kmeans', 'baseline-2MB', 0.01, ?)",
+            (run_id, json.dumps(summary_row())),
+        )
+        if version >= 3:
+            conn.execute(
+                "INSERT INTO jobs (id, submitted_unix, state, spec, run_id, "
+                "daemon) VALUES (?, ?, 'done', ?, ?, 'host:1')",
+                (f"job{run_id}", float(run_id),
+                 json.dumps({"experiments": ["table2"]}), run_id),
+            )
+    conn.execute(f"PRAGMA user_version = {version}")
+    conn.commit()
+    conn.close()
+    return path
+
+
+def schema_of(path):
+    """Every (type, name, sql) row of a store's schema, after opening."""
+    with RunStore(path) as store:
+        assert store.schema_version == SCHEMA_VERSION
+        return set(
+            store.query(
+                "SELECT type, name, sql FROM sqlite_master "
+                "WHERE name NOT LIKE 'sqlite_%'"
+            )[1]
+        )
 
 
 class TestSchema:
@@ -82,27 +155,11 @@ class TestSchema:
             assert store.run_row(1)["engine"] == "batched"
 
     def test_migrated_and_fresh_schemas_match(self, tmp_path):
-        old = str(tmp_path / "old.db")
-        conn = sqlite3.connect(old)
-        for stmt in _SCHEMA_V1:
-            conn.execute(stmt)
-        conn.execute("PRAGMA user_version = 1")
-        conn.commit()
-        conn.close()
-
-        def schema(path):
-            with RunStore(path) as s:
-                return set(
-                    s.query(
-                        "SELECT name, sql FROM sqlite_master "
-                        "WHERE name NOT LIKE 'sqlite_%'"
-                    )[1]
-                )
-
-        fresh = schema(str(tmp_path / "fresh.db"))
-        # Only difference allowed: column order in CREATE TABLE runs
-        # (ALTER TABLE appends cpu_s); compare by name set instead.
-        assert {n for n, _ in schema(old)} == {n for n, _ in fresh}
+        fresh = schema_of(str(tmp_path / "fresh.db"))
+        assert "jobs" not in {name for _, name, _ in fresh}
+        for version in (1, 2, 3):
+            path = old_store(str(tmp_path / f"v{version}.db"), version)
+            assert schema_of(path) == fresh, f"v{version}"
 
     def test_newer_schema_is_refused(self, tmp_path):
         path = str(tmp_path / "future.db")
@@ -112,6 +169,29 @@ class TestSchema:
         conn.close()
         with pytest.raises(ConfigError, match="newer"):
             RunStore(path)
+
+
+class TestMigrationOffJobs:
+    def test_v3_runs_survive_and_jobs_are_dropped(self, tmp_path):
+        path = old_store(str(tmp_path / "v3.db"), 3)
+        with RunStore(path) as store:
+            assert store.run_ids() == [1, 2]
+            assert store.results_for(2) == [summary_row()]
+            tables = {row[0] for row in store.query(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )[1]}
+            assert "jobs" not in tables
+
+    def test_history_and_compare_work_on_migrated_v3(self, tmp_path, capsys):
+        path = old_store(str(tmp_path / "v3.db"), 3)
+        assert main(["history", "--store", path, "list"]) == 0
+        assert capsys.readouterr().out.count("table2") == 2
+        assert main(["history", "--store", path, "show", "last"]) == 0
+        assert "git_sha: abc" in capsys.readouterr().out
+        assert main(
+            ["compare", "store:last-1", "store:last", "--store", path]
+        ) == 0
+        assert "no regressions" in capsys.readouterr().out
 
 
 class TestRefs:

@@ -1,9 +1,10 @@
 """Cancellation tests for the parallel harness and the strategy driver.
 
-Exercises the chain a serve-daemon ``DELETE /jobs/<id>`` rides:
-:class:`~repro.harness.parallel.CancelToken` → the sweep's poll loop →
-pool teardown → the typed :class:`~repro.errors.Cancelled` (exit code
-130) → the history run's ``run_cancelled`` event.
+Exercises the chain a SIGINT during a ``--jobs`` prefetch rides:
+:func:`~repro.harness.parallel.cancellation_signals` → the sweep's
+:class:`~repro.harness.parallel.CancelToken` → the poll loop → pool
+teardown → the typed :class:`~repro.errors.Cancelled` (exit code 130)
+→ the history run's ``run_cancelled`` event.
 """
 
 import os
@@ -14,6 +15,7 @@ import time
 import pytest
 
 from repro.errors import Cancelled
+from repro.harness import parallel
 from repro.harness.parallel import (
     CancelToken,
     cancellation_signals,
@@ -116,43 +118,38 @@ def small_scale_ctx():
 
 
 class TestRunStrategiesCancel:
-    def test_cancel_before_strategies_raises(self, tmp_path):
-        token = CancelToken()
-        token.cancel("pre-cancelled")
-        with pytest.raises(Cancelled, match="pre-cancelled"):
-            run_strategies(
-                ["table2"],
-                seed=3,
-                scale=0.05,
-                workloads=["swaptions"],
-                cancel=token,
-            )
+    def test_cancelled_run_journals_partial_history(self, tmp_path, monkeypatch):
+        # The driver's --jobs prefetch, cancelled as if a SIGINT had
+        # landed on its token while the pool was live.
+        real_prefetch = parallel.prefetch_runs
 
-    def test_cancelled_run_journals_partial_history(self, tmp_path):
+        def interrupted_prefetch(*args, **kwargs):
+            token = CancelToken()
+            token.cancel("received SIGINT")
+            return real_prefetch(*args, cancel=token, **kwargs)
+
+        monkeypatch.setattr(parallel, "prefetch_runs", interrupted_prefetch)
         store_path = str(tmp_path / "history.db")
-        token = CancelToken()
-        token.cancel("client asked")
-        with pytest.raises(Cancelled) as excinfo:
+        with pytest.raises(Cancelled, match="SIGINT"):
             run_strategies(
                 ["table2"],
                 seed=3,
                 scale=0.05,
                 workloads=["swaptions"],
+                jobs=2,
                 store_path=store_path,
                 record_history=True,
                 argv=["test"],
-                cancel=token,
             )
-        run_id = excinfo.value.run_id
-        assert run_id is not None
 
         store = RunStore(store_path)
-        runs = {r["id"]: r for r in store.list_runs()}
-        assert runs[run_id]["finished"] == 0
+        (run,) = store.list_runs()
+        run_id = run["id"]
+        assert run["finished"] == 0
         events = store.events_for(run_id)
         cancelled = [e for e in events if e["kind"] == "run_cancelled"]
         assert len(cancelled) == 1
-        assert "client asked" in cancelled[0]["reason"]
+        assert "SIGINT" in cancelled[0]["reason"]
         store.close()
 
     def test_exit_code(self):

@@ -492,6 +492,67 @@ class TestCheckpoint:
         assert open_journal("", swaptions_ctx) is None
         assert open_journal(None, swaptions_ctx) is None
 
+    def test_existing_file_is_a_config_error(self, swaptions_ctx, tmp_path):
+        path = tmp_path / "ckpt.zip"  # e.g. a container from an old build
+        path.write_bytes(b"PK not a directory")
+        with pytest.raises(ConfigError) as excinfo:
+            open_journal(str(path), swaptions_ctx)
+        assert excinfo.value.exit_code == 2
+        assert str(path) in str(excinfo.value)
+
+    def test_memo_entries_are_journaled(self, swaptions_ctx, tmp_path):
+        ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
+        ctx.journal = open_journal(str(tmp_path / "ckpt"), ctx)
+        record = swaptions_ctx.run("swaptions", baseline_spec())
+        ctx.remember_run("swaptions", baseline_spec(), record)
+        ctx.remember_error("swaptions", dopp_spec(14, 0.25), 0.25)
+        fresh = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
+        assert ctx.journal.load_into(fresh) == (1, 1)
+
+
+class TestSequentialCheckpoint:
+    """``--checkpoint-dir`` under ``--jobs 1`` (no prefetch)."""
+
+    @staticmethod
+    def _cli(tmp_path, ckpt, *extra):
+        return [
+            "table2", "--scale", "0.02", "--seed", str(SEED),
+            "--workloads", "kmeans", "--jobs", "1",
+            "--checkpoint-dir", str(ckpt),
+            "--json-out", str(tmp_path / "json"), "--no-store", *extra,
+        ]
+
+    def test_jobs1_journals_and_resumes(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ckpt = tmp_path / "ck"
+        assert main(self._cli(tmp_path, ckpt)) == 0
+        assert len(glob.glob(str(ckpt / "run-kmeans-*.pkl"))) == 1
+        first = json.loads((tmp_path / "json" / "table2.json").read_text())
+        capsys.readouterr()
+
+        assert main(self._cli(tmp_path, ckpt, "--resume")) == 0
+        assert "[resumed 1 runs and 0 errors" in capsys.readouterr().out
+        resumed = json.loads((tmp_path / "json" / "table2.json").read_text())
+        assert resumed == first
+
+    def test_file_path_fails_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated despite a bad --checkpoint-dir")
+
+        monkeypatch.setattr(ExperimentContext, "_simulate", no_simulation)
+        ckpt = tmp_path / "ck"
+        ckpt.write_text("not a directory")
+        assert main(self._cli(tmp_path, ckpt)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(ckpt) in err
+        assert "Traceback" not in err
+
 
 class TestKillAndResume:
     """End-to-end: a SIGKILLed sweep resumes byte-identically."""

@@ -1,11 +1,11 @@
 """Concurrent-access tests for the run-history store.
 
-The serve daemon hits the sqlite store from several threads (HTTP
-handlers, queue workers) while each executing job opens its *own*
-connection to record history — so the store must survive a writer
-thread racing reader processes without ``database is locked`` errors.
-WAL journaling plus ``busy_timeout`` plus the per-store lock make that
-hold; these tests would catch a regression on any of the three.
+A run records into the sqlite store while ``repro history`` processes
+read it, and one :class:`RunStore` may be shared across threads — so
+the store must survive a writer thread racing reader processes
+without ``database is locked`` errors. WAL journaling plus
+``busy_timeout`` plus the per-store lock make that hold; these tests
+would catch a regression on any of the three.
 """
 
 import subprocess
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import repro
 from repro.obs.store import RunStore
-from repro.serve.jobs import Job, JobSpec, JobState
 
 READER = """
 import sys
@@ -24,7 +23,7 @@ from repro.obs.store import RunStore
 store = RunStore(sys.argv[1])
 for _ in range(40):
     store.list_runs()
-    store.load_jobs()
+    store.query("SELECT COUNT(*) FROM events")
 store.close()
 print("ok")
 """
@@ -36,16 +35,13 @@ def _src_path() -> str:
 
 
 def _writer(store_path: str, n: int, errors: list) -> None:
-    """Append ``n`` runs + job rows on a second connection."""
+    """Append ``n`` runs + events on a second connection."""
     try:
         store = RunStore(store_path)
         for k in range(n):
             run_id = store.start_run(argv=["test", str(k)], seed=k, scale=0.1)
             store.add_event(run_id, "tick", payload={"k": k})
             store.finish_run(run_id)
-            job = Job(spec=JobSpec(experiments=["table2"]))
-            job.state = JobState.DONE
-            store.save_job(job.row(daemon="writer"))
         store.close()
     except Exception as exc:  # pragma: no cover - failure path
         errors.append(exc)
@@ -79,7 +75,7 @@ def test_writer_thread_with_reader_processes(tmp_path):
 
     store = RunStore(store_path)
     assert len(store.list_runs()) == 30
-    assert len(store.load_jobs(states=(JobState.DONE,))) == 30
+    assert store.query("SELECT COUNT(*) FROM events")[1] == [(30,)]
     store.close()
 
 
@@ -124,31 +120,3 @@ def test_one_store_shared_across_threads(tmp_path):
     assert len(store.list_runs()) == 80
     store.close()
 
-
-def test_jobs_table_crud(tmp_path):
-    """save/load/row round trip and state filtering on the jobs table."""
-    store = RunStore(str(tmp_path / "history.db"))
-    jobs = []
-    for state in (JobState.QUEUED, JobState.RUNNING, JobState.DONE):
-        job = Job(spec=JobSpec(experiments=["table2"], seed=3))
-        job.state = state
-        store.save_job(job.row(daemon="test"))
-        jobs.append(job)
-
-    assert {r["state"] for r in store.load_jobs()} == {
-        JobState.QUEUED,
-        JobState.RUNNING,
-        JobState.DONE,
-    }
-    backlog = store.load_jobs(states=(JobState.QUEUED, JobState.RUNNING))
-    assert len(backlog) == 2
-    row = store.job_row(jobs[0].id)
-    assert row["spec"]["experiments"] == ["table2"]
-    assert row["spec"]["seed"] == 3
-    assert store.job_row("missing") is None
-
-    # Upsert: saving again replaces the row.
-    jobs[0].state = JobState.CANCELLED
-    store.save_job(jobs[0].row(daemon="test"))
-    assert store.job_row(jobs[0].id)["state"] == JobState.CANCELLED
-    store.close()

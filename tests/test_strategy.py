@@ -216,13 +216,73 @@ class TestEntryPointDiscovery:
         assert any("failed to load" in m for m in messages)
         # ...and the built-in wins the name collision.
         assert any("shadows registered experiment" in m for m in messages)
-        assert type(reg.get("table2")).__name__ == "Table2Strategy"
+        builtin = next(s for s in STRATEGIES if s.name == "table2")
+        assert reg.get("table2") is builtin
+        assert reg.get("table2").description != "tries to shadow a built-in"
 
     def test_discovery_disabled_without_group(self, plugin_dist):
         reg = StrategyRegistry(
             builtin_modules=("repro.harness.experiments",)
         )
         assert "demo" not in reg.names()
+
+
+#: ``repro list`` output: the built-ins in paper order, then frontier.
+LIST_OUTPUT = """\
+fig02
+table2
+fig07
+fig08
+fig09
+fig10
+fig11
+fig12
+fig13
+fig14
+table3
+headline
+faultsweep
+frontier
+"""
+
+#: ``repro experiments --list`` output, byte for byte.
+REGISTRY_TABLE = """\
+Registered experiments
+======================
+name                                                   description                             requirements
+----------  ------------------------------------------------------  ---------------------------------------
+fig02         storage savings vs element-wise similarity threshold                                  context
+table2                 approximate fraction of LLC blocks vs paper                   context, 1 sim configs
+fig07                approx data storage savings vs map space size                                  context
+fig08             storage savings vs compression and deduplication                                  context
+fig09              output error and normalized runtime vs map bits  context, 4 sim configs, 3 error configs
+fig10       output error and normalized runtime vs data array size  context, 4 sim configs, 3 error configs
+fig11                     LLC dynamic and leakage energy reduction                   context, 4 sim configs
+fig12                           normalized off-chip memory traffic                   context, 4 sim configs
+fig13                       LLC area reduction across both designs                              config-only
+fig14            uniDoppelganger error, runtime and dynamic energy  context, 4 sim configs, 3 error configs
+table3                per-structure size, area, latency and energy                              config-only
+headline                  the abstract's headline claims, measured                   context, 2 sim configs
+faultsweep          output quality and cost vs injected fault rate  context, 5 sim configs, 4 error configs
+frontier    closed-loop max survivable fault rate per error budget  context, 2 sim configs, 1 error configs
+  note: built-ins in declaration (paper) order, then 'repro.experiments' entry points sorted by name
+"""
+
+
+class TestListingPinned:
+    """The listings the strategy registrations must reproduce exactly."""
+
+    def test_list(self, capsys):
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == LIST_OUTPUT
+
+    def test_experiments_list(self, capsys):
+        from repro.cli import main
+
+        assert main(["experiments", "--list"]) == 0
+        assert capsys.readouterr().out == REGISTRY_TABLE
 
 
 class FanStrategy(ExperimentStrategy):
