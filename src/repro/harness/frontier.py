@@ -12,13 +12,14 @@ saved vs. output error vs. survivable fault rate, per workload.
 
 Workload searches are independent, so with ``--jobs N`` each round's
 probes fan across worker processes
-(:func:`~repro.harness.parallel.prefetch_pairs`); with a
-``--checkpoint-dir`` every probe's simulation lands in the sweep
-journal and every controller decision in an atomic per-workload state
-file, so a SIGKILL'd search resumes mid-bracket with byte-identical
-results. Controller decisions are traced as ``controller_step`` /
-``controller_degrade`` / ``controller_converged`` events and the
-frontier lands in per-workload gauges.
+(:func:`~repro.harness.parallel.prefetch_pairs`). The search is an
+ordinary client of the context memo: with a ``--checkpoint-dir`` every
+probe's simulation and output error land in the sweep journal, and a
+search rerun with ``--resume`` restarts at step 0, re-walks its
+bracket through memo hits and simulates only the probes the journal
+lacks, with byte-identical results. Controller decisions are traced as
+``controller_step`` / ``controller_degrade`` / ``controller_converged``
+events and the frontier lands in per-workload gauges.
 
 Tune with ``--error-budget`` / ``--voltage-steps`` on the CLI (they
 arrive here through ``ctx.strategy_options``); see
@@ -36,12 +37,11 @@ from repro.harness.runner import (
     baseline_spec,
     dopp_spec,
 )
-from repro.harness.strategy import ExperimentStrategy, Requirements
+from repro.harness.strategy import Requirements, experiment
 from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
     FrontierResult,
-    controller_state_dir,
 )
 from repro.resilience.energy import (
     VoltageStep,
@@ -67,27 +67,6 @@ def _step_spec(step: VoltageStep, options: FrontierOptions) -> ConfigSpec:
     )
 
 
-def _build_controllers(
-    ctx: ExperimentContext, options: FrontierOptions, ladder
-) -> Dict[str, ErrorBudgetController]:
-    """One controller per workload, resuming checkpointed searches."""
-    from repro.resilience.checkpoint import context_fingerprint
-
-    state_dir = controller_state_dir(getattr(ctx, "checkpoint_dir", None))
-    return {
-        name: ErrorBudgetController(
-            name,
-            ladder,
-            options,
-            state_dir=state_dir,
-            context_meta=context_fingerprint(ctx),
-            tracer=ctx.obs.tracer,
-            event_log=getattr(ctx, "pending_events", None),
-        )
-        for name in ctx.names
-    }
-
-
 def _run_search(
     ctx: ExperimentContext, options: FrontierOptions, ladder
 ) -> List[FrontierResult]:
@@ -97,8 +76,15 @@ def _run_search(
     controller; with ``ctx.jobs > 1`` the round's (workload, spec)
     pairs fan across worker processes before the controllers observe
     the results sequentially (deterministic order: ``ctx.names``).
+    Probes already in the memo (resumed from the journal) are hits.
     """
-    controllers = _build_controllers(ctx, options, ladder)
+    controllers = {
+        name: ErrorBudgetController(
+            name, ladder, options,
+            tracer=ctx.obs.tracer, event_log=ctx.pending_events,
+        )
+        for name in ctx.names
+    }
     while True:
         pending = [
             (name, step)
@@ -107,8 +93,7 @@ def _run_search(
         ]
         if not pending:
             break
-        jobs = getattr(ctx, "jobs", 1)
-        if jobs > 1:
+        if ctx.jobs > 1:
             from repro.harness.parallel import prefetch_pairs
 
             pairs = [(name, _step_spec(step, options)) for name, step in pending]
@@ -116,9 +101,9 @@ def _run_search(
                 ctx,
                 run_pairs=pairs,
                 error_pairs=pairs,
-                jobs=jobs,
-                timeout=getattr(ctx, "timeout", None),
-                retries=getattr(ctx, "retries", 0),
+                jobs=ctx.jobs,
+                timeout=ctx.timeout,
+                retries=ctx.retries,
             )
         for name, step in pending:
             spec = _step_spec(step, options)
@@ -134,6 +119,14 @@ def _run_search(
     return [controllers[name].result() for name in ctx.names]
 
 
+@experiment(
+    "frontier",
+    "closed-loop max survivable fault rate per error budget",
+    requires=Requirements(
+        run_specs=(baseline_spec(), frontier_base_spec()),
+        error_specs=(frontier_base_spec(),),
+    ),
+)
 def frontier_pareto(ctx: ExperimentContext) -> Dict[str, Table]:
     """Run the frontier search and render its Pareto tables.
 
@@ -144,9 +137,7 @@ def frontier_pareto(ctx: ExperimentContext) -> Dict[str, Table]:
     (workload, step) sample — the full Pareto point cloud behind the
     frontier rows.
     """
-    options = FrontierOptions.from_mapping(
-        getattr(ctx, "strategy_options", None)
-    )
+    options = FrontierOptions.from_mapping(ctx.strategy_options)
     ladder = voltage_ladder(options.voltage_steps, options.v_nom, options.v_min)
     results = _run_search(ctx, options, ladder)
 
@@ -219,25 +210,3 @@ def frontier_pareto(ctx: ExperimentContext) -> Dict[str, Table]:
 
     return {"": table, "points": points}
 
-
-class FrontierStrategy(ExperimentStrategy):
-    """Closed-loop energy/fault frontier under an error budget."""
-
-    name = "frontier"
-    description = "closed-loop max survivable fault rate per error budget"
-    requires = Requirements(
-        run_specs=(baseline_spec(), frontier_base_spec()),
-        error_specs=(frontier_base_spec(),),
-    )
-
-    def declare_metrics(self):
-        """Gauges the driver pre-registers for this strategy."""
-        return ("workloads_converged", "evals_total")
-
-    def execute(self, ctx):
-        """Delegate to :func:`frontier_pareto`."""
-        return frontier_pareto(ctx)
-
-
-#: What the global strategy registry discovers from this module.
-STRATEGIES = (FrontierStrategy,)

@@ -3,16 +3,18 @@
 The per-(workload, config) pipeline — trace generation, simulation,
 energy accounting and error evaluation — is embarrassingly parallel:
 runs never share mutable state, only the memo dictionaries inside
-:class:`~repro.harness.runner.ExperimentContext`. This module fans the
-pairs a set of experiments will need out across worker processes and
+:class:`~repro.harness.runner.ExperimentContext`. :func:`prefetch_pairs`
+fans explicit (workload, config) pairs out across worker processes and
 merges the finished :class:`~repro.harness.runner.RunRecord` objects
 back into the parent context's memo, so the (sequential) experiment
-drivers then find every simulation already cached.
+drivers then find every simulation already cached. The generic driver
+passes the cartesian product of its strategies' declared specs; the
+frontier search passes each round's per-workload probes.
 
 Determinism: each worker rebuilds its context from the same
 (seed, scale, engine) triple, so a run computed in a child is
 bit-identical to one computed in the parent; results are merged in
-task-submission order (workloads in context order, specs in plan
+task-submission order (workloads in context order, specs in pair
 order), and ``run_summaries`` additionally sorts by (workload,
 config) — a ``--jobs 4`` sweep therefore emits exactly the same
 tables and BENCH rows as ``--jobs 1``.
@@ -20,13 +22,12 @@ tables and BENCH rows as ``--jobs 1``.
 Workers are spawned per workload (one task covers all of a workload's
 configs) so the expensive trace generation happens once per worker,
 mirroring the parent's memoization. When there are fewer workloads
-than ``--jobs`` workers — the ROADMAP-noted imbalance when sweeping
-few workloads on many cores — each workload's config fan is split
-into (workload, config-chunk) units so every worker gets a slice;
-each chunk worker regenerates its workload's trace, a cost that only
-pays off when cores would otherwise sit idle, which is exactly the
-case the split is gated on. ``--no-split-fans`` restores
-one-task-per-workload.
+than ``--jobs`` workers (few workloads swept on many cores), each
+workload's config fan is split into (workload, config-chunk) units so
+every worker gets a slice; each chunk worker regenerates its
+workload's trace, a cost that only pays off when cores would otherwise
+sit idle, which is exactly the case the split is gated on. Splitting
+never changes results.
 
 Resilience (``docs/robustness.md``): a worker that dies (OOM kill,
 segfault) or exceeds ``timeout`` no longer hangs or poisons the whole
@@ -160,27 +161,6 @@ def _wait_result(future, timeout: Optional[float], cancel: CancelToken):
             continue
 
 
-def plan_specs(experiment_names: Sequence[str]) -> Tuple[List[ConfigSpec], List[ConfigSpec]]:
-    """The (run specs, error specs) a set of experiments will request.
-
-    Read straight off each registered strategy's ``requires`` metadata
-    (see :class:`repro.harness.strategy.Requirements`) — strategies
-    that need no simulation (config-only analyses, snapshot studies)
-    simply declare empty spec tuples. Deduped preserving first-seen
-    order, so the shared baseline simulates once across the sweep.
-    """
-    from repro.harness.strategy import registry
-
-    runs: List[ConfigSpec] = []
-    errors: List[ConfigSpec] = []
-    for name in experiment_names:
-        requires = registry.get(name).requires
-        runs += list(requires.run_specs)
-        errors += list(requires.error_specs)
-    # Dedupe, preserving first-seen order (dict keys are ordered).
-    return list(dict.fromkeys(runs)), list(dict.fromkeys(errors))
-
-
 def _run_task(task: dict):
     """Worker: simulate one workload under every requested config.
 
@@ -208,9 +188,7 @@ def _run_task(task: dict):
     name = task["workload"]
     run_specs = task["run_specs"]
     error_specs = task["error_specs"]
-    progress = WorkerProgress(
-        task.get("progress"), task.get("unit") or name
-    )
+    progress = WorkerProgress(task.get("progress"), task["unit"])
     total = len(run_specs) + len(error_specs)
     done = 0
     progress.emit("start", workload=name, total=total)
@@ -244,25 +222,27 @@ def _split_fan(task: dict, nchunks: int) -> List[dict]:
     """Split one workload task's config fan into ``nchunks`` units.
 
     Specs are dealt round-robin (``[k::nchunks]``) so heterogeneous
-    per-config costs spread across chunks; empty chunks are dropped.
-    Chunking never changes results — every (workload, spec) pair is
-    simulated from the same fresh per-worker context regardless of
-    which unit carries it, and the parent merges records into the same
-    memo keys.
+    per-config costs spread across chunks; ``nchunks`` is clamped to
+    the longer spec list, so no chunk is empty. Unit ``k`` is named
+    ``<workload>#k`` for progress display. Chunking never changes
+    results — every (workload, spec) pair is simulated from the same
+    fresh per-worker context regardless of which unit carries it, and
+    the parent merges records into the same memo keys.
     """
     run_specs = task["run_specs"]
     error_specs = task["error_specs"]
     nchunks = max(1, min(nchunks, max(len(run_specs), len(error_specs), 1)))
     if nchunks == 1:
         return [task]
-    units = []
-    for k in range(nchunks):
-        unit = dict(task)
-        unit["run_specs"] = run_specs[k::nchunks]
-        unit["error_specs"] = error_specs[k::nchunks]
-        if unit["run_specs"] or unit["error_specs"]:
-            units.append(unit)
-    return units
+    return [
+        dict(
+            task,
+            unit=f"{task['workload']}#{k}",
+            run_specs=run_specs[k::nchunks],
+            error_specs=error_specs[k::nchunks],
+        )
+        for k in range(nchunks)
+    ]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -340,42 +320,39 @@ def _run_round(
     return completed, failed
 
 
-def prefetch_runs(
+def prefetch_pairs(
     ctx: ExperimentContext,
-    experiment_names: Sequence[str],
-    jobs: int,
-    run_specs: Optional[Sequence[ConfigSpec]] = None,
-    error_specs: Optional[Sequence[ConfigSpec]] = None,
+    run_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
+    error_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
+    jobs: int = 1,
     *,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 1.0,
-    split_fans: bool = True,
     progress=None,
     cancel: Optional[CancelToken] = None,
 ) -> int:
-    """Simulate everything ``experiment_names`` will need, in parallel.
+    """Simulate (workload, spec) pairs across ``jobs`` worker processes.
 
-    Fans one task per workload (covering all its configs) across
-    ``jobs`` worker processes and merges the results into ``ctx``'s
-    memo dictionaries. Pairs already memoized are skipped. Returns the
-    number of (workload, config) simulations fetched.
-
-    ``run_specs`` / ``error_specs`` override the experiment-derived
-    plan (used by :func:`repro.api.simulate` callers and tests).
+    Groups the pairs into one task per workload (``ctx.names`` order,
+    specs in first-seen order), splits a workload's config fan when
+    there are fewer tasks than workers (see :func:`_split_fan`), and
+    merges the results into ``ctx``'s memo. Pairs already memoized are
+    skipped; fault configs are resolved through
+    :meth:`ExperimentContext.apply_faults` first so worker memo keys,
+    parent memo keys and checkpoint digests all agree. Returns the
+    number of simulations fetched.
 
     Args:
-        timeout: seconds allowed per workload task, measured from the
+        run_pairs: (workload, spec) pairs to simulate.
+        error_pairs: (workload, spec) pairs whose output error to
+            evaluate (baseline pairs are skipped: their error is 0).
+        timeout: seconds allowed per task, measured from the
             completion of the previously merged task (None = wait
             forever). A timeout kills the pool and counts as a failure.
         retries: rounds to re-run failed tasks in a fresh pool.
         backoff: base delay before retry ``k``, growing as
             ``backoff * 2**(k-1)`` seconds.
-        split_fans: when there are fewer workloads than ``jobs``, split
-            each workload's config fan into (workload, config-chunk)
-            units so every worker gets a slice (see :func:`_split_fan`;
-            results are identical either way). False restores
-            one-task-per-workload.
         progress: optional
             :class:`~repro.obs.livestream.LiveProgressSink`; workers
             then emit heartbeats (unit, accesses/sec, slow-path
@@ -391,121 +368,6 @@ def prefetch_runs(
             message names each failed (workload, configs) pair.
         Cancelled: the token was set; completed records were merged
             (and journaled) before raising.
-    """
-    if run_specs is None or error_specs is None:
-        planned_runs, planned_errors = plan_specs(experiment_names)
-        run_specs = planned_runs if run_specs is None else list(run_specs)
-        error_specs = planned_errors if error_specs is None else list(error_specs)
-    # Resolve context-default faults up front so worker memo keys,
-    # parent memo keys and checkpoint digests all agree.
-    run_specs = list(dict.fromkeys(ctx.apply_faults(s) for s in run_specs))
-    error_specs = list(dict.fromkeys(ctx.apply_faults(s) for s in error_specs))
-    tasks = []
-    for name in ctx.names:
-        need_runs = [s for s in run_specs if (name, s) not in ctx._runs]
-        need_errors = [
-            s
-            for s in error_specs
-            if s.kind != "baseline" and (name, s) not in ctx._errors
-        ]
-        if need_runs or need_errors:
-            tasks.append(
-                {
-                    "workload": name,
-                    "seed": ctx.seed,
-                    "scale": ctx.scale,
-                    "engine": ctx.engine,
-                    "run_specs": need_runs,
-                    "error_specs": need_errors,
-                }
-            )
-    if not tasks:
-        return 0
-    if split_fans and len(tasks) < int(jobs):
-        want = -(-int(jobs) // len(tasks))  # ceil: chunks per workload
-        units: List[dict] = []
-        for task in tasks:
-            units.extend(_split_fan(task, want))
-        if len(units) > len(tasks):
-            log.info(
-                "splitting %d workload fans into %d (workload, "
-                "config-chunk) units for %d workers",
-                len(tasks), len(units), int(jobs),
-            )
-        tasks = units
-    # Unit names for progress display/storage: the workload, suffixed
-    # with #k when its config fan was split across several chunk units.
-    per_workload: Dict[str, int] = {}
-    for task in tasks:
-        per_workload[task["workload"]] = per_workload.get(task["workload"], 0) + 1
-    seen: Dict[str, int] = {}
-    for task in tasks:
-        name = task["workload"]
-        if per_workload[name] > 1:
-            task["unit"] = f"{name}#{seen.get(name, 0)}"
-            seen[name] = seen.get(name, 0) + 1
-        else:
-            task["unit"] = name
-    manager = None
-    if progress is not None:
-        import multiprocessing
-
-        # A manager queue proxy is picklable under every start method,
-        # unlike a raw mp.Queue, so it can ride inside the task dicts.
-        manager = multiprocessing.Manager()
-        channel = manager.Queue()
-        for task in tasks:
-            task["progress"] = channel
-        progress.start(channel)
-    fetched = 0
-    workers = max(1, min(int(jobs), len(tasks)))
-    log.info(
-        "prefetching %d workload tasks across %d workers", len(tasks), workers
-    )
-    token = cancel if cancel is not None else CancelToken()
-    try:
-        with cancellation_signals(token):
-            fetched = _prefetch_rounds(
-                ctx, tasks, workers, timeout, retries, backoff, token
-            )
-    finally:
-        if progress is not None:
-            progress.stop()
-        if manager is not None:
-            manager.shutdown()
-    return fetched
-
-
-def prefetch_pairs(
-    ctx: ExperimentContext,
-    run_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
-    error_pairs: Sequence[Tuple[str, ConfigSpec]] = (),
-    jobs: int = 1,
-    *,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 1.0,
-    cancel: Optional[CancelToken] = None,
-) -> int:
-    """Fan explicit (workload, spec) pairs across worker processes.
-
-    :func:`prefetch_runs` fans a *cartesian* plan — every workload
-    under every spec. Adaptive strategies (the frontier controller's
-    per-workload searches) need the transpose: each workload probes
-    its own spec this round. This entry point takes the explicit pair
-    lists, groups them into one task per workload and reuses the same
-    retry/backoff/cancellation machinery, so independent searches advance
-    in parallel with the full crash tolerance of the generic prefetch.
-
-    Pairs already memoized in ``ctx`` are skipped; fault configs are
-    resolved through :meth:`ExperimentContext.apply_faults` first so
-    worker and parent memo keys agree. Returns the number of
-    simulations fetched.
-
-    Raises:
-        SimulationFault: a task still failing after every retry.
-        Cancelled: the ``cancel`` token (or a signal routed onto the
-            per-call token) was set mid-round.
     """
     needs: Dict[str, Tuple[List[ConfigSpec], List[ConfigSpec]]] = {}
 
@@ -523,30 +385,57 @@ def prefetch_pairs(
             _need(name, spec, 1, ctx._errors)
     tasks = []
     for name in ctx.names:
-        run_specs, error_specs = needs.get(name, ((), ()))
+        run_specs, error_specs = needs.get(name, ([], []))
         if run_specs or error_specs:
             tasks.append(
                 {
                     "workload": name,
+                    "unit": name,
                     "seed": ctx.seed,
                     "scale": ctx.scale,
                     "engine": ctx.engine,
-                    "run_specs": list(run_specs),
-                    "error_specs": list(error_specs),
-                    "unit": name,
+                    "run_specs": run_specs,
+                    "error_specs": error_specs,
                 }
             )
     if not tasks:
         return 0
-    workers = max(1, min(int(jobs), len(tasks)))
+    if len(tasks) < jobs:
+        want = -(-jobs // len(tasks))  # ceil: chunks per workload
+        units = [unit for task in tasks for unit in _split_fan(task, want)]
+        if len(units) > len(tasks):
+            log.info(
+                "splitting %d workload fans into %d (workload, "
+                "config-chunk) units for %d workers",
+                len(tasks), len(units), jobs,
+            )
+        tasks = units
+    manager = None
+    if progress is not None:
+        import multiprocessing
+
+        # A manager queue proxy is picklable under every start method,
+        # unlike a raw mp.Queue, so it can ride inside the task dicts.
+        manager = multiprocessing.Manager()
+        channel = manager.Queue()
+        for task in tasks:
+            task["progress"] = channel
+        progress.start(channel)
+    workers = max(1, min(jobs, len(tasks)))
     log.info(
-        "prefetching %d pair tasks across %d workers", len(tasks), workers
+        "prefetching %d workload tasks across %d workers", len(tasks), workers
     )
     token = cancel if cancel is not None else CancelToken()
-    with cancellation_signals(token):
-        return _prefetch_rounds(
-            ctx, tasks, workers, timeout, retries, backoff, token
-        )
+    try:
+        with cancellation_signals(token):
+            return _prefetch_rounds(
+                ctx, tasks, workers, timeout, retries, backoff, token
+            )
+    finally:
+        if progress is not None:
+            progress.stop()
+        if manager is not None:
+            manager.shutdown()
 
 
 def _prefetch_rounds(
@@ -558,7 +447,7 @@ def _prefetch_rounds(
     backoff: float,
     cancel: CancelToken,
 ) -> int:
-    """Run the retry loop of :func:`prefetch_runs`; returns runs fetched.
+    """Run the retry loop of :func:`prefetch_pairs`; returns runs fetched.
 
     Raises :class:`~repro.errors.Cancelled` when ``cancel`` is set —
     *after* merging and journaling whatever the aborted round had

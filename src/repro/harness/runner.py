@@ -390,7 +390,6 @@ class ExperimentContext:
         #: Optional :class:`~repro.resilience.checkpoint.SweepJournal`;
         #: every result entering the memo is journaled to it.
         self.journal = None
-        self.checkpoint_dir: Optional[str] = None
         self.strategy_options: Dict[str, object] = {}
         #: Event dicts (each with a ``kind``) strategies queue for the
         #: run-history store — how controller decisions become

@@ -87,9 +87,9 @@ Tables = Dict[str, Table]
 class Requirements:
     """What a strategy needs from the harness, as inert metadata.
 
-    The generic driver (:func:`run_strategies`) and the parallel
-    prefetcher (:func:`repro.harness.parallel.plan_specs`) consume
-    this instead of switching on experiment names.
+    The generic driver (:func:`run_strategies`) consumes this, for
+    context construction and the ``--jobs`` prefetch plan, instead of
+    switching on experiment names.
 
     Attributes:
         context: whether the strategy needs an
@@ -101,14 +101,11 @@ class Requirements:
             ``--jobs N`` prefetch fans across workers.
         error_specs: the specs whose functional output error the
             strategy will evaluate (also prefetched).
-        engines: engine names the strategy supports; the default is
-            every engine (both are bit-identical).
     """
 
     context: bool = True
     run_specs: Tuple[ConfigSpec, ...] = ()
     error_specs: Tuple[ConfigSpec, ...] = ()
-    engines: Tuple[str, ...] = ("batched", "reference")
 
     def summary(self) -> str:
         """One-cell human summary for the registry table."""
@@ -631,7 +628,6 @@ def run_strategies(
     engine: Optional[str] = None,
     faults=None,
     jobs: int = 1,
-    split_fans: bool = True,
     timeout: Optional[float] = None,
     retries: int = 0,
     checkpoint_dir: Optional[str] = None,
@@ -653,10 +649,10 @@ def run_strategies(
     special-casing is here once, keyed on registry metadata:
 
     * **context** — built only when some strategy requires one;
-    * **prefetch** — with ``jobs > 1``, the union of the strategies'
-      ``requires.run_specs`` / ``error_specs`` fans across a process
-      pool (config fans split across idle workers unless
-      ``split_fans=False``), with ``timeout``/``retries`` resilience;
+    * **prefetch** — with ``jobs > 1``, every workload under the union
+      of the strategies' ``requires.run_specs`` / ``error_specs`` fans
+      across a process pool (config fans split across idle workers),
+      with ``timeout``/``retries`` resilience;
     * **checkpointing** — ``checkpoint_dir`` journals every completed
       (workload, config), sequential or prefetched; ``resume`` loads
       finished pairs first;
@@ -741,7 +737,6 @@ def run_strategies(
         ctx.timeout = timeout
         ctx.retries = retries
         ctx.journal = journal
-        ctx.checkpoint_dir = checkpoint_dir
         ctx.strategy_options = dict(strategy_options or {})
     store = run_id = None
     if record_history:
@@ -764,7 +759,7 @@ def run_strategies(
         if jobs > 1 and ctx is not None:
             run_specs, error_specs = _plan_from(resolved)
             if run_specs or error_specs:
-                from repro.harness.parallel import prefetch_runs
+                from repro.harness.parallel import prefetch_pairs
 
                 if obs.enabled and echo:
                     echo(
@@ -772,15 +767,15 @@ def run_strategies(
                         "per-access traces/metrics are not captured for "
                         "prefetched runs]"
                     )
-                fetched = prefetch_runs(
+                fetched = prefetch_pairs(
                     ctx,
-                    [],
-                    jobs,
-                    run_specs=run_specs,
-                    error_specs=error_specs,
+                    run_pairs=[(n, s) for n in ctx.names for s in run_specs],
+                    error_pairs=[
+                        (n, s) for n in ctx.names for s in error_specs
+                    ],
+                    jobs=jobs,
                     timeout=timeout,
                     retries=retries,
-                    split_fans=split_fans,
                     progress=progress,
                 )
                 if progress is not None and echo:

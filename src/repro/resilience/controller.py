@@ -31,34 +31,27 @@ The control loop (see ``docs/robustness.md``):
   :attr:`FrontierOptions.hysteresis` steps from the verified frontier
   as a guard band, so a marginal frontier step is not what deployment
   advice points at.
-* **checkpointing** — every observation is persisted as an atomic
-  JSON state file (one per workload, next to the sweep journal), so a
-  SIGKILL'd search resumes mid-bracket: finished simulations come back
-  from the sweep journal, the bracket and eval history from here, and
-  the continued search emits byte-identical results.
+* **resume from the journal** — the controller keeps no state of its
+  own: the search is a deterministic function of each probe's output
+  error and run record, which the sweep journal restores. A resumed
+  search restarts at the nominal step, re-walks its bracket through
+  memo hits (re-emitting its full decision log) and simulates only the
+  probes the journal lacks.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.obs import get_logger
 from repro.resilience.energy import (
     DEFAULT_FAULT_TARGETS,
     V_MIN,
     V_NOM,
     VoltageStep,
-    ladder_fingerprint,
 )
 from repro.resilience.faults import FAULT_TARGETS
-
-log = get_logger("resilience.controller")
-
-_STATE_SCHEMA = "repro-frontier/v1"
 
 #: Default fault-stream seed (matches the ``faultsweep`` experiment's).
 DEFAULT_FAULT_SEED = 11
@@ -140,7 +133,7 @@ class FrontierOptions:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (state fingerprints, BENCH notes)."""
+        """JSON-friendly form (round-trips through :meth:`from_mapping`)."""
         return {
             "error_budget": self.error_budget,
             "voltage_steps": self.voltage_steps,
@@ -151,13 +144,6 @@ class FrontierOptions:
             "fault_seed": self.fault_seed,
             "targets": list(self.targets),
         }
-
-
-def controller_state_dir(checkpoint_dir: Optional[str]) -> Optional[str]:
-    """Where controller state files live: ``<checkpoint_dir>/frontier``."""
-    if not checkpoint_dir:
-        return None
-    return os.path.join(checkpoint_dir, "frontier")
 
 
 @dataclass
@@ -242,14 +228,9 @@ class ErrorBudgetController:
     fallback).
 
     Args:
-        workload: workload name (state filename, event payloads).
+        workload: workload name (event payloads).
         ladder: the voltage ladder to search.
         options: validated :class:`FrontierOptions`.
-        state_dir: directory for the atomic JSON state checkpoint
-            (None disables persistence).
-        context_meta: context fingerprint folded into the state
-            fingerprint, so stale state from a different seed/scale/
-            engine is ignored instead of corrupting a resumed search.
         tracer: optional :class:`~repro.obs.events.Tracer` receiving
             ``controller_step`` / ``controller_degrade`` /
             ``controller_converged`` events.
@@ -265,8 +246,6 @@ class ErrorBudgetController:
         ladder: Tuple[VoltageStep, ...],
         options: FrontierOptions,
         *,
-        state_dir: Optional[str] = None,
-        context_meta: Optional[dict] = None,
         tracer=None,
         event_log: Optional[list] = None,
     ):
@@ -280,17 +259,6 @@ class ErrorBudgetController:
         self.evals: List[dict] = []
         self.degraded: Optional[str] = None
         self._converged_emitted = False
-        self._replaying = False
-        self._fingerprint = {
-            "schema": _STATE_SCHEMA,
-            "options": options.to_dict(),
-            "ladder": ladder_fingerprint(self.ladder),
-            "context": dict(context_meta or {}),
-        }
-        self._state_path = (
-            os.path.join(state_dir, f"{workload}.json") if state_dir else None
-        )
-        self._load_state()
 
     # ------------------------------------------------------------- search
 
@@ -336,8 +304,7 @@ class ErrorBudgetController:
         Emits a ``controller_step`` event with the verdict, a
         ``controller_degrade`` event when the budget was blown (the
         next probe steps the voltage back up — or the workload falls
-        back to precise annotation if nominal itself failed), and
-        checkpoints the controller state atomically.
+        back to precise annotation if nominal itself failed).
         """
         step = self.ladder[step_index]
         within = error <= self.options.error_budget
@@ -386,8 +353,6 @@ class ErrorBudgetController:
                     budget=self.options.error_budget,
                     ceiling=self.hi,
                 )
-        if not self._replaying:
-            self._save_state()
 
     def result(self) -> FrontierResult:
         """Finalize the search into a :class:`FrontierResult`.
@@ -440,68 +405,3 @@ class ErrorBudgetController:
                 {"kind": kind, "unit": self.workload,
                  "workload": self.workload, **fields}
             )
-
-    def _save_state(self) -> None:
-        """Checkpoint the bracket and eval history atomically."""
-        if self._state_path is None:
-            return
-        from repro.obs.output import write_json
-
-        write_json(
-            self._state_path,
-            {
-                "fingerprint": self._fingerprint,
-                "workload": self.workload,
-                "lo": self.lo,
-                "hi": self.hi,
-                "evals": self.evals,
-                "degraded": self.degraded,
-            },
-        )
-
-    def _load_state(self) -> None:
-        """Adopt a checkpointed search, guarding on the fingerprint.
-
-        Restored evaluations are *replayed* through :meth:`observe`
-        (emitting their ``controller_step`` / ``controller_degrade``
-        events again), so the resumed run's event log carries the
-        complete decision history — the history store always shows the
-        full search, never just the post-kill tail.
-
-        Unreadable state is skipped with a warning (the search simply
-        restarts — every simulation it needs is still journaled, so a
-        restart costs bookkeeping only); state written under different
-        options/ladder/context is ignored the same way.
-        """
-        if self._state_path is None or not os.path.exists(self._state_path):
-            return
-        try:
-            with open(self._state_path) as fh:
-                state = json.load(fh)
-        except (OSError, ValueError) as exc:
-            log.warning(
-                "skipping unreadable frontier state %s: %s",
-                self._state_path, exc,
-            )
-            return
-        if state.get("fingerprint") != self._fingerprint:
-            log.warning(
-                "frontier state %s was written under different options/"
-                "context; restarting this workload's search",
-                self._state_path,
-            )
-            return
-        self._replaying = True
-        try:
-            for entry in state["evals"]:
-                self.observe(
-                    entry["step"],
-                    error=entry["error"],
-                    energy_saved=entry["energy_saved"],
-                )
-        finally:
-            self._replaying = False
-        log.info(
-            "resumed frontier search for %s mid-bracket (lo=%d hi=%d, "
-            "%d evals)", self.workload, self.lo, self.hi, len(self.evals),
-        )

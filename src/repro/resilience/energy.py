@@ -146,18 +146,6 @@ class VoltageStep:
             targets=targets,
         )
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (controller checkpoints, BENCH tables)."""
-        return {
-            "index": self.index,
-            "vdd": self.vdd,
-            "p_bit": self.p_bit,
-            "read_rate": self.read_rate,
-            "flip_bits": self.flip_bits,
-            "dynamic_scale": self.dynamic_scale,
-            "leakage_scale": self.leakage_scale,
-        }
-
 
 def voltage_ladder(
     steps: int = 8, v_nom: float = V_NOM, v_min: float = V_MIN
@@ -202,17 +190,6 @@ def voltage_ladder(
             )
         )
     return tuple(ladder)
-
-
-def ladder_fingerprint(ladder: Tuple[VoltageStep, ...]) -> dict:
-    """The knobs that determine a ladder (controller checkpoint guard)."""
-    return {
-        "steps": len(ladder),
-        "v_nom": ladder[0].vdd,
-        "v_min": ladder[-1].vdd,
-        "p_bit_nom": P_BIT_NOM,
-        "decade_v": DECADE_V,
-    }
 
 
 def approx_energy_shares(record, model=None) -> Tuple[float, float]:

@@ -1,18 +1,20 @@
 """Tests for the energy/fault frontier: voltage ladder, controller,
-checkpointed resume, and the ``frontier`` experiment end-to-end.
+journal resume, and the ``frontier`` experiment end-to-end.
 
 Unit tests drive the :class:`ErrorBudgetController` with synthetic
 error curves (no simulation) to pin the bracketing search, graceful
-degradation, hysteresis, eval caps and state checkpointing. The
-integration test SIGKILLs a real ``repro frontier`` CLI run mid-search
-and asserts the resumed run reproduces an uninterrupted one
-byte-identically, with the controller's decisions recorded in the
-run-history store.
+degradation, hysteresis and eval caps. In-process tests resume a
+search from a partial sweep journal and rerun one on a used
+checkpoint directory. The integration test SIGKILLs a real
+``repro frontier`` CLI run mid-search and asserts the resumed run
+reproduces an uninterrupted one byte-identically, with the
+controller's decisions recorded in the run-history store.
 """
 
 import glob
 import json
 import os
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -26,7 +28,6 @@ from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
     FrontierResult,
-    controller_state_dir,
 )
 from repro.resilience.energy import (
     MIN_READ_RATE,
@@ -243,83 +244,108 @@ class TestErrorBudgetController:
 
 
 class TestControllerCheckpoint:
-    def test_state_dir_layout(self, tmp_path):
-        assert controller_state_dir(None) is None
-        assert controller_state_dir("/c/dir") == os.path.join(
-            "/c/dir", "frontier"
+    """A checkpointed search resumes from the sweep journal alone: it
+    restarts at step 0 and re-walks its bracket through memo hits."""
+
+    OPTIONS = {"error_budget": 0.25, "voltage_steps": 6}
+
+    def _search(self, **kwargs):
+        from repro.harness.strategy import run_strategies
+
+        return run_strategies(
+            ["frontier"], workloads=["canneal"], seed=SEED, scale=SCALE,
+            strategy_options=self.OPTIONS, **kwargs,
         )
 
-    def _interrupted(self, tmp_path, n_obs):
-        """A controller killed after ``n_obs`` observations."""
-        opts = FrontierOptions(error_budget=0.1)
-        ladder = voltage_ladder(8)
-        ctrl = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        for _ in range(n_obs):
-            step = ctrl.pending_step()
-            ctrl.observe(
-                step.index,
-                error=0.05 if step.index <= 4 else 0.5,
-                energy_saved=0.1,
-            )
-        return opts, ladder, ctrl
+    @staticmethod
+    def _tables(result):
+        return {
+            key: table.to_dict()
+            for key, table in result.tables["frontier"].items()
+        }
 
-    def test_resume_mid_bracket_is_byte_identical(self, tmp_path):
-        opts, ladder, killed = self._interrupted(tmp_path, n_obs=2)
-        # Uninterrupted reference search (no state dir).
-        _, want = _drive(
-            ErrorBudgetController("w", ladder, opts),
-            lambda i: 0.05 if i <= 4 else 0.5,
-        )
-        # A fresh controller adopts the killed one's bracket...
-        resumed = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        assert (resumed.lo, resumed.hi) == (killed.lo, killed.hi)
-        assert resumed.evals == killed.evals
-        # ...and finishes to the same result as the clean search.
-        probes, got = _drive(resumed, lambda i: 0.05 if i <= 4 else 0.5)
-        assert len(probes) < len(want.evals)  # it did NOT restart
-        assert got.frontier == want.frontier
-        assert got.evals == want.evals
+    @staticmethod
+    def _decisions(result):
+        return [
+            (event["kind"], event.get("step"))
+            for event in result.ctx.pending_events
+        ]
 
-    def test_resume_replays_events_for_restored_evals(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """A plain search, then two on one checkpoint dir (no resume)."""
+        ckpt = tmp_path_factory.mktemp("frontier") / "ckpt"
+        plain = self._search()
+        first = self._search(checkpoint_dir=str(ckpt))
+        second = self._search(checkpoint_dir=str(ckpt))
+        return plain, first, second, ckpt
+
+    @pytest.fixture(scope="class")
+    def resumed(self, runs, tmp_path_factory):
+        """Resume from a journal that lacks the last probe's entries, as
+        a kill during that probe leaves it; record every simulation."""
+        from repro.harness.frontier import _step_spec
+        from repro.harness.runner import ExperimentContext
+        from repro.resilience.checkpoint import spec_digest
+
+        plain, _, _, ckpt = runs
+        journal = tmp_path_factory.mktemp("partial") / "ckpt"
+        shutil.copytree(ckpt, journal)
+        options = FrontierOptions.from_mapping(self.OPTIONS)
+        steps = [e["step"] for e in plain.ctx.pending_events
+                 if e["kind"] == "controller_step"]
+        spec = _step_spec(voltage_ladder(6)[steps[-1]], options)
+        digest = spec_digest("canneal", spec)
+        for kind in ("run", "error"):
+            (journal / f"{kind}-canneal-{digest}.pkl").unlink()
+
+        simulated = []
+        real_simulate = ExperimentContext._simulate
+
+        def counting(self, name, spec, trace):
+            simulated.append((name, spec))
+            return real_simulate(self, name, spec, trace)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExperimentContext, "_simulate", counting)
+            result = self._search(checkpoint_dir=str(journal), resume=True)
+        return steps, spec, simulated, result
+
+    def test_rerun_without_resume_repeats_the_search(self, runs):
+        plain, first, second, ckpt = runs
+
+        def strip(rows):
+            return [
+                {k: v for k, v in row.items()
+                 if k not in ("sim_wall_s", "accesses_per_sec")}
+                for row in rows
+            ]
+
+        assert strip(first.ctx.run_summaries())
+        assert strip(second.ctx.run_summaries()) == strip(
+            first.ctx.run_summaries()
+        )
+        assert self._tables(second) == self._tables(plain)
+        assert not (ckpt / "frontier").exists()
+
+    def test_resume_mid_bracket_is_byte_identical(self, runs, resumed):
+        plain = runs[0]
+        steps, spec, simulated, result = resumed
+        assert len(steps) > 1  # the killed probe is not the first one
+        # Only the probe the journal lacks is simulated again...
+        assert simulated == [("canneal", spec)]
+        # ...and the search ends where the uninterrupted one did.
+        assert self._tables(result) == self._tables(plain)
+
+    def test_resume_replays_events_for_restored_evals(self, runs, resumed):
         """The resumed run's event log carries the full history, even
         for decisions made before the kill."""
-        opts, ladder, killed = self._interrupted(tmp_path, n_obs=2)
-        events = []
-        resumed = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path),
-            context_meta={"s": 1}, event_log=events,
-        )
-        steps = [e for e in events if e["kind"] == "controller_step"]
-        assert [e["step"] for e in steps] == [
-            e["step"] for e in killed.evals
-        ]
-        assert (resumed.lo, resumed.hi) == (killed.lo, killed.hi)
-
-    def test_stale_fingerprint_restarts(self, tmp_path):
-        opts, ladder, _ = self._interrupted(tmp_path, n_obs=2)
-        # Different budget -> different fingerprint -> fresh bracket.
-        other = ErrorBudgetController(
-            "w", ladder, FrontierOptions(error_budget=0.2),
-            state_dir=str(tmp_path), context_meta={"s": 1},
-        )
-        assert other.evals == [] and (other.lo, other.hi) == (-1, 8)
-        # Different context (seed/scale/engine) -> fresh bracket too.
-        other = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 2}
-        )
-        assert other.evals == []
-
-    def test_corrupt_state_restarts_with_warning(self, tmp_path):
-        opts, ladder, _ = self._interrupted(tmp_path, n_obs=2)
-        (tmp_path / "w.json").write_text("{not json")
-        ctrl = ErrorBudgetController(
-            "w", ladder, opts, state_dir=str(tmp_path), context_meta={"s": 1}
-        )
-        assert ctrl.evals == []  # skipped, not crashed
+        plain = runs[0]
+        steps, _, _, result = resumed
+        assert self._decisions(result) == self._decisions(plain)
+        replayed = [step for kind, step in self._decisions(result)
+                    if kind == "controller_step"]
+        assert replayed == steps
 
 
 # ------------------------------------------------- FaultConfig.from_dict

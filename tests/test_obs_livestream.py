@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.harness.parallel import prefetch_runs
+from repro.harness.parallel import prefetch_pairs
 from repro.harness.runner import ExperimentContext, baseline_spec
 from repro.obs.livestream import (
     HEARTBEAT_KIND,
@@ -127,9 +127,8 @@ class TestHeartbeatsEndToEnd:
         """A 2-job prefetch with a progress sink attached."""
         ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=WORKLOADS)
         sink = LiveProgressSink()
-        fetched = prefetch_runs(
-            ctx, [], jobs=2,
-            run_specs=[baseline_spec()], error_specs=[],
+        fetched = prefetch_pairs(
+            ctx, [(name, baseline_spec()) for name in WORKLOADS], jobs=2,
             progress=sink,
         )
         assert fetched == len(WORKLOADS)

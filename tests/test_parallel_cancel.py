@@ -19,7 +19,7 @@ from repro.harness import parallel
 from repro.harness.parallel import (
     CancelToken,
     cancellation_signals,
-    prefetch_runs,
+    prefetch_pairs,
 )
 from repro.harness.runner import ExperimentContext, dopp_spec
 from repro.harness.strategy import run_strategies
@@ -80,8 +80,8 @@ class TestPrefetchCancel:
         token = CancelToken()
         token.cancel("test cancel")
         with pytest.raises(Cancelled, match="test cancel"):
-            prefetch_runs(
-                small_scale_ctx, [], 2, run_specs=[dopp_spec()], cancel=token
+            prefetch_pairs(
+                small_scale_ctx, _pairs(small_scale_ctx), jobs=2, cancel=token
             )
 
     def test_mid_sweep_cancel_keeps_completed(self, small_scale_ctx):
@@ -90,22 +90,20 @@ class TestPrefetchCancel:
         timer.start()
         try:
             with pytest.raises(Cancelled, match="mid-sweep"):
-                prefetch_runs(
+                prefetch_pairs(
                     small_scale_ctx,
-                    [],
-                    2,
-                    run_specs=[dopp_spec()],
+                    _pairs(small_scale_ctx),
+                    jobs=2,
                     cancel=token,
                 )
         finally:
             timer.cancel()
 
     def test_uncancelled_sweep_completes(self, small_scale_ctx):
-        fetched = prefetch_runs(
+        fetched = prefetch_pairs(
             small_scale_ctx,
-            [],
-            2,
-            run_specs=[dopp_spec()],
+            _pairs(small_scale_ctx),
+            jobs=2,
             cancel=CancelToken(),
         )
         assert fetched == 2
@@ -117,18 +115,23 @@ def small_scale_ctx():
     return ExperimentContext(seed=3, scale=0.05, workloads=["swaptions", "kmeans"])
 
 
+def _pairs(ctx):
+    """Every workload of ``ctx`` under the default Doppelgänger spec."""
+    return [(name, dopp_spec()) for name in ctx.names]
+
+
 class TestRunStrategiesCancel:
     def test_cancelled_run_journals_partial_history(self, tmp_path, monkeypatch):
         # The driver's --jobs prefetch, cancelled as if a SIGINT had
         # landed on its token while the pool was live.
-        real_prefetch = parallel.prefetch_runs
+        real_prefetch = parallel.prefetch_pairs
 
         def interrupted_prefetch(*args, **kwargs):
             token = CancelToken()
             token.cancel("received SIGINT")
             return real_prefetch(*args, cancel=token, **kwargs)
 
-        monkeypatch.setattr(parallel, "prefetch_runs", interrupted_prefetch)
+        monkeypatch.setattr(parallel, "prefetch_pairs", interrupted_prefetch)
         store_path = str(tmp_path / "history.db")
         with pytest.raises(Cancelled, match="SIGINT"):
             run_strategies(

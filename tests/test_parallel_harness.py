@@ -7,41 +7,52 @@ so every downstream table is identical.
 
 import pytest
 
-from repro.harness.parallel import _split_fan, plan_specs, prefetch_runs
+from repro.harness.parallel import _split_fan, prefetch_pairs
 from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
     dopp_spec,
     uni_spec,
 )
+from repro.harness.strategy import _plan_from, registry
 
 SEED = 3
 SCALE = 0.05
 WORKLOADS = ["swaptions", "kmeans"]
 
 
+def plan(names):
+    """The driver's (run specs, error specs) prefetch plan for ``names``."""
+    return _plan_from([registry.get(name) for name in names])
+
+
+def pairs(ctx, specs):
+    """Every workload of ``ctx`` under every spec (the driver's fan)."""
+    return [(name, spec) for name in ctx.names for spec in specs]
+
+
 class TestPlanSpecs:
     def test_table2_needs_baseline_only(self):
-        runs, errors = plan_specs(["table2"])
+        runs, errors = plan(["table2"])
         assert runs == [baseline_spec()]
         assert errors == []
 
     def test_fig09_sweeps_map_bits(self):
-        runs, errors = plan_specs(["fig09"])
+        runs, errors = plan(["fig09"])
         assert baseline_spec() in runs
         assert dopp_spec(12, 0.25) in runs and dopp_spec(14, 0.25) in runs
         assert errors == [dopp_spec(b, 0.25) for b in (12, 13, 14)]
 
     def test_fig14_uses_uni_specs(self):
-        runs, errors = plan_specs(["fig14"])
+        runs, errors = plan(["fig14"])
         assert uni_spec(14, 0.25) in runs
         assert uni_spec(14, 0.75) in errors
 
     def test_config_only_experiments_need_nothing(self):
-        assert plan_specs(["fig13", "table3", "fig02"]) == ([], [])
+        assert plan(["fig13", "table3", "fig02"]) == ([], [])
 
     def test_dedup_across_experiments(self):
-        runs, _ = plan_specs(["table2", "headline", "fig10"])
+        runs, _ = plan(["table2", "headline", "fig10"])
         assert runs.count(baseline_spec()) == 1
 
 
@@ -53,10 +64,8 @@ class TestPrefetchRuns:
             seq.run(name, baseline_spec())
             seq.run(name, dopp_spec(14, 0.25))
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=WORKLOADS)
-        fetched = prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), dopp_spec(14, 0.25)],
-            error_specs=[],
+        fetched = prefetch_pairs(
+            par, pairs(par, [baseline_spec(), dopp_spec(14, 0.25)]), jobs=2,
         )
         assert fetched == 4
         return seq, par
@@ -92,15 +101,16 @@ class TestPrefetchRuns:
 
     def test_second_prefetch_is_a_noop(self, contexts):
         _, par = contexts
-        assert prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), dopp_spec(14, 0.25)],
-            error_specs=[],
+        assert prefetch_pairs(
+            par, pairs(par, [baseline_spec(), dopp_spec(14, 0.25)]), jobs=2,
         ) == 0
 
     def test_experiment_plan_prefetch_with_errors(self):
         ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(ctx, ["headline"], jobs=2)
+        runs, errors = plan(["headline"])
+        fetched = prefetch_pairs(
+            ctx, pairs(ctx, runs), pairs(ctx, errors), jobs=2
+        )
         assert fetched == 2
         assert ("swaptions", dopp_spec(14, 0.25)) in ctx._runs
 
@@ -145,9 +155,7 @@ class TestConfigFanSplitting:
         for spec in fan:
             seq.run("swaptions", spec)
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(
-            par, [], jobs=4, run_specs=fan, error_specs=[],
-        )
+        fetched = prefetch_pairs(par, pairs(par, fan), jobs=4)
         assert fetched == len(fan)
         return seq, par
 
@@ -174,12 +182,3 @@ class TestConfigFanSplitting:
             ]
 
         assert strip(seq.run_summaries()) == strip(par.run_summaries())
-
-    def test_split_disabled_keeps_one_task_per_workload(self):
-        fan = [baseline_spec(), dopp_spec(14, 0.25)]
-        ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        fetched = prefetch_runs(
-            ctx, [], jobs=4, run_specs=fan, error_specs=[],
-            split_fans=False,
-        )
-        assert fetched == len(fan)

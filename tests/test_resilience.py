@@ -23,7 +23,7 @@ import repro.engine.batched as batched
 import repro.harness.parallel as parallel
 from repro.engine import ENGINES
 from repro.errors import ConfigError, SimulationFault
-from repro.harness.parallel import prefetch_runs
+from repro.harness.parallel import prefetch_pairs
 from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
@@ -348,9 +348,8 @@ class TestParallelResilience:
         seq.run("kmeans", baseline_spec())
         seq.run("kmeans", FSPEC)
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["kmeans"])
-        fetched = prefetch_runs(
-            par, [], jobs=2,
-            run_specs=[baseline_spec(), FSPEC], error_specs=[],
+        fetched = prefetch_pairs(
+            par, [("kmeans", baseline_spec()), ("kmeans", FSPEC)], jobs=2,
         )
         assert fetched == 2
         assert _strip(seq.run_summaries()) == _strip(par.run_summaries())
@@ -364,9 +363,11 @@ class TestParallelResilience:
         seq = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
         seq_err = seq.error("swaptions", spec)  # before any trace exists
         par = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        prefetch_runs(
-            par, [], jobs=1,
-            run_specs=[baseline_spec(), spec], error_specs=[spec],
+        prefetch_pairs(
+            par,
+            [("swaptions", baseline_spec()), ("swaptions", spec)],
+            [("swaptions", spec)],
+            jobs=1,
         )
         assert par._errors[("swaptions", spec)] == seq_err
 
@@ -377,9 +378,8 @@ class TestParallelResilience:
         ctx = _fork_ctx(swaptions_ctx)
         start = time.monotonic()
         with pytest.raises(SimulationFault) as excinfo:
-            prefetch_runs(
-                ctx, [], jobs=1,
-                run_specs=[baseline_spec()], error_specs=[],
+            prefetch_pairs(
+                ctx, [("swaptions", baseline_spec())], jobs=1,
                 timeout=1.0, retries=0,
             )
         assert time.monotonic() - start < 60  # the 300s sleeper was killed
@@ -394,9 +394,8 @@ class TestParallelResilience:
         monkeypatch.setattr(parallel, "_run_task", _dying_task)
         ctx = _fork_ctx(swaptions_ctx)
         with pytest.raises(SimulationFault) as excinfo:
-            prefetch_runs(
-                ctx, [], jobs=1,
-                run_specs=[baseline_spec()], error_specs=[], retries=0,
+            prefetch_pairs(
+                ctx, [("swaptions", baseline_spec())], jobs=1, retries=0,
             )
         msg = str(excinfo.value)
         assert "worker process died" in msg
@@ -411,9 +410,8 @@ class TestParallelResilience:
         monkeypatch.setattr(parallel, "_run_task", _flaky_task)
         obs = Observability(enabled=True, ring_capacity=64)
         ctx = _fork_ctx(swaptions_ctx, obs=obs)
-        fetched = prefetch_runs(
-            ctx, [], jobs=1,
-            run_specs=[baseline_spec()], error_specs=[],
+        fetched = prefetch_pairs(
+            ctx, [("swaptions", baseline_spec())], jobs=1,
             retries=1, backoff=0.01,
         )
         assert fetched == 1
