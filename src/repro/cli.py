@@ -40,7 +40,10 @@ Run history (every invocation lands in a sqlite store unless
     python -m repro.cli history query 'SELECT workload, MAX(error) \
         FROM results GROUP BY workload'
     python -m repro.cli compare store:last-1 store:last
-    python -m repro.cli experiments <name> --jobs 4 --progress
+
+With ``--jobs > 1`` every worker's heartbeats land in the store's
+``events`` table; on a TTY they also redraw a live status line on
+stderr.
 
 Resilience (see ``docs/robustness.md``)::
 
@@ -548,12 +551,6 @@ def _common_options() -> argparse.ArgumentParser:
         action="store_true",
         help="skip recording this invocation in the history store",
     )
-    history.add_argument(
-        "--progress",
-        action="store_true",
-        help="with --jobs > 1: stream live worker heartbeats to an "
-        "in-place terminal status line (and into the history store)",
-    )
     return common
 
 
@@ -738,15 +735,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
             )
     faults = _fault_config(args)
 
-    progress = None
-    if args.progress:
-        if args.jobs == 1:
-            print("[--progress streams worker heartbeats; needs --jobs > 1]")
-        else:
-            from repro.obs.livestream import LiveProgressSink
-
-            progress = LiveProgressSink(stream=sys.stderr)
-
     enabled = args.profile or bool(args.trace_out) or bool(args.metrics_out)
     stem = names[0] if len(names) == 1 else "experiments"
     trace_path = args.trace_out
@@ -776,7 +764,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         obs=obs,
-        progress=progress,
         out=args.out,
         json_dir=args.json_out,
         echo=print,

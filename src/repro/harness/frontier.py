@@ -17,9 +17,10 @@ ordinary client of the context memo: with a ``--checkpoint-dir`` every
 probe's simulation and output error land in the sweep journal, and a
 search rerun with ``--resume`` restarts at step 0, re-walks its
 bracket through memo hits and simulates only the probes the journal
-lacks, with byte-identical results. Controller decisions are traced as
+lacks, with byte-identical results. Controller decisions are
 ``controller_step`` / ``controller_degrade`` / ``controller_converged``
-events and the frontier lands in per-workload gauges.
+run events (``ctx.emit``) and the frontier lands in per-workload
+gauges.
 
 Tune with ``--error-budget`` / ``--voltage-steps`` on the CLI (they
 arrive here through ``ctx.strategy_options``); see
@@ -79,10 +80,7 @@ def _run_search(
     Probes already in the memo (resumed from the journal) are hits.
     """
     controllers = {
-        name: ErrorBudgetController(
-            name, ladder, options,
-            tracer=ctx.obs.tracer, event_log=ctx.pending_events,
-        )
+        name: ErrorBudgetController(name, ladder, options, emit=ctx.emit)
         for name in ctx.names
     }
     while True:

@@ -46,11 +46,19 @@ the pool is live, SIGINT/SIGTERM are routed through
 interrupted sweep tears the pool down cleanly, keeps and journals
 every record already merged, and surfaces as the typed
 :class:`~repro.errors.Cancelled` (exit code 130) rather than a raw
-``KeyboardInterrupt`` traceback mid-merge.
+``KeyboardInterrupt`` traceback mid-merge. Workers ignore SIGINT, die
+on SIGTERM and exit once orphaned (:func:`_init_worker`).
+
+Run events: workers put theirs (heartbeats, engine fallbacks) on their
+pool's own queue, and the parent re-emits them into its context while
+it polls for results. The queue is dropped with the pool, so a worker
+killed mid-put cannot wedge the next round.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import signal
 import threading
 import time
@@ -63,11 +71,20 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import Cancelled, SimulationFault
 from repro.harness.runner import ConfigSpec, ExperimentContext
 from repro.obs import EVENT_WORKER_RETRY, get_logger
+from repro.obs.livestream import HEARTBEAT_KIND, make_heartbeat
 
 log = get_logger("harness.parallel")
 
-#: Seconds between cancellation checks while awaiting a worker future.
+#: Seconds between cancellation checks (and event-queue drains) while
+#: awaiting a worker future.
 _POLL_S = 0.1
+
+#: Seconds between a worker's checks that its parent is still alive.
+_ORPHAN_POLL_S = 0.5
+
+#: Inside a pool worker: the pool's event queue (set by
+#: :func:`_init_worker`; None in the parent and once the queue broke).
+_worker_events = None
 
 
 class CancelToken:
@@ -133,13 +150,17 @@ class _RoundCancelled(Exception):
     """Internal: the current round observed a set CancelToken."""
 
 
-def _wait_result(future, timeout: Optional[float], cancel: CancelToken):
+def _wait_result(
+    future, timeout: Optional[float], cancel: CancelToken, drain
+):
     """Await one future in short slices so cancellation stays live.
 
     ``future.result(timeout)`` would block the merge loop for the whole
     task timeout (possibly forever); polling in :data:`_POLL_S` slices
     lets a set token abort within ~100 ms while preserving the
     original semantics: ``timeout`` is still measured from this call.
+    Each slice first calls ``drain`` to re-emit the workers' queued
+    run events.
 
     Raises:
         _RoundCancelled: the token was set while waiting.
@@ -147,6 +168,7 @@ def _wait_result(future, timeout: Optional[float], cancel: CancelToken):
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     while True:
+        drain()
         if cancel.cancelled():
             raise _RoundCancelled()
         slice_s = _POLL_S
@@ -161,6 +183,46 @@ def _wait_result(future, timeout: Optional[float], cancel: CancelToken):
             continue
 
 
+def _init_worker(events) -> None:
+    """Pool initializer: signal dispositions, orphan watchdog, event queue.
+
+    The pool forks inside :func:`cancellation_signals`; an inherited
+    handler would answer SIGTERM by cancelling a token copy nothing
+    reads, so :func:`_terminate_pool` would always end in SIGKILL. The
+    parent owns Ctrl-C. A worker whose parent died exits rather than
+    linger as an orphan holding both ends of its pipes.
+    """
+    global _worker_events
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _worker_events = events
+    threading.Thread(
+        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+    ).start()
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Worker watchdog thread: exit once the parent process is gone."""
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
+def _send_event(event: dict) -> None:
+    """Worker context listener: put one run event on the pool's queue.
+
+    Never raises: once the queue breaks (parent gone), forwarding
+    turns itself off so the simulation finishes regardless.
+    """
+    global _worker_events
+    if _worker_events is None:
+        return
+    try:
+        _worker_events.put(event)
+    except Exception:
+        _worker_events = None
+
+
 def _run_task(task: dict):
     """Worker: simulate one workload under every requested config.
 
@@ -170,39 +232,47 @@ def _run_task(task: dict):
     configs already resolved by the parent, so a worker's memo keys
     match the parent's exactly.
 
-    When the parent attached a progress channel (``--progress``), the
-    worker emits one heartbeat at task start, one after the trace is
-    generated, and one per completed (workload, config) simulation /
-    error evaluation — accesses/sec, slow-path fraction and RSS ride
-    along so a thrashing worker is visible mid-run (see
-    :mod:`repro.obs.livestream`).
+    The context's run events reach the parent through
+    :func:`_send_event`: one heartbeat at task start, one after the
+    trace is generated, one per completed (workload, config)
+    simulation / error evaluation and one when the unit is done —
+    accesses/sec, slow-path fraction and RSS ride along so a thrashing
+    worker is visible mid-run (see :mod:`repro.obs.livestream`).
     """
-    from repro.obs.livestream import WorkerProgress
-
     ctx = ExperimentContext(
         seed=task["seed"],
         scale=task["scale"],
         workloads=[task["workload"]],
         engine=task["engine"],
     )
+    ctx.listener = _send_event
     name = task["workload"]
     run_specs = task["run_specs"]
     error_specs = task["error_specs"]
-    progress = WorkerProgress(task.get("progress"), task["unit"])
     total = len(run_specs) + len(error_specs)
     done = 0
-    progress.emit("start", workload=name, total=total)
+
+    def beat(phase: str, **fields) -> None:
+        """Emit one heartbeat for this unit."""
+        ctx.emit(
+            HEARTBEAT_KIND,
+            **make_heartbeat(
+                task["unit"], phase, workload=name, total=total, **fields
+            ),
+        )
+
+    beat("start")
     if run_specs or error_specs:
         ctx.trace(name)
-        progress.emit("trace", workload=name, total=total)
+        beat("trace")
     runs = []
     for spec in run_specs:
         record = ctx.run(name, spec)
         runs.append((spec, record))
         done += 1
         stats = record.engine_stats or {}
-        progress.emit(
-            "run", workload=name, config=spec.label(), done=done, total=total,
+        beat(
+            "run", config=spec.label(), done=done,
             accesses=record.accesses,
             accesses_per_sec=record.accesses_per_sec,
             slow_path_fraction=stats.get("slow_fraction"),
@@ -211,10 +281,8 @@ def _run_task(task: dict):
     for spec in error_specs:
         errors[spec] = ctx.error(name, spec)
         done += 1
-        progress.emit(
-            "error", workload=name, config=spec.label(), done=done, total=total
-        )
-    progress.emit("done", workload=name, done=done, total=total)
+        beat("error", config=spec.label(), done=done)
+    beat("done", done=done)
     return name, runs, errors
 
 
@@ -271,6 +339,7 @@ def _run_round(
     workers: int,
     timeout: Optional[float],
     cancel: CancelToken,
+    emit,
 ):
     """Run one batch of tasks; returns ``(completed, failed)``.
 
@@ -280,10 +349,22 @@ def _run_round(
     kept, everything else is reported failed so the caller can retry
     it in a fresh pool (or, on cancellation, raise
     :class:`~repro.errors.Cancelled` after merging what completed).
+    Run events the workers queue are passed to ``emit`` (the parent
+    context's :meth:`~repro.harness.runner.ExperimentContext.emit`).
     """
     completed: List[Tuple[dict, tuple]] = []
     failed: List[Tuple[dict, str]] = []
-    pool = ProcessPoolExecutor(max_workers=workers)
+    events = multiprocessing.SimpleQueue()
+
+    def drain() -> None:
+        """Re-emit every run event the workers have queued so far."""
+        while not events.empty():
+            event = events.get()
+            emit(event.pop("kind"), **event)
+
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(events,)
+    )
     futures = [(task, pool.submit(_run_task, task)) for task in tasks]
     abort: Optional[str] = None
     for task, future in futures:
@@ -298,7 +379,9 @@ def _run_round(
                 failed.append((task, abort))
             continue
         try:
-            completed.append((task, _wait_result(future, timeout, cancel)))
+            completed.append(
+                (task, _wait_result(future, timeout, cancel, drain))
+            )
         except _RoundCancelled:
             failed.append((task, "cancelled"))
             abort = "pool torn down after cancellation"
@@ -313,10 +396,13 @@ def _run_round(
         except Exception as exc:
             # A deterministic in-task failure; the pool itself is fine.
             failed.append((task, repr(exc)))
+    # Every finished task put its events before returning its result.
+    drain()
     if abort is not None:
         _terminate_pool(pool)
     else:
         pool.shutdown()
+    events.close()
     return completed, failed
 
 
@@ -329,7 +415,6 @@ def prefetch_pairs(
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 1.0,
-    progress=None,
     cancel: Optional[CancelToken] = None,
 ) -> int:
     """Simulate (workload, spec) pairs across ``jobs`` worker processes.
@@ -341,7 +426,8 @@ def prefetch_pairs(
     skipped; fault configs are resolved through
     :meth:`ExperimentContext.apply_faults` first so worker memo keys,
     parent memo keys and checkpoint digests all agree. Returns the
-    number of simulations fetched.
+    number of simulations fetched. Worker run events (heartbeats,
+    engine fallbacks) and retries are emitted into ``ctx``.
 
     Args:
         run_pairs: (workload, spec) pairs to simulate.
@@ -353,11 +439,6 @@ def prefetch_pairs(
         retries: rounds to re-run failed tasks in a fresh pool.
         backoff: base delay before retry ``k``, growing as
             ``backoff * 2**(k-1)`` seconds.
-        progress: optional
-            :class:`~repro.obs.livestream.LiveProgressSink`; workers
-            then emit heartbeats (unit, accesses/sec, slow-path
-            fraction, RSS) over a manager queue that the sink drains
-            live, so a stuck worker is visible mid-run.
         cancel: optional :class:`CancelToken` another thread may set.
             A fresh token is created when omitted; either way
             SIGINT/SIGTERM route onto it while the pool is live (main
@@ -410,32 +491,15 @@ def prefetch_pairs(
                 len(tasks), len(units), jobs,
             )
         tasks = units
-    manager = None
-    if progress is not None:
-        import multiprocessing
-
-        # A manager queue proxy is picklable under every start method,
-        # unlike a raw mp.Queue, so it can ride inside the task dicts.
-        manager = multiprocessing.Manager()
-        channel = manager.Queue()
-        for task in tasks:
-            task["progress"] = channel
-        progress.start(channel)
     workers = max(1, min(jobs, len(tasks)))
     log.info(
         "prefetching %d workload tasks across %d workers", len(tasks), workers
     )
     token = cancel if cancel is not None else CancelToken()
-    try:
-        with cancellation_signals(token):
-            return _prefetch_rounds(
-                ctx, tasks, workers, timeout, retries, backoff, token
-            )
-    finally:
-        if progress is not None:
-            progress.stop()
-        if manager is not None:
-            manager.shutdown()
+    with cancellation_signals(token):
+        return _prefetch_rounds(
+            ctx, tasks, workers, timeout, retries, backoff, token
+        )
 
 
 def _prefetch_rounds(
@@ -459,7 +523,8 @@ def _prefetch_rounds(
         attempt = 0
         while True:
             completed, failed = _run_round(
-                pending, max(1, min(workers, len(pending))), timeout, cancel
+                pending, max(1, min(workers, len(pending))), timeout, cancel,
+                ctx.emit,
             )
             for task, (name, runs, errors) in completed:
                 for spec, record in runs:
@@ -498,10 +563,10 @@ def _prefetch_rounds(
                     "retrying %s (attempt %d/%d in %.1fs): %s",
                     task["workload"], attempt, retries, delay, reason,
                 )
-                ctx.obs.tracer.emit(
+                ctx.emit(
                     EVENT_WORKER_RETRY,
-                    workload=task["workload"], attempt=attempt,
-                    delay_s=delay, error=reason,
+                    unit=task["unit"], workload=task["workload"],
+                    attempt=attempt, delay_s=delay, error=reason,
                 )
             time.sleep(delay)
             pending = [task for task, _ in failed]

@@ -16,9 +16,10 @@ touching code.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, replace
 from time import perf_counter_ns
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig
 from repro.core.functional import BlockApproximator
@@ -391,11 +392,32 @@ class ExperimentContext:
         #: every result entering the memo is journaled to it.
         self.journal = None
         self.strategy_options: Dict[str, object] = {}
-        #: Event dicts (each with a ``kind``) strategies queue for the
-        #: run-history store — how controller decisions become
-        #: queryable ``repro history`` rows even when live tracing is
-        #: disabled. Flushed by the driver after the strategies run.
-        self.pending_events: List[dict] = []
+        #: Run events, in emission order (see :meth:`emit`); the driver
+        #: lands them in the run-history store when the run finishes
+        #: or is cancelled.
+        self.events: List[dict] = []
+        #: Optional callable handed every run event as it is emitted:
+        #: the CLI's TTY status line, or a ``--jobs`` worker's
+        #: heartbeat queue.
+        self.listener: Optional[Callable[[dict], None]] = None
+
+    def emit(self, kind: str, **fields) -> None:
+        """Record one run event: the single entry point for them.
+
+        Run events (``controller_*``, ``engine_fallback``,
+        ``worker_retry``, ``worker_heartbeat``, ``run_cancelled``) are
+        appended to :attr:`events` as ``{"kind", "ts_unix", **fields}``
+        dicts (an event forwarded from a worker keeps its own
+        ``ts_unix``), forwarded to ``obs.tracer`` (a no-op unless
+        tracing is on) and handed to :attr:`listener`. Structure events
+        (map generation, tag moves, evictions, coherence) stay on the
+        tracer alone.
+        """
+        event = {"kind": kind, "ts_unix": time.time(), **fields}
+        self.events.append(event)
+        self.obs.tracer.emit(kind, **fields)
+        if self.listener is not None:
+            self.listener(event)
 
     # -------------------------------------------------------------- builders
 
@@ -466,8 +488,8 @@ class ExperimentContext:
         Returns ``(result, llc, injector, engine_used, engine_stats)``.
         A batched
         failure rebuilds the hierarchy (the failed run mutated it) and
-        replays under the reference interpreter, logged and traced as
-        an ``engine_fallback`` event; if the reference fails too — or
+        replays under the reference interpreter, logged and emitted as
+        an ``engine_fallback`` run event; if the reference fails too — or
         was the engine asked for — the error surfaces as a
         :class:`~repro.errors.SimulationFault` naming the (workload,
         config) pair.
@@ -504,7 +526,7 @@ class ExperimentContext:
                 "batched engine failed for %s/%s (%s); retrying with the "
                 "reference engine", name, label, exc,
             )
-            self.obs.tracer.emit(
+            self.emit(
                 EVENT_ENGINE_FALLBACK,
                 engine=self.engine or "batched", error=repr(exc),
                 workload=name, config=label,

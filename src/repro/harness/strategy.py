@@ -520,8 +520,8 @@ def _start_history_run(store_path, argv, names, options) -> tuple:
     return store, run_id
 
 
-def _add_results(store, run_id, ctx) -> None:
-    """Land the context's (workload, config) results in the store."""
+def _land_context(store, run_id, ctx) -> None:
+    """Land the context's (workload, config) results and run events."""
     if ctx is None:
         return
     records = ctx.run_records()
@@ -529,18 +529,16 @@ def _add_results(store, run_id, ctx) -> None:
         store.add_result(
             run_id, row, records.get((row["workload"], row["config"]))
         )
+    if ctx.events:
+        store.add_events(run_id, ctx.events)
 
 
 def _record_history_run(
-    store, run_id, ctx, progress, *, wall_s, cpu_s, experiments, echo
+    store, run_id, ctx, *, wall_s, cpu_s, experiments, echo
 ):
-    """Land results, heartbeats and final timings in the history store."""
+    """Land results, run events and final timings in the history store."""
     try:
-        _add_results(store, run_id, ctx)
-        if progress is not None:
-            store.add_events(run_id, progress.events_for_store())
-        if ctx is not None and getattr(ctx, "pending_events", None):
-            store.add_events(run_id, ctx.pending_events)
+        _land_context(store, run_id, ctx)
         store.finish_run(
             run_id,
             wall_s=wall_s,
@@ -554,18 +552,18 @@ def _record_history_run(
         store.close()
 
 
-def _abort_history_run(store, run_id, ctx, reason: str) -> None:
+def _abort_history_run(store, run_id, ctx) -> None:
     """Mark a cancelled run in the history store, without finishing it.
 
-    Completed (workload, config) results are landed so the partial
-    sweep stays queryable, a ``run_cancelled`` event records why, and
-    the row keeps ``finished = 0`` — ``repro history list`` shows the
-    run as unfinished, which it is. Telemetry failures are swallowed
-    like everywhere else in the recording path.
+    Completed (workload, config) results and the run events so far —
+    ending in the ``run_cancelled`` event that records why — are
+    landed so the partial sweep stays queryable, and the row keeps
+    ``finished = 0``: ``repro history list`` shows the run as
+    unfinished, which it is. Telemetry failures are swallowed like
+    everywhere else in the recording path.
     """
     try:
-        _add_results(store, run_id, ctx)
-        store.add_event(run_id, "run_cancelled", payload={"reason": reason})
+        _land_context(store, run_id, ctx)
     except Exception:  # pragma: no cover - telemetry must not mask Cancelled
         pass
     finally:
@@ -633,7 +631,6 @@ def run_strategies(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     obs: Optional[Observability] = None,
-    progress=None,
     out: Optional[str] = None,
     json_dir: Optional[str] = None,
     echo: Optional[Callable[[str], None]] = None,
@@ -669,14 +666,13 @@ def run_strategies(
         ctx: reuse an existing context; otherwise one is built from
             ``seed`` / ``scale`` / ``workloads`` / ``engine`` /
             ``faults`` when any strategy requires it.
-        progress: optional
-            :class:`~repro.obs.livestream.LiveProgressSink` receiving
-            worker heartbeats during the prefetch.
         out: directory for plain-text table files (None = don't save).
         json_dir: directory for ``<name>.json`` tables and the
             ``BENCH_obs.json`` summary (None = no JSON output).
         echo: line printer for human output (``print`` on the CLI);
-            None keeps the run silent, as library callers expect.
+            None keeps the run silent, as library callers expect. With
+            ``echo`` and a TTY stderr, worker heartbeats also redraw a
+            live status line there.
         store_path: history database path (None = the default store
             resolution) — only consulted when ``record_history``.
         argv: CLI argv recorded alongside the history run.
@@ -696,8 +692,9 @@ def run_strategies(
             knobs — raised before anything simulates.
         SimulationFault: the parallel prefetch exhausted its retries.
         Cancelled: SIGINT/SIGTERM arrived during the parallel prefetch;
-            a recorded history run keeps its completed results plus a
-            ``run_cancelled`` event, without being marked finished.
+            a recorded history run keeps its completed results and run
+            events, ending in ``run_cancelled``, without being marked
+            finished.
     """
     reg = strategy_registry if strategy_registry is not None else registry
     resolved = [reg.resolve(item) for item in experiments]
@@ -738,6 +735,12 @@ def run_strategies(
         ctx.retries = retries
         ctx.journal = journal
         ctx.strategy_options = dict(strategy_options or {})
+    status = None
+    if ctx is not None and echo and sys.stderr.isatty():
+        from repro.obs.livestream import LiveProgressSink
+
+        status = LiveProgressSink(sys.stderr)
+        ctx.listener = status.handle
     store = run_id = None
     if record_history:
         store, run_id = _start_history_run(
@@ -776,14 +779,9 @@ def run_strategies(
                     jobs=jobs,
                     timeout=timeout,
                     retries=retries,
-                    progress=progress,
                 )
-                if progress is not None and echo:
-                    beat = progress.summary()
-                    echo(
-                        f"[progress: {beat['heartbeats']} heartbeats from "
-                        f"{beat['units']} work units]"
-                    )
+                if status is not None:
+                    status.close()
                 if fetched and echo:
                     echo(f"[prefetched {fetched} runs across {jobs} jobs]")
 
@@ -794,9 +792,14 @@ def run_strategies(
                 )
             )
     except Cancelled as exc:
+        if ctx is not None:
+            ctx.emit("run_cancelled", reason=str(exc))
         if store is not None:
-            _abort_history_run(store, run_id, ctx, str(exc))
+            _abort_history_run(store, run_id, ctx)
         raise
+    finally:
+        if status is not None:
+            status.close()
 
     if ctx is not None and json_dir:
         from repro.obs.output import update_bench_summary
@@ -811,7 +814,6 @@ def run_strategies(
             store,
             run_id,
             ctx,
-            progress,
             wall_s=(perf_counter_ns() - start_ns) / 1e9,
             cpu_s=_cpu_seconds(cpu_start),
             experiments={o.name: {"wall_s": o.wall_s} for o in result.outcomes},

@@ -19,8 +19,8 @@ and the interesting protocol events behind them — visible:
 * :mod:`repro.obs.logs` — the ``repro`` logger hierarchy;
 * :mod:`repro.obs.store` — the sqlite run-history store every harness
   invocation appends to (``repro history``, ``store:`` compare refs);
-* :mod:`repro.obs.livestream` — live worker heartbeats for parallel
-  sweeps (``--progress``), retained into the store.
+* :mod:`repro.obs.livestream` — worker heartbeats for parallel sweeps
+  and their TTY status line.
 
 :class:`Observability` bundles one registry + tracer + profiler and is
 what the harness passes around; ``Observability.disabled()`` (the
@@ -38,7 +38,6 @@ from repro.obs.events import (
     EVENT_ENGINE_FALLBACK,
     EVENT_FAULT_INJECTED,
     EVENT_MAP_GENERATION,
-    EVENT_PHASE,
     EVENT_TAG_INSERT,
     EVENT_TAG_MOVE,
     EVENT_WB_ENQUEUE,
@@ -49,7 +48,7 @@ from repro.obs.events import (
     RingBufferSink,
     Tracer,
 )
-from repro.obs.livestream import LiveProgressSink, WorkerProgress
+from repro.obs.livestream import LiveProgressSink
 from repro.obs.logs import configure_logging, get_logger
 from repro.obs.metrics import (
     Counter,
@@ -80,7 +79,6 @@ __all__ = [
     "EVENT_BACK_INVALIDATION",
     "EVENT_COHERENCE_INVALIDATION",
     "EVENT_WB_ENQUEUE",
-    "EVENT_PHASE",
     "EVENT_FAULT_INJECTED",
     "EVENT_ENGINE_FALLBACK",
     "EVENT_WORKER_RETRY",
@@ -98,7 +96,6 @@ __all__ = [
     "is_store_ref",
     "load_bench_source",
     "LiveProgressSink",
-    "WorkerProgress",
     "configure_logging",
     "get_logger",
 ]

@@ -51,7 +51,7 @@ class Observability:
         if enabled and trace_path:
             self.jsonl = JsonlFileSink(trace_path)
             self.tracer.add_sink(self.jsonl)
-        self.profiler = PhaseProfiler(enabled=enabled, tracer=None)
+        self.profiler = PhaseProfiler(enabled=enabled)
 
     @classmethod
     def disabled(cls) -> "Observability":

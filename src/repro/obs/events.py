@@ -1,40 +1,33 @@
 """Structured event tracing with pluggable sinks.
 
-Events are the *interesting* Doppelgänger mechanics — the ones the
-paper's Secs. 3.3-3.6 reason about — not every cache access:
+*Structure events* are the interesting Doppelgänger mechanics — the
+ones the paper's Secs. 3.3-3.6 reason about — not every cache access.
+They reach the tracer alone:
 
-========================  =====================================================
-kind                      payload fields
-========================  =====================================================
-``map_generation``        ``addr``, ``region``, ``map`` (Sec. 3.7 hash+bin)
-``tag_insert``            ``addr``, ``map``, ``shared`` (joined existing list?)
-``tag_move``              ``addr``, ``old_map``, ``new_map`` (Sec. 3.4 write)
-``data_eviction``         ``map``, ``tags``, ``dirty`` (Sec. 3.5 fan-out)
-``back_invalidation``     ``addr``, ``origin`` (inclusive-LLC purge)
+==========================  ===================================================
+kind                        payload fields
+==========================  ===================================================
+``map_generation``          ``addr``, ``region``, ``map`` (Sec. 3.7 hash+bin)
+``tag_insert``              ``addr``, ``map``, ``shared`` (joined existing list?)
+``tag_move``                ``addr``, ``old_map``, ``new_map`` (Sec. 3.4 write)
+``data_eviction``           ``map``, ``tags``, ``dirty`` (Sec. 3.5 fan-out)
+``back_invalidation``       ``addr``, ``origin`` (inclusive-LLC purge)
 ``coherence_invalidation``  ``addr``, ``writer``, ``sharers`` (MSI store)
-``wb_enqueue``            ``addr``, ``stall`` (writeback-buffer pressure)
-``phase``                 ``name``, ``ns`` (one per completed profiler phase)
-``fault_injected``        ``site``, ``addr``, ``detected`` (resilience layer)
-``engine_fallback``       ``engine``, ``error``, ``workload``, ``config``
-``worker_retry``          ``workload``, ``attempt``, ``delay_s``, ``error``
-``controller_step``       ``workload``, ``step``, ``vdd``, ``error``, ``verdict``
-``controller_degrade``    ``workload``, ``action``, ``step``, ``error``
-``controller_converged``  ``workload``, ``frontier``, ``survivable_rate``
-========================  =====================================================
+``wb_enqueue``              ``addr``, ``stall`` (writeback-buffer pressure)
+``fault_injected``          ``site``, ``addr``, ``detected`` (resilience layer)
+==========================  ===================================================
 
-The later kinds come from the resilience layer (``docs/robustness.md``):
 ``fault_injected`` marks one injected fault (``detected`` tells an
-ECC-detected refetch from a silent approximate-array corruption),
-``engine_fallback`` records a batched-engine failure that degraded to
-the reference interpreter, and ``worker_retry`` records a parallel
-worker being retried after a crash or timeout. The ``controller_*``
-kinds trace the error-budget controller's frontier search
-(:mod:`repro.resilience.controller`): one ``controller_step`` per
-evaluated voltage step with its within/over verdict and bracket, a
-``controller_degrade`` whenever a blown budget steps the voltage back
-up (``action="raise_voltage"``) or abandons approximation entirely
-(``action="precise_fallback"``), and one ``controller_converged`` per
-workload with the final frontier and operating point.
+ECC-detected refetch from a silent approximate-array corruption; see
+``docs/robustness.md``).
+
+*Run events* — ``engine_fallback``, ``worker_retry``,
+``worker_heartbeat``, ``controller_step`` / ``controller_degrade`` /
+``controller_converged`` and ``run_cancelled`` — describe the harness
+run, not the simulated hardware. They enter through
+:meth:`repro.harness.runner.ExperimentContext.emit`, which records
+them in ``ctx.events`` (always stored in the run history) and forwards
+them here; ``docs/observability.md`` lists their payloads.
 
 A :class:`Tracer` fans each event out to its sinks. With no sinks
 attached ``tracer.enabled`` is False and instrumented code skips the
@@ -58,7 +51,6 @@ EVENT_DATA_EVICTION = "data_eviction"
 EVENT_BACK_INVALIDATION = "back_invalidation"
 EVENT_COHERENCE_INVALIDATION = "coherence_invalidation"
 EVENT_WB_ENQUEUE = "wb_enqueue"
-EVENT_PHASE = "phase"
 EVENT_FAULT_INJECTED = "fault_injected"
 EVENT_ENGINE_FALLBACK = "engine_fallback"
 EVENT_WORKER_RETRY = "worker_retry"
@@ -75,7 +67,6 @@ EVENT_KINDS = (
     EVENT_BACK_INVALIDATION,
     EVENT_COHERENCE_INVALIDATION,
     EVENT_WB_ENQUEUE,
-    EVENT_PHASE,
     EVENT_FAULT_INJECTED,
     EVENT_ENGINE_FALLBACK,
     EVENT_WORKER_RETRY,

@@ -1,35 +1,32 @@
-"""Live worker progress streaming for parallel sweeps (``--progress``).
+"""Worker heartbeats for parallel sweeps and their terminal status line.
 
 A ``--jobs N`` sweep used to be a black box between "prefetching…" and
 the merged tables: a stuck or thrashing worker was only visible when
-``--timeout`` finally fired. This module gives each worker a channel —
-a ``multiprocessing`` queue — over which it emits *heartbeats*: small
-dicts naming the work unit, the (workload, config) just simulated,
-accesses done, accesses/second, the engine's slow-path fraction and
-the worker's peak RSS.
+``--timeout`` finally fired. Every worker therefore emits
+*heartbeats* — ``worker_heartbeat`` run events naming the work unit,
+the (workload, config) just simulated, accesses done,
+accesses/second, the engine's slow-path fraction and the worker's
+peak RSS — through its context's
+:meth:`~repro.harness.runner.ExperimentContext.emit`, whose listener
+puts them on the pool's queue (:mod:`repro.harness.parallel`). The
+parent re-emits each one into its own context, so heartbeats land in
+the run-history store with every other run event (``SELECT … FROM
+events WHERE kind = 'worker_heartbeat'``).
 
-On the parent side a :class:`LiveProgressSink` drains the queue on a
-daemon thread, keeps the latest state per unit, renders an in-place
-one-line terminal status under ``--progress``, and retains every
-heartbeat so the CLI can land them in the run-history store
-(:mod:`repro.obs.store`) — making mid-run worker behaviour queryable
-after the fact (``SELECT … FROM events WHERE kind =
-'worker_heartbeat'``).
+When the driver prints and stderr is a TTY, a :class:`LiveProgressSink`
+is the parent context's listener and redraws an in-place one-line
+status from the latest heartbeat of every unit.
 
 Heartbeats are plain dicts (not classes) so they cross process
-boundaries with no import coupling, and emission is best-effort: a
-worker never fails its task because the parent's queue died.
+boundaries with no import coupling.
 """
 
 from __future__ import annotations
 
 import os
-import queue as queue_mod
-import threading
-import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-#: Event kind heartbeats carry in the queue, sink and store.
+#: Event kind heartbeats carry in the queue, the context and the store.
 HEARTBEAT_KIND = "worker_heartbeat"
 
 #: Heartbeat lifecycle phases, in emission order per unit.
@@ -60,9 +57,8 @@ def make_heartbeat(
     accesses_per_sec: float = 0.0,
     slow_path_fraction: Optional[float] = None,
 ) -> dict:
-    """Build one heartbeat dict (adds timestamp, pid and RSS)."""
+    """One heartbeat's fields for ``ctx.emit`` (adds pid and RSS)."""
     return {
-        "kind": HEARTBEAT_KIND,
         "unit": unit,
         "phase": phase,
         "workload": workload,
@@ -74,31 +70,7 @@ def make_heartbeat(
         "slow_path_fraction": slow_path_fraction,
         "rss_kb": rss_kb(),
         "pid": os.getpid(),
-        "ts_unix": time.time(),
     }
-
-
-class WorkerProgress:
-    """Worker-side heartbeat emitter (lives in the child process).
-
-    Wraps the parent's queue; :meth:`emit` never raises — once the
-    queue breaks (parent gone, manager shut down) emission turns
-    itself off so the simulation finishes regardless.
-    """
-
-    def __init__(self, channel, unit: str):
-        """Bind to the parent's ``channel`` for work unit ``unit``."""
-        self._channel = channel
-        self.unit = unit
-
-    def emit(self, phase: str, **fields) -> None:
-        """Send one heartbeat (best-effort; see class docstring)."""
-        if self._channel is None:
-            return
-        try:
-            self._channel.put(make_heartbeat(self.unit, phase, **fields))
-        except Exception:
-            self._channel = None
 
 
 def _format_rate(value: float) -> str:
@@ -111,128 +83,61 @@ def _format_rate(value: float) -> str:
 
 
 class LiveProgressSink:
-    """Parent-side heartbeat consumer: status line + event retention.
+    """In-place terminal status line over the latest heartbeat per unit.
+
+    Its :meth:`handle` is a run-event listener; events other than
+    heartbeats are ignored.
 
     Args:
-        stream: where the in-place status line goes (``None`` disables
-            rendering; the CLI passes ``sys.stderr``).
-        render: force rendering on/off; default renders only when
-            ``stream`` is a TTY, so piped output stays clean.
+        stream: where the status line goes (the driver passes
+            ``sys.stderr`` when it is a TTY).
         width: maximum status-line width before truncation.
     """
 
-    def __init__(self, stream=None, render: Optional[bool] = None, width: int = 110):
+    def __init__(self, stream, width: int = 110):
         """See class docstring for the arguments."""
         self.stream = stream
-        if render is None:
-            render = stream is not None and getattr(stream, "isatty", lambda: False)()
-        self.render = render
         self.width = width
-        self.heartbeats: List[dict] = []
         self.units: Dict[str, dict] = {}
-        self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._wrote_line = False
 
-    # ------------------------------------------------------------- consume
+    def handle(self, event: dict) -> None:
+        """Track one run event; a heartbeat redraws the status line."""
+        if event.get("kind") != HEARTBEAT_KIND:
+            return
+        self.units[event.get("unit") or "?"] = event
+        self.stream.write("\r" + self.status_line().ljust(self.width))
+        self.stream.flush()
+        self._wrote_line = True
 
-    def handle(self, beat: dict) -> None:
-        """Record one heartbeat and refresh the status line."""
-        with self._lock:
-            self.heartbeats.append(beat)
-            unit = beat.get("unit") or "?"
-            self.units[unit] = beat
-        if self.render:
-            self._render_line()
-
-    def start(self, channel) -> None:
-        """Drain ``channel`` on a daemon thread until :meth:`stop`."""
-        self._stop.clear()
-
-        def _drain() -> None:
-            """Pull heartbeats until stopped and the queue is empty."""
-            while True:
-                try:
-                    beat = channel.get(timeout=0.1)
-                except (queue_mod.Empty, OSError, EOFError):
-                    if self._stop.is_set():
-                        return
-                    continue
-                except Exception:
-                    return  # manager torn down under us
-                if beat is None:
-                    return
-                self.handle(beat)
-
-        self._thread = threading.Thread(
-            target=_drain, name="repro-progress", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        """Stop draining, join the thread, finish the status line."""
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-        if self.render and self._wrote_line:
-            self.stream.write("\n")
+    def close(self) -> None:
+        """Erase a drawn status line, so output resumes there."""
+        if self._wrote_line:
+            self.stream.write("\r" + " " * self.width + "\r")
             self.stream.flush()
             self._wrote_line = False
 
-    # -------------------------------------------------------------- render
-
     def status_line(self) -> str:
         """One-line summary of every unit's latest heartbeat."""
-        with self._lock:
-            parts = []
-            for unit in sorted(self.units):
-                beat = self.units[unit]
-                phase = beat.get("phase", "?")
-                if phase == "done":
-                    parts.append(f"{unit}: done")
-                    continue
-                bit = f"{unit}: {beat.get('done', 0)}/{beat.get('total', 0)}"
-                rate = beat.get("accesses_per_sec") or 0.0
-                if rate:
-                    bit += f" @{_format_rate(rate)}"
-                slow = beat.get("slow_path_fraction")
-                if slow is not None:
-                    bit += f" slow={100.0 * slow:.0f}%"
-                rss = beat.get("rss_kb") or 0
-                if rss:
-                    bit += f" rss={rss // 1024}MB"
-                parts.append(bit)
+        parts = []
+        for unit in sorted(self.units):
+            beat = self.units[unit]
+            phase = beat.get("phase", "?")
+            if phase == "done":
+                parts.append(f"{unit}: done")
+                continue
+            bit = f"{unit}: {beat.get('done', 0)}/{beat.get('total', 0)}"
+            rate = beat.get("accesses_per_sec") or 0.0
+            if rate:
+                bit += f" @{_format_rate(rate)}"
+            slow = beat.get("slow_path_fraction")
+            if slow is not None:
+                bit += f" slow={100.0 * slow:.0f}%"
+            rss = beat.get("rss_kb") or 0
+            if rss:
+                bit += f" rss={rss // 1024}MB"
+            parts.append(bit)
         line = f"[{len(self.units)} workers] " + " | ".join(parts)
         if len(line) > self.width:
             line = line[: self.width - 1] + "…"
         return line
-
-    def _render_line(self) -> None:
-        """Write the status line in place (carriage return, no newline)."""
-        line = self.status_line()
-        self.stream.write("\r" + line.ljust(self.width))
-        self.stream.flush()
-        self._wrote_line = True
-
-    # --------------------------------------------------------------- state
-
-    def events_for_store(self) -> List[dict]:
-        """Heartbeats shaped for :meth:`repro.obs.store.RunStore.add_events`."""
-        with self._lock:
-            return [dict(beat) for beat in self.heartbeats]
-
-    def summary(self) -> dict:
-        """Counts for the end-of-run report: units seen, beats, stalls."""
-        with self._lock:
-            per_unit = {
-                unit: beat.get("phase") for unit, beat in self.units.items()
-            }
-            return {
-                "heartbeats": len(self.heartbeats),
-                "units": len(self.units),
-                "unfinished": sorted(
-                    unit for unit, phase in per_unit.items() if phase != "done"
-                ),
-            }

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter_ns
-from typing import Dict, Optional
+from typing import Dict
 
 
 class PhaseStat:
@@ -42,14 +42,11 @@ class PhaseProfiler:
 
     Args:
         enabled: a disabled profiler times nothing and renders empty.
-        tracer: optional :class:`~repro.obs.events.Tracer`; each
-            completed phase also emits a ``phase`` event.
     """
 
-    def __init__(self, enabled: bool = True, tracer=None):
+    def __init__(self, enabled: bool = True):
         """Create an empty profiler (see class docstring)."""
         self.enabled = enabled
-        self.tracer = tracer
         self._phases: Dict[str, PhaseStat] = {}
 
     @contextmanager
@@ -68,8 +65,6 @@ class PhaseProfiler:
                 stat = self._phases[name] = PhaseStat()
             stat.total_ns += elapsed
             stat.count += 1
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.emit("phase", name=name, ns=elapsed)
 
     # ------------------------------------------------------------ reporting
 
@@ -137,8 +132,3 @@ class PhaseProfiler:
     def reset(self) -> None:
         """Drop all recorded phases."""
         self._phases.clear()
-
-
-def make_profiler(enabled: bool = True, tracer=None) -> PhaseProfiler:
-    """Factory kept for symmetry with the other obs constructors."""
-    return PhaseProfiler(enabled=enabled, tracer=tracer)

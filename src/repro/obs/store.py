@@ -20,8 +20,9 @@ table              contents
                    nested ``RunRecord.to_dict()`` JSON
 ``metrics``        flat (name, value) rows per run/result — per-site fault
                    counters land here as ``faults.<site>.<counter>``
-``events``         timestamped observability events (worker heartbeats
-                   from :mod:`repro.obs.livestream`, engine fallbacks…)
+``events``         the run events of ``ExperimentContext.emit``: worker
+                   heartbeats, engine fallbacks, worker retries,
+                   controller decisions, cancellation
 ``engine_stats``   flattened per-class engine tallies per result
                    (``fast.read_hit`` …; see ``docs/engine.md``)
 =================  ==========================================================
@@ -470,32 +471,8 @@ class RunStore:
             )
             self._conn.commit()
 
-    def add_event(
-        self,
-        run_id: int,
-        kind: str,
-        *,
-        unit: Optional[str] = None,
-        payload: Optional[dict] = None,
-        ts_unix: Optional[float] = None,
-    ) -> None:
-        """Insert one observability event row."""
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO events (run_id, ts_unix, kind, unit, payload) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (
-                    run_id,
-                    time.time() if ts_unix is None else ts_unix,
-                    kind,
-                    unit,
-                    _json_or_none(payload),
-                ),
-            )
-            self._conn.commit()
-
     def add_events(self, run_id: int, events: Iterable[dict]) -> int:
-        """Bulk-insert event dicts (heartbeats); returns the count.
+        """Bulk-insert run-event dicts (``ctx.events``); returns the count.
 
         Each dict needs ``kind``; ``ts_unix`` and ``unit`` are lifted
         out, everything else lands in the JSON payload.

@@ -22,7 +22,7 @@ The control loop (see ``docs/robustness.md``):
   finalizes on the best verified step instead of looping.
 * **graceful degradation** — a step that blows the budget narrows
   ``hi``; the next probe is at a *higher* voltage (the controller
-  literally steps the voltage back up), traced as a
+  literally steps the voltage back up), emitted as a
   ``controller_degrade`` event. If even the nominal step (the plain
   approximate configuration, no faults) exceeds the budget, the
   workload falls back to fully precise annotation: zero error, zero
@@ -42,7 +42,7 @@ The control loop (see ``docs/robustness.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.resilience.energy import (
@@ -231,13 +231,10 @@ class ErrorBudgetController:
         workload: workload name (event payloads).
         ladder: the voltage ladder to search.
         options: validated :class:`FrontierOptions`.
-        tracer: optional :class:`~repro.obs.events.Tracer` receiving
+        emit: optional ``emit(kind, **fields)`` callable receiving
             ``controller_step`` / ``controller_degrade`` /
-            ``controller_converged`` events.
-        event_log: optional list every emitted event is also appended
-            to as a plain dict (``kind`` + payload) — the channel the
-            harness flushes into the run-history store, so controller
-            decisions stay queryable even with live tracing disabled.
+            ``controller_converged`` events (the harness passes
+            :meth:`~repro.harness.runner.ExperimentContext.emit`).
     """
 
     def __init__(
@@ -246,14 +243,12 @@ class ErrorBudgetController:
         ladder: Tuple[VoltageStep, ...],
         options: FrontierOptions,
         *,
-        tracer=None,
-        event_log: Optional[list] = None,
+        emit: Optional[Callable[..., None]] = None,
     ):
         self.workload = workload
         self.ladder = tuple(ladder)
         self.options = options
-        self.tracer = tracer
-        self.event_log = event_log
+        self.emit = emit
         self.lo = -1
         self.hi = len(self.ladder)
         self.evals: List[dict] = []
@@ -392,16 +387,8 @@ class ErrorBudgetController:
     # ------------------------------------------------------------ plumbing
 
     def _emit(self, kind: str, **fields) -> None:
-        """Trace one controller decision.
-
-        Fans out to the live tracer (when enabled) and to the
-        history-store event log (when attached); a controller with
-        neither stays silent.
-        """
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(kind, workload=self.workload, **fields)
-        if self.event_log is not None:
-            self.event_log.append(
-                {"kind": kind, "unit": self.workload,
-                 "workload": self.workload, **fields}
+        """Emit one controller decision (silent without ``emit``)."""
+        if self.emit is not None:
+            self.emit(
+                kind, unit=self.workload, workload=self.workload, **fields
             )

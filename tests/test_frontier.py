@@ -156,6 +156,11 @@ def _drive(controller, error_of_step, energy_of_step=None):
     return probes, controller.result()
 
 
+def _collect(events):
+    """An ``emit(kind, **fields)`` callable appending event dicts."""
+    return lambda kind, **fields: events.append({"kind": kind, **fields})
+
+
 class TestErrorBudgetController:
     LADDER = voltage_ladder(8)
 
@@ -186,7 +191,7 @@ class TestErrorBudgetController:
         events = []
         opts = FrontierOptions(error_budget=0.1)
         ctrl = ErrorBudgetController(
-            "w", self.LADDER, opts, event_log=events
+            "w", self.LADDER, opts, emit=_collect(events)
         )
         probes, res = _drive(ctrl, lambda i: 0.9)
         assert probes == [0]
@@ -206,7 +211,7 @@ class TestErrorBudgetController:
         events = []
         ctrl = ErrorBudgetController(
             "w", self.LADDER, FrontierOptions(error_budget=0.1),
-            event_log=events,
+            emit=_collect(events),
         )
         probes, _ = _drive(ctrl, lambda i: 0.05 if i <= 2 else 0.5)
         over = probes.index(4)  # first mid-bracket probe fails
@@ -268,7 +273,7 @@ class TestControllerCheckpoint:
     def _decisions(result):
         return [
             (event["kind"], event.get("step"))
-            for event in result.ctx.pending_events
+            for event in result.ctx.events
         ]
 
     @pytest.fixture(scope="class")
@@ -292,7 +297,7 @@ class TestControllerCheckpoint:
         journal = tmp_path_factory.mktemp("partial") / "ckpt"
         shutil.copytree(ckpt, journal)
         options = FrontierOptions.from_mapping(self.OPTIONS)
-        steps = [e["step"] for e in plain.ctx.pending_events
+        steps = [e["step"] for e in plain.ctx.events
                  if e["kind"] == "controller_step"]
         spec = _step_spec(voltage_ladder(6)[steps[-1]], options)
         digest = spec_digest("canneal", spec)

@@ -1,6 +1,5 @@
 """Tests for phase profiling (repro.obs.profiling)."""
 
-from repro.obs.events import RingBufferSink, Tracer
 from repro.obs.profiling import PhaseProfiler
 
 
@@ -70,15 +69,6 @@ class TestPhaseProfiler:
         json.dumps(report)
         assert report["phases"]["sim"]["count"] == 1
         assert "sim" in report["stages"]
-
-    def test_phase_event_emitted_to_tracer(self):
-        tracer = Tracer()
-        ring = tracer.add_sink(RingBufferSink(8))
-        prof = PhaseProfiler(tracer=tracer)
-        with prof.phase("sim"):
-            pass
-        assert ring.counts_by_kind() == {"phase": 1}
-        assert ring.events[0].fields["name"] == "sim"
 
     def test_merge(self):
         a, b = PhaseProfiler(), PhaseProfiler()

@@ -145,7 +145,7 @@ class TestSchema:
         with RunStore(path) as store:
             assert store.schema_version == SCHEMA_VERSION
             # v2 additions are live: the events table and runs.cpu_s.
-            store.add_event(1, "worker_heartbeat", unit="kmeans")
+            store.add_events(1, [{"kind": "worker_heartbeat", "unit": "kmeans"}])
             assert store.events_for(1)[0]["unit"] == "kmeans"
             columns = {
                 row[1] for row in store.query("PRAGMA table_info(runs)")[1]
@@ -306,7 +306,7 @@ class TestRecording:
         for i in range(4):
             run_id = store.start_run()
             store.add_result(run_id, summary_row())
-            store.add_event(run_id, "worker_heartbeat", unit="u")
+            store.add_events(run_id, [{"kind": "worker_heartbeat", "unit": "u"}])
         kept = store.run_ids()[-2:]
         assert store.gc(keep=2) == 2
         assert store.run_ids() == kept

@@ -155,5 +155,40 @@ class TestRunStrategiesCancel:
         assert "SIGINT" in cancelled[0]["reason"]
         store.close()
 
+    def test_cancelled_search_keeps_its_events(self, tmp_path, monkeypatch):
+        # The frontier search's second round is cancelled: the driver's
+        # prefetch is call 1, round 1 (the nominal probe) call 2.
+        real_prefetch = parallel.prefetch_pairs
+        calls = []
+
+        def cancel_third_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                token = CancelToken()
+                token.cancel("received SIGINT")
+                kwargs["cancel"] = token
+            return real_prefetch(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "prefetch_pairs", cancel_third_call)
+        store_path = str(tmp_path / "history.db")
+        with pytest.raises(Cancelled, match="SIGINT"):
+            run_strategies(
+                ["frontier"],
+                seed=3,
+                scale=0.05,
+                workloads=["canneal"],
+                jobs=2,
+                store_path=store_path,
+                record_history=True,
+                strategy_options={"error_budget": 0.25, "voltage_steps": 6},
+            )
+
+        assert len(calls) == 3
+        with RunStore(store_path) as store:
+            (run,) = store.list_runs()
+            kinds = [e["kind"] for e in store.events_for(run["id"])]
+        assert kinds.count("controller_step") == 1
+        assert kinds[-1] == "run_cancelled"
+
     def test_exit_code(self):
         assert Cancelled("x").exit_code == 130

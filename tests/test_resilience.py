@@ -10,11 +10,13 @@ sweeps resume from an on-disk journal byte-identically).
 
 import glob
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,13 +25,19 @@ import repro.engine.batched as batched
 import repro.harness.parallel as parallel
 from repro.engine import ENGINES
 from repro.errors import ConfigError, SimulationFault
-from repro.harness.parallel import prefetch_pairs
+from repro.harness.parallel import (
+    CancelToken,
+    cancellation_signals,
+    prefetch_pairs,
+)
 from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
     dopp_spec,
 )
+from repro.harness.strategy import run_strategies
 from repro.obs import EVENT_ENGINE_FALLBACK, EVENT_WORKER_RETRY, Observability
+from repro.obs.store import RunStore
 from repro.resilience.checkpoint import (
     context_fingerprint,
     open_journal,
@@ -57,6 +65,10 @@ def _strip(rows):
 
 def _kinds(obs):
     return [ev.kind for ev in obs.ring.events]
+
+
+def _events_of(ctx, kind):
+    return [event for event in ctx.events if event["kind"] == kind]
 
 
 class _KindSink:
@@ -286,6 +298,33 @@ class TestEngineFallback:
         ev = sink.events[0]
         assert ev.fields["workload"] == "swaptions"
         assert "synthetic batched-path failure" in ev.fields["error"]
+        # The run event is recorded in the context with tracing off too.
+        plain = _fork_ctx(swaptions_ctx)
+        plain.run("swaptions", baseline_spec())
+        (event,) = _events_of(plain, EVENT_ENGINE_FALLBACK)
+        assert event["workload"] == "swaptions"
+        assert event["config"] == baseline_spec().label()
+        assert "synthetic batched-path failure" in event["error"]
+
+    def test_fallback_in_a_worker_lands_in_the_store(
+        self, monkeypatch, tmp_path
+    ):
+        def boom(system, trace):
+            raise RuntimeError("synthetic batched-path failure")
+
+        monkeypatch.setattr(batched, "_FAIL_HOOK", boom)
+        store_path = str(tmp_path / "history.db")
+        result = run_strategies(
+            ["table2"], seed=SEED, scale=SCALE,
+            workloads=["swaptions", "kmeans"], jobs=2,
+            store_path=store_path, record_history=True,
+        )
+        assert len(_events_of(result.ctx, EVENT_ENGINE_FALLBACK)) == 2
+        with RunStore(store_path) as store:
+            (run,) = store.list_runs()
+            rows = store.events_for(run["id"], kind=EVENT_ENGINE_FALLBACK)
+        assert {row["workload"] for row in rows} == {"swaptions", "kmeans"}
+        assert all("synthetic" in row["error"] for row in rows)
 
     def test_explicit_reference_engine_failure_raises(
         self, swaptions_ctx, monkeypatch
@@ -327,6 +366,36 @@ def _sleepy_task(task):
 
 def _dying_task(task):
     os._exit(17)
+
+
+def _announcing_sleeper(task):
+    """Signal the test through the pool's event queue, then hang."""
+    parallel._send_event({"kind": "sleeping"})
+    time.sleep(300)
+
+
+def _children(pid):
+    """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as fh:
+                    stat = fh.read()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper does not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def _flaky_task(task):
@@ -419,6 +488,60 @@ class TestParallelResilience:
         rec = ctx._runs[("swaptions", baseline_spec())]
         healthy = swaptions_ctx.run("swaptions", baseline_spec())
         assert rec.system == healthy.system
+        # The run event is recorded in the context with tracing off too.
+        os.unlink(tmp_path / "sentinel")
+        plain = _fork_ctx(swaptions_ctx)
+        prefetch_pairs(
+            plain, [("swaptions", baseline_spec())], jobs=1,
+            retries=1, backoff=0.01,
+        )
+        (event,) = _events_of(plain, EVENT_WORKER_RETRY)
+        assert event["workload"] == "swaptions"
+        assert event["attempt"] == 1
+        assert "worker process died" in event["error"]
+
+    def test_terminate_pool_sigterms_a_busy_worker(self):
+        # Workers fork inside cancellation_signals and inherit its
+        # handlers; the initializer must restore SIGTERM's default.
+        events = multiprocessing.Queue()
+        with cancellation_signals(CancelToken()):
+            pool = ProcessPoolExecutor(
+                max_workers=1, initializer=parallel._init_worker,
+                initargs=(events,),
+            )
+            pool.submit(_announcing_sleeper, {})
+        # The task runs, so the initializer has run before it.
+        assert events.get(timeout=30) == {"kind": "sleeping"}
+        (proc,) = pool._processes.values()
+        parallel._terminate_pool(pool)
+        assert proc.exitcode == -signal.SIGTERM  # not the SIGKILL fallback
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc"
+    )
+    def test_sigkilled_cli_leaves_no_workers(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "table2",
+             "--workloads", "swaptions", "kmeans", "--jobs", "2",
+             "--scale", "0.5", "--seed", str(SEED), "--no-store",
+             "--json-out", str(tmp_path / "json")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert proc.poll() is None, "the run ended before its pool"
+            workers = _children(proc.pid)
+            time.sleep(0.01)
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
 
 
 class TestCheckpoint:

@@ -40,7 +40,7 @@ def _writer(store_path: str, n: int, errors: list) -> None:
         store = RunStore(store_path)
         for k in range(n):
             run_id = store.start_run(argv=["test", str(k)], seed=k, scale=0.1)
-            store.add_event(run_id, "tick", payload={"k": k})
+            store.add_events(run_id, [{"kind": "tick", "k": k}])
             store.finish_run(run_id)
         store.close()
     except Exception as exc:  # pragma: no cover - failure path
@@ -86,8 +86,8 @@ def test_two_connections_interleaved_writes(tmp_path):
     b = RunStore(store_path)
     ra = a.start_run(argv=["a"], seed=1, scale=0.1)
     rb = b.start_run(argv=["b"], seed=2, scale=0.1)
-    a.add_event(ra, "tick")
-    b.add_event(rb, "tick")
+    a.add_events(ra, [{"kind": "tick"}])
+    b.add_events(rb, [{"kind": "tick"}])
     a.finish_run(ra)
     b.finish_run(rb)
     assert len(a.list_runs()) == 2
