@@ -48,12 +48,16 @@ stderr.
 Resilience (see ``docs/robustness.md``)::
 
     python -m repro.cli <name> --fault-rate 1e-3 --fault-seed 3
-    python -m repro.cli experiments --jobs 4 --timeout 900 --retries 2 \
-        --checkpoint-dir ckpt/
-    python -m repro.cli experiments --jobs 4 --checkpoint-dir ckpt/ --resume
+    python -m repro.cli experiments --jobs 4 --timeout 900 --retries 2
+    python -m repro.cli experiments --jobs 4 --resume
     python -m repro.cli frontier --error-budget 0.05 --voltage-steps 8 \
-        --jobs 4 --checkpoint-dir ckpt/
+        --jobs 4 --resume
     python -m repro.cli replay results/trace.npz
+
+Every recorded run commits each finished (workload, config) result to
+the store's ``memo`` table; ``--resume`` adopts the rows an earlier run
+of the same workloads, seed, scale, engine and git SHA left there, so a
+killed sweep picks up where it stopped.
 
 Typed failures map to distinct exit codes — 2 for configuration
 errors (including an unknown experiment name), 3 for malformed trace
@@ -426,16 +430,10 @@ def _common_options() -> argparse.ArgumentParser:
         "exponential backoff (default 0)",
     )
     resil.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="journal each completed (workload, config) result here so "
-        "an interrupted --jobs sweep can be resumed",
-    )
-    resil.add_argument(
         "--resume",
         action="store_true",
-        help="load completed results from --checkpoint-dir before "
-        "simulating (skips finished pairs; byte-identical output)",
+        help="adopt results earlier runs committed to the history store "
+        "before simulating (skips finished pairs; byte-identical output)",
     )
     frontier = common.add_argument_group(
         "frontier", "closed-loop error-budget search (docs/robustness.md)"
@@ -690,8 +688,8 @@ def _run_pipeline(parser, args, names, argv) -> int:
     """Validate the parsed flags and run the strategies.
 
     All experiment mechanics — context construction, ``--jobs``
-    prefetch with fan-splitting, checkpoint/resume, observability
-    phases and history-store recording — live in
+    prefetch with fan-splitting, resume, observability phases and
+    history-store recording — live in
     :func:`repro.harness.strategy.run_strategies`, driven by each
     strategy's declared requirements. The CLI's own job is flag
     validation plus building (and afterwards finalizing) the
@@ -710,8 +708,8 @@ def _run_pipeline(parser, args, names, argv) -> int:
         parser.error(f"--timeout must be positive, got {args.timeout}")
     if args.retries < 0:
         parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.resume and not args.checkpoint_dir:
-        parser.error("--resume requires --checkpoint-dir")
+    if args.resume and args.no_store:
+        parser.error("--resume reads the history store; drop --no-store")
     # Strategy-specific knobs travel as an options mapping — validated
     # by the consuming strategy (FrontierOptions names the offending
     # field on a bad value), not by per-experiment CLI branches.
@@ -761,7 +759,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
         jobs=args.jobs,
         timeout=args.timeout,
         retries=args.retries,
-        checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         obs=obs,
         out=args.out,

@@ -28,6 +28,7 @@ import os
 from typing import Callable, Optional, Tuple
 
 from repro.engine import batched, reference
+from repro.errors import ConfigError
 
 DEFAULT_ENGINE = "batched"
 
@@ -49,12 +50,14 @@ def get_engine(name: Optional[str] = None) -> Tuple[str, Callable]:
     """Resolve an engine by name.
 
     ``None`` falls back to the ``REPRO_ENGINE`` environment variable,
-    then to :data:`DEFAULT_ENGINE`.
+    then to :data:`DEFAULT_ENGINE`. An unknown name is a
+    :class:`~repro.errors.ConfigError` (a ``ValueError``).
     """
     resolved = name or os.environ.get("REPRO_ENGINE") or DEFAULT_ENGINE
     try:
         return resolved, ENGINES[resolved]
     except KeyError:
-        raise ValueError(
-            f"unknown engine {resolved!r}; choose from {engine_names()}"
+        raise ConfigError(
+            f"unknown engine {resolved!r}; choose from {engine_names()}",
+            field="engine",
         ) from None

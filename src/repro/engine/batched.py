@@ -89,10 +89,8 @@ def run(system, trace, limit: Optional[int] = None):
     width_i = cfg.issue_width
     if width_i & (width_i - 1) or cfg.policy not in _PURE_VICTIM_POLICIES:
         result = reference.run(system, trace, limit)
-        es = getattr(system, "engine_stats", None)
-        if es is not None:
-            es["engine"] = "batched"
-            es["delegated"] = True
+        system.engine_stats["engine"] = "batched"
+        system.engine_stats["delegated"] = True
         return result
 
     st = make_state(system)

@@ -135,8 +135,9 @@ class Cancelled(ReproError):
     :class:`~repro.harness.parallel.CancelToken` set programmatically.
     Cancellation is a *clean* outcome: the worker pool is torn down,
     every already-completed (workload, config) record has been merged
-    and journaled, and the exit code follows the 128+SIGINT shell
-    convention instead of a raw ``KeyboardInterrupt`` traceback.
+    and committed to the history store's memo, and the exit code
+    follows the 128+SIGINT shell convention instead of a raw
+    ``KeyboardInterrupt`` traceback.
     """
 
     exit_code = 130

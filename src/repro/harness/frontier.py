@@ -13,11 +13,11 @@ saved vs. output error vs. survivable fault rate, per workload.
 Workload searches are independent, so with ``--jobs N`` each round's
 probes fan across worker processes
 (:func:`~repro.harness.parallel.prefetch_pairs`). The search is an
-ordinary client of the context memo: with a ``--checkpoint-dir`` every
-probe's simulation and output error land in the sweep journal, and a
-search rerun with ``--resume`` restarts at step 0, re-walks its
-bracket through memo hits and simulates only the probes the journal
-lacks, with byte-identical results. Controller decisions are
+ordinary client of the context memo: in a recorded run every probe's
+simulation and output error land in the history store's ``memo``
+table, and a search rerun with ``--resume`` restarts at step 0,
+re-walks its bracket through memo hits and simulates only the probes
+the store lacks, with byte-identical results. Controller decisions are
 ``controller_step`` / ``controller_degrade`` / ``controller_converged``
 run events (``ctx.emit``) and the frontier lands in per-workload
 gauges.
@@ -77,7 +77,7 @@ def _run_search(
     controller; with ``ctx.jobs > 1`` the round's (workload, spec)
     pairs fan across worker processes before the controllers observe
     the results sequentially (deterministic order: ``ctx.names``).
-    Probes already in the memo (resumed from the journal) are hits.
+    Probes already in the memo (resumed from the store) are hits.
     """
     controllers = {
         name: ErrorBudgetController(name, ladder, options, emit=ctx.emit)

@@ -37,13 +37,13 @@ backoff; the final failure is a typed
 :class:`~repro.errors.SimulationFault` naming every (workload, config)
 that could not be computed. Merged records enter the memo through
 :meth:`~repro.harness.runner.ExperimentContext.remember_run`, which
-also writes the context's checkpoint journal, so an interrupted sweep
-resumes instead of restarting.
+also commits them to the history store's memo, so an interrupted
+sweep resumes instead of restarting.
 
 Cancellation: every prefetch runs under a :class:`CancelToken`. While
 the pool is live, SIGINT/SIGTERM are routed through
 :func:`cancellation_signals` onto that token (main thread only), so an
-interrupted sweep tears the pool down cleanly, keeps and journals
+interrupted sweep tears the pool down cleanly, keeps and commits
 every record already merged, and surfaces as the typed
 :class:`~repro.errors.Cancelled` (exit code 130) rather than a raw
 ``KeyboardInterrupt`` traceback mid-merge. Workers ignore SIGINT, die
@@ -118,7 +118,7 @@ def cancellation_signals(
     """Route SIGINT/SIGTERM onto ``token`` for the guarded block.
 
     Installed around the worker pool so an interrupt becomes a clean
-    cancellation — pool teardown, journal flush, typed
+    cancellation — pool teardown, memo commit, typed
     :class:`~repro.errors.Cancelled` — instead of a
     ``KeyboardInterrupt`` traceback from whatever bytecode the merge
     loop happened to be on. Previous handlers are restored on exit.
@@ -425,7 +425,7 @@ def prefetch_pairs(
     merges the results into ``ctx``'s memo. Pairs already memoized are
     skipped; fault configs are resolved through
     :meth:`ExperimentContext.apply_faults` first so worker memo keys,
-    parent memo keys and checkpoint digests all agree. Returns the
+    parent memo keys and stored memo digests all agree. Returns the
     number of simulations fetched. Worker run events (heartbeats,
     engine fallbacks) and retries are emitted into ``ctx``.
 
@@ -448,7 +448,7 @@ def prefetch_pairs(
         SimulationFault: tasks still failing after every retry; the
             message names each failed (workload, configs) pair.
         Cancelled: the token was set; completed records were merged
-            (and journaled) before raising.
+            (and committed) before raising.
     """
     needs: Dict[str, Tuple[List[ConfigSpec], List[ConfigSpec]]] = {}
 
@@ -514,7 +514,7 @@ def _prefetch_rounds(
     """Run the retry loop of :func:`prefetch_pairs`; returns runs fetched.
 
     Raises :class:`~repro.errors.Cancelled` when ``cancel`` is set —
-    *after* merging and journaling whatever the aborted round had
+    *after* merging and committing whatever the aborted round had
     already completed, so a resumed sweep keeps that work.
     """
     fetched = 0

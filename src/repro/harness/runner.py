@@ -25,6 +25,7 @@ from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig
 from repro.core.functional import BlockApproximator
 from repro.core.maps import MapConfig
 from repro.energy.accounting import EnergyModel, EnergyReport
+from repro.engine import get_engine
 from repro.errors import SimulationFault
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 from repro.hierarchy.system import System, SystemConfig, SystemResult
@@ -199,8 +200,7 @@ class RunRecord:
     #: requested (the batched engine degraded to the reference).
     engine_used: Optional[str] = None
     #: Per-class fast/slow-path tallies published by the engine
-    #: (``system.engine_stats``; see ``docs/engine.md``). None for
-    #: records produced before this field existed (old checkpoints).
+    #: (``system.engine_stats``; see ``docs/engine.md``).
     engine_stats: Optional[dict] = None
 
     @property
@@ -232,11 +232,8 @@ class RunRecord:
             out["faults"] = self.faults
         if self.engine_used is not None:
             out["engine_used"] = self.engine_used
-        # getattr: records unpickled from pre-engine_stats checkpoint
-        # journals lack the attribute entirely.
-        engine_stats = getattr(self, "engine_stats", None)
-        if engine_stats is not None:
-            out["engine_stats"] = engine_stats
+        if self.engine_stats is not None:
+            out["engine_stats"] = self.engine_stats
         return out
 
     def summary_row(self, workload: str, error: Optional[float] = None) -> dict:
@@ -269,12 +266,9 @@ class RunRecord:
             row["faults"] = self.faults
         if self.engine_used is not None:
             row["engine_used"] = self.engine_used
-        # getattr: records resumed from pre-engine_stats checkpoint
-        # journals lack the attribute entirely.
-        engine_stats = getattr(self, "engine_stats", None)
-        if engine_stats is not None:
-            row["slow_path_fraction"] = engine_stats.get("slow_fraction")
-            row["engine_stats"] = engine_stats
+        if self.engine_stats is not None:
+            row["slow_path_fraction"] = self.engine_stats.get("slow_fraction")
+            row["engine_stats"] = self.engine_stats
         return row
 
 
@@ -321,7 +315,7 @@ def run_trace(
         spec=spec, system=result, energy=energy, llc=llc,
         wall_ns=wall_ns, accesses=len(trace),
         faults=injector.summary() if injector is not None else None,
-        engine_stats=getattr(system, "engine_stats", None),
+        engine_stats=system.engine_stats,
     )
 
 
@@ -349,7 +343,8 @@ class ExperimentContext:
             bundle.
         engine: simulation engine name threaded into every
             :meth:`run` (``"batched"``, ``"reference"`` or ``None``
-            for the :func:`repro.engine.get_engine` default).
+            for the :func:`repro.engine.get_engine` default). Resolved
+            once here, so :attr:`engine` names the engine that runs.
         faults: context-wide default fault config, applied (via
             :meth:`apply_faults`) to every spec that does not already
             carry one. Inactive configs normalize to ``None``.
@@ -366,7 +361,7 @@ class ExperimentContext:
     ):
         self.obs = obs or Observability.disabled()
         self.log = get_logger("harness.runner")
-        self.engine = engine
+        self.engine = get_engine(engine)[0]
         self.faults = faults if faults is not None and faults.active else None
         self.seed = env_seed() if seed is None else seed
         self.scale = env_scale() if scale is None else scale
@@ -384,13 +379,15 @@ class ExperimentContext:
         #: (:func:`repro.harness.strategy.run_strategies`) publishes so
         #: strategies that orchestrate their own fan-out (e.g. the
         #: frontier search) reuse them. Defaults describe a
-        #: sequential, checkpoint-free, option-free run.
+        #: sequential, unrecorded, option-free run.
         self.jobs = 1
         self.timeout: Optional[float] = None
         self.retries = 0
-        #: Optional :class:`~repro.resilience.checkpoint.SweepJournal`;
-        #: every result entering the memo is journaled to it.
-        self.journal = None
+        #: The run-history store and run id the driver records into
+        #: (None when unrecorded): every result entering the memo is
+        #: committed there as a ``memo`` row, which ``--resume`` reads.
+        self.store = None
+        self.run_id: Optional[int] = None
         self.strategy_options: Dict[str, object] = {}
         #: Run events, in emission order (see :meth:`emit`); the driver
         #: lands them in the run-history store when the run finishes
@@ -451,22 +448,62 @@ class ExperimentContext:
     # ------------------------------------------------------------------ memo
 
     def remember_run(self, name: str, spec: ConfigSpec, record: RunRecord) -> None:
-        """Adopt one simulation record into the memo, journaling it.
+        """Adopt one simulation record into the memo, committing it.
 
         Every record a context computes or receives from a ``--jobs``
-        worker enters the memo here (resumed ones are already on disk),
-        so ``--checkpoint-dir`` journals sequential and parallel runs
-        alike.
+        worker enters the memo here (resumed ones are already stored),
+        so a recorded run commits sequential and parallel results
+        alike, each as it lands.
         """
         self._runs[(name, spec)] = record
-        if self.journal is not None:
-            self.journal.record_run(name, spec, record)
+        self._commit("run", name, spec, record)
 
     def remember_error(self, name: str, spec: ConfigSpec, error: float) -> None:
-        """Adopt one output-error value into the memo, journaling it."""
+        """Adopt one output-error value into the memo, committing it."""
         self._errors[(name, spec)] = error
-        if self.journal is not None:
-            self.journal.record_error(name, spec, error)
+        self._commit("error", name, spec, error)
+
+    def _commit(self, kind: str, name: str, spec: ConfigSpec, value) -> None:
+        """Write one ``memo`` row to :attr:`store`, if recording.
+
+        Telemetry never fails a run: the first failed write (disk full,
+        a lock held past the busy timeout) warns once and turns memo
+        writes off, costing only resumability.
+        """
+        if self.store is None:
+            return
+        try:
+            self.store.remember(
+                self.run_id, kind, name, spec, value,
+                seed=self.seed, scale=self.scale, engine=self.engine,
+            )
+        except Exception as exc:
+            self.log.warning(
+                "memo writes to %s stopped: %s", self.store.path, exc
+            )
+            self.store = None
+
+    def resume(self) -> Tuple[int, int]:
+        """Adopt :attr:`store`'s memo rows; returns ``(runs, errors)``.
+
+        Only rows for :attr:`names` under this context's resolved
+        (seed, scale, engine), written at the recording run's git SHA,
+        qualify (:meth:`~repro.obs.store.RunStore.memo_for`); pairs
+        already memoized are kept.
+        """
+        runs = errors = 0
+        for kind, name, spec, value in self.store.memo_for(
+            self.run_id, self.names,
+            seed=self.seed, scale=self.scale, engine=self.engine,
+        ):
+            key = (name, spec)
+            if kind == "run" and key not in self._runs:
+                self._runs[key] = value
+                runs += 1
+            elif kind == "error" and key not in self._errors:
+                self._errors[key] = float(value)
+                errors += 1
+        return runs, errors
 
     # ------------------------------------------------------------------ runs
 
@@ -476,7 +513,7 @@ class ExperimentContext:
         A spec that already carries faults keeps them; otherwise the
         context-wide default (``--faults`` on the CLI) applies. Called
         at the top of :meth:`run`/:meth:`error` so memo keys, labels
-        and checkpoint digests all agree on the resolved spec.
+        and stored memo digests all agree on the resolved spec.
         """
         if spec.faults is None and self.faults is not None:
             return spec.with_faults(self.faults)
@@ -513,10 +550,7 @@ class ExperimentContext:
         llc, injector, system = build()
         try:
             result = system.run(trace, engine=self.engine)
-            return (
-                result, llc, injector, None,
-                getattr(system, "engine_stats", None),
-            )
+            return result, llc, injector, None, system.engine_stats
         except Exception as exc:
             if self.engine == "reference":
                 raise SimulationFault(
@@ -528,7 +562,7 @@ class ExperimentContext:
             )
             self.emit(
                 EVENT_ENGINE_FALLBACK,
-                engine=self.engine or "batched", error=repr(exc),
+                engine=self.engine, error=repr(exc),
                 workload=name, config=label,
             )
         # The failed run left the hierarchy partially mutated: rebuild
@@ -541,10 +575,7 @@ class ExperimentContext:
                 f"simulation failed under both engines for {name}/{label}: "
                 f"{exc}"
             ) from exc
-        return (
-            result, llc, injector, "reference",
-            getattr(system, "engine_stats", None),
-        )
+        return result, llc, injector, "reference", system.engine_stats
 
     def run(self, name: str, spec: ConfigSpec) -> RunRecord:
         """Simulate one (workload, config); memoized."""
@@ -672,6 +703,6 @@ class ExperimentContext:
             "scale": self.scale,
             "size_factor": self.size_factor,
             "workloads": list(self.names),
-            "engine": self.engine or "batched",
+            "engine": self.engine,
             "faults": self.faults.to_dict() if self.faults is not None else None,
         }

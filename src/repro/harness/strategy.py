@@ -6,7 +6,7 @@ declares what it needs (:class:`Requirements`), produces its tables in
 ``execute()``, and is discovered through a :class:`StrategyRegistry`
 rather than hard-coded CLI branches. The harness machinery that used
 to be special-cased per experiment (``--jobs`` fan-splitting,
-checkpoint/resume journaling, retries, engine fallback, observability
+resume from the history store, retries, engine fallback, observability
 phases, history-store recording) lives once in :func:`run_strategies`
 and is driven purely by registry metadata, so a new experiment — in
 this package or a third-party distribution — is a ~100-line class, not
@@ -49,7 +49,7 @@ Writing a plugin (see ``docs/experiments.md`` for the full guide)::
     # mysweep = "myplugin:MySweep"
 
 Once installed, ``repro experiments mysweep --jobs 2`` runs it with
-prefetching, checkpointing and history recording — no harness changes.
+prefetching, history recording and ``--resume`` — no harness changes.
 """
 
 from __future__ import annotations
@@ -475,13 +475,16 @@ def _plan_from(strategies: Sequence[ExperimentStrategy]):
     return list(dict.fromkeys(runs)), list(dict.fromkeys(errors))
 
 
-def _start_history_run(store_path, argv, names, options) -> tuple:
+def _start_history_run(store_path, argv, names, options, ctx, resume) -> tuple:
     """Open the history store and insert this invocation's run row.
 
-    Returns ``(store, run_id)``, or ``(None, None)`` when the store
-    cannot be opened — the harness never fails because telemetry did,
-    but the warning names the path so a deliberate store choice points
-    somewhere debuggable.
+    Seed, scale and engine come from ``ctx`` when there is one, so the
+    row and its config hash describe what actually runs. Returns
+    ``(store, run_id)``, or ``(None, None)`` when the store cannot be
+    opened — the harness never fails because telemetry did, but the
+    warning names the path so a deliberate store choice points
+    somewhere debuggable. ``--resume`` is the exception: it reads the
+    store, so there the failure is a :class:`ConfigError`.
     """
     from repro.obs.store import (
         RunStore,
@@ -492,6 +495,10 @@ def _start_history_run(store_path, argv, names, options) -> tuple:
 
     path = store_path or default_store_path(options.get("json_dir") or None)
     faults = options.get("faults")
+    if ctx is not None:
+        options = dict(
+            options, seed=ctx.seed, scale=ctx.scale, engine=ctx.engine
+        )
     try:
         store = RunStore(path)
         run_id = store.start_run(
@@ -515,6 +522,10 @@ def _start_history_run(store_path, argv, names, options) -> tuple:
             ),
         )
     except Exception as exc:
+        if resume:
+            raise ConfigError(
+                f"--resume cannot open the history store: {exc}", path=path
+            ) from exc
         print(f"[history store {path} unavailable: {exc}]", file=sys.stderr)
         return None, None
     return store, run_id
@@ -549,7 +560,7 @@ def _record_history_run(
         if echo:
             echo(f"[run {run_id} recorded in {store.path}]")
     finally:
-        store.close()
+        _close_store(store, ctx)
 
 
 def _abort_history_run(store, run_id, ctx) -> None:
@@ -567,7 +578,18 @@ def _abort_history_run(store, run_id, ctx) -> None:
     except Exception:  # pragma: no cover - telemetry must not mask Cancelled
         pass
     finally:
-        store.close()
+        _close_store(store, ctx)
+
+
+def _close_store(store, ctx) -> None:
+    """Close the history store and detach it from the context.
+
+    A caller that keeps using ``result.ctx`` then memoizes in memory
+    only, instead of writing to a closed connection.
+    """
+    if ctx is not None:
+        ctx.store = ctx.run_id = None
+    store.close()
 
 
 def _execute_one(
@@ -628,7 +650,6 @@ def run_strategies(
     jobs: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     obs: Optional[Observability] = None,
     out: Optional[str] = None,
@@ -650,13 +671,15 @@ def run_strategies(
       of the strategies' ``requires.run_specs`` / ``error_specs`` fans
       across a process pool (config fans split across idle workers),
       with ``timeout``/``retries`` resilience;
-    * **checkpointing** — ``checkpoint_dir`` journals every completed
-      (workload, config), sequential or prefetched; ``resume`` loads
-      finished pairs first;
-    * **observability** — each strategy runs in its own profiler
-      phase, and declared metrics are pre-registered;
     * **history** — with ``record_history``, the invocation lands in
-      the sqlite run store exactly as the CLI records it.
+      the sqlite run store exactly as the CLI records it, and every
+      (workload, config) result is committed to its ``memo`` table as
+      it enters the context memo, sequential or prefetched;
+    * **resume** — ``resume`` (which needs ``record_history``) adopts
+      the memo rows of earlier runs with the same workloads, seed,
+      scale, engine and git SHA before anything simulates;
+    * **observability** — each strategy runs in its own profiler
+      phase, and declared metrics are pre-registered.
 
     Args:
         experiments: registered names and/or strategy instances, in
@@ -675,6 +698,8 @@ def run_strategies(
             live status line there.
         store_path: history database path (None = the default store
             resolution) — only consulted when ``record_history``.
+        resume: adopt finished (workload, config) results from the
+            store's memo instead of recomputing them.
         argv: CLI argv recorded alongside the history run.
         strategy_options: free-form options mapping published on the
             context as ``ctx.strategy_options`` — how strategy-specific
@@ -687,15 +712,18 @@ def run_strategies(
 
     Raises:
         UnknownExperimentError: an experiment name is not registered.
-        ConfigError: ``checkpoint_dir`` names an existing non-directory
-            or a journal written under other (seed, scale, engine)
-            knobs — raised before anything simulates.
+        ConfigError: ``resume`` without ``record_history``, or with a
+            store that cannot be opened — raised before anything
+            simulates.
         SimulationFault: the parallel prefetch exhausted its retries.
         Cancelled: SIGINT/SIGTERM arrived during the parallel prefetch;
             a recorded history run keeps its completed results and run
             events, ending in ``run_cancelled``, without being marked
             finished.
     """
+    if resume and not record_history:
+        raise ConfigError("resume reads the history store; it needs "
+                          "record_history", field="resume")
     reg = strategy_registry if strategy_registry is not None else registry
     resolved = [reg.resolve(item) for item in experiments]
     obs = obs or Observability.disabled()
@@ -711,29 +739,13 @@ def run_strategies(
             engine=engine,
             faults=faults,
         )
-    journal = None
-    if checkpoint_dir and ctx is not None:
-        from repro.resilience.checkpoint import open_journal
-
-        # Opened before the history run starts, so a bad path fails
-        # fast with nothing recorded and nothing simulated.
-        journal = open_journal(checkpoint_dir, ctx)
-        if resume:
-            runs, errors = journal.load_into(ctx)
-            if echo:
-                echo(
-                    f"[resumed {runs} runs and {errors} errors from "
-                    f"{checkpoint_dir}]"
-                )
     if ctx is not None:
         # Publish the harness execution knobs so strategies that
         # orchestrate their own fan-out (e.g. frontier's adaptive
-        # search) reuse the same jobs/journal/resilience settings.
-        # From here on every result entering the memo is journaled.
+        # search) reuse the same jobs/resilience settings.
         ctx.jobs = jobs
         ctx.timeout = timeout
         ctx.retries = retries
-        ctx.journal = journal
         ctx.strategy_options = dict(strategy_options or {})
     status = None
     if ctx is not None and echo and sys.stderr.isatty():
@@ -756,7 +768,19 @@ def run_strategies(
                 "jobs": jobs,
                 "faults": faults,
             },
+            ctx,
+            resume,
         )
+    if store is not None and ctx is not None:
+        # From here on every result entering the memo is committed.
+        ctx.store, ctx.run_id = store, run_id
+        if resume:
+            runs, errors = ctx.resume()
+            if echo:
+                echo(
+                    f"[resumed {runs} runs and {errors} errors from "
+                    f"{store.path}]"
+                )
     result = StrategyRunResult(ctx=ctx)
     try:
         if jobs > 1 and ctx is not None:

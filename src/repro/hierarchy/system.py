@@ -162,9 +162,10 @@ class System:
         mem_latency: main memory latency in cycles.
         tracer: optional :class:`~repro.obs.events.Tracer`; when
             enabled it receives coherence, back-invalidation and
-            writeback-buffer events, and is forwarded to the LLC for
-            its protocol events. A disabled (or absent) tracer is
-            normalized to None so the run loop pays one None-check.
+            writeback-buffer events, and is lent to the LLC for its
+            protocol events while :meth:`run` simulates. A disabled (or
+            absent) tracer is normalized to None so the run loop pays
+            one None-check.
         faults: optional
             :class:`~repro.resilience.faults.FaultInjector`; when
             given, LLC read hits and DRAM fills consult it — detected
@@ -187,8 +188,8 @@ class System:
         self.llc = llc
         self.fault_injector = faults
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
-        if self.tracer is not None and hasattr(llc, "attach_tracer"):
-            llc.attach_tracer(self.tracer)
+        #: Per-class tallies the engine publishes at the end of :meth:`run`.
+        self.engine_stats: Optional[Dict] = None
         self.memory = MainMemory(mem_latency, cfg.block_size)
         self.wb_buffer = WritebackBuffer(cfg.wb_capacity, cfg.wb_drain_interval)
         self.l1s = [
@@ -363,7 +364,15 @@ class System:
         from repro.engine import get_engine
 
         _, run_fn = get_engine(engine)
-        return run_fn(self, trace, limit)
+        if self.tracer is None or not hasattr(self.llc, "attach_tracer"):
+            return run_fn(self, trace, limit)
+        # The LLC holds the tracer only while it simulates: a finished
+        # RunRecord keeps the LLC, and must pickle without the sinks.
+        self.llc.attach_tracer(self.tracer)
+        try:
+            return run_fn(self, trace, limit)
+        finally:
+            self.llc.attach_tracer(None)
 
     def publish_metrics(self, registry, prefix: str = "system") -> None:
         """Publish every structure's counters into a metrics registry.
@@ -401,7 +410,7 @@ class System:
         ``engine_stats`` to the system at the end of ``run()``
         (see ``docs/engine.md``).
         """
-        return flatten_engine_stats(getattr(self, "engine_stats", None))
+        return flatten_engine_stats(self.engine_stats)
 
     def fault_summary(self) -> Optional[Dict[str, object]]:
         """Injected-fault report for this run (None without injection)."""

@@ -25,6 +25,9 @@ table              contents
                    controller decisions, cancellation
 ``engine_stats``   flattened per-class engine tallies per result
                    (``fast.read_hit`` …; see ``docs/engine.md``)
+``memo``           the resume memo: one pickled ``(spec, record or error)``
+                   per (kind, workload, spec digest, seed, scale, engine),
+                   committed as each result enters the context memo
 =================  ==========================================================
 
 The schema version lives in sqlite's ``PRAGMA user_version``; opening
@@ -32,7 +35,7 @@ an old store applies every migration in :data:`MIGRATIONS` in order,
 so a fresh database and an upgraded one are structurally identical
 (creation itself is "create v1, then migrate to head"). Version 3
 added a ``jobs`` table for a since-removed job daemon; version 4 drops
-it again, so v4 holds exactly the v2 tables.
+it again, so v4 holds exactly the v2 tables; version 5 adds ``memo``.
 
 Concurrency: the store is opened in WAL journal mode with a 5 s
 ``busy_timeout``, so a recording run and concurrent ``repro history``
@@ -57,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import sqlite3
 import subprocess
 import threading
@@ -64,10 +68,13 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.obs.logs import get_logger
 from repro.obs.output import BENCH_SCHEMA
 
+log = get_logger("obs.store")
+
 #: Current schema version (``PRAGMA user_version``).
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Default on-disk location, overridable with ``REPRO_STORE``.
 DEFAULT_STORE_PATH = os.path.join("results", "json", "history.db")
@@ -175,9 +182,36 @@ def _drop_jobs(conn: sqlite3.Connection) -> None:
     conn.execute("DROP TABLE IF EXISTS jobs")
 
 
+_MIGRATION_V5 = (
+    # The resume memo: one row per result a context computed, keyed by
+    # everything that determines it, so --resume adopts what a killed
+    # run finished. Rows go with their run on `history gc`.
+    """
+    CREATE TABLE IF NOT EXISTS memo (
+        kind TEXT NOT NULL,
+        workload TEXT NOT NULL,
+        digest TEXT NOT NULL,
+        seed INTEGER NOT NULL,
+        scale REAL NOT NULL,
+        engine TEXT NOT NULL,
+        run_id INTEGER NOT NULL REFERENCES runs(id) ON DELETE CASCADE,
+        payload BLOB NOT NULL,
+        PRIMARY KEY (kind, workload, digest, seed, scale, engine)
+    )
+    """,
+    "CREATE INDEX IF NOT EXISTS idx_memo_run ON memo(run_id)",
+)
+
+
+def _add_memo(conn: sqlite3.Connection) -> None:
+    """v4 → v5: add the ``memo`` table behind ``--resume``."""
+    for stmt in _MIGRATION_V5:
+        conn.execute(stmt)
+
+
 #: version N -> migration applying everything needed to reach N+1.
 #: Opening a store walks from ``user_version`` to :data:`SCHEMA_VERSION`.
-MIGRATIONS = {1: _migrate_1_to_2, 2: _drop_jobs, 3: _drop_jobs}
+MIGRATIONS = {1: _migrate_1_to_2, 2: _drop_jobs, 3: _drop_jobs, 4: _add_memo}
 
 
 def default_store_path(json_dir: Optional[str] = None) -> str:
@@ -501,7 +535,65 @@ class RunStore:
             self._conn.commit()
         return len(rows)
 
+    def remember(
+        self, run_id: int, kind: str, workload: str, spec, value, *,
+        seed: int, scale: float, engine: str,
+    ) -> None:
+        """Commit one memo row: ``(spec, value)`` pickled under its key.
+
+        ``kind`` is ``run`` (``value`` a ``RunRecord``) or ``error``
+        (an output-error float). The key is (kind, workload, spec
+        digest, seed, scale, engine), the digest being
+        :func:`config_digest` of ``{"workload", "spec"}``; a later run
+        writing the same key replaces the row and becomes its owner.
+        """
+        payload = pickle.dumps((spec, value), protocol=pickle.HIGHEST_PROTOCOL)
+        digest = config_digest({"workload": workload, "spec": spec.to_dict()})
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO memo (kind, workload, digest, seed, "
+                "scale, engine, run_id, payload) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                (kind, workload, digest, seed, scale, engine, run_id, payload),
+            )
+            self._conn.commit()
+
     # ---------------------------------------------------------------- reads
+
+    def memo_for(
+        self, run_id: int, workloads: Sequence[str], *,
+        seed: int, scale: float, engine: str,
+    ) -> List[Tuple[str, str, object, object]]:
+        """The memo rows run ``run_id`` may adopt, unpickled.
+
+        Returns ``(kind, workload, spec, value)`` tuples for
+        ``workloads`` under the same (seed, scale, engine), written by
+        runs at ``run_id``'s git SHA. A payload that no longer unpickles
+        is skipped with a warning, so its pair is simply recomputed.
+        """
+        marks = ", ".join("?" * len(workloads))
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT m.kind, m.workload, m.payload FROM memo m "
+                "JOIN runs r ON r.id = m.run_id "
+                f"WHERE m.workload IN ({marks}) AND m.seed = ? "
+                "AND m.scale = ? AND m.engine = ? "
+                "AND r.git_sha IS (SELECT git_sha FROM runs WHERE id = ?) "
+                "ORDER BY m.kind, m.workload, m.digest",
+                (*workloads, seed, scale, engine, run_id),
+            ).fetchall()
+        out = []
+        for kind, workload, payload in rows:
+            try:
+                spec, value = pickle.loads(payload)
+            except Exception as exc:
+                log.warning(
+                    "skipping unreadable %s memo row for %s in %s: %s",
+                    kind, workload, self.path, exc,
+                )
+                continue
+            out.append((kind, workload, spec, value))
+        return out
 
     def run_ids(self) -> List[int]:
         """Every run id, oldest first."""
@@ -711,8 +803,9 @@ class RunStore:
     def gc(self, keep: int) -> int:
         """Delete all but the newest ``keep`` runs; returns rows dropped.
 
-        Foreign keys cascade, so a run's results, metrics, events and
-        engine stats go with it; the file is vacuumed afterwards.
+        Foreign keys cascade, so a run's results, metrics, events,
+        engine stats and memo rows go with it; the file is vacuumed
+        afterwards.
         """
         if keep < 0:
             raise ConfigError(f"keep must be >= 0, got {keep}", field="keep")

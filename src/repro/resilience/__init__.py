@@ -1,6 +1,6 @@
-"""Resilience layer: faults, energy frontier, checkpoint/resume, errors.
+"""Resilience layer: faults, energy frontier, errors.
 
-Five pillars (see ``docs/robustness.md``):
+Four pillars (see ``docs/robustness.md``):
 
 * :mod:`repro.resilience.faults` — a deterministic, seeded
   fault-injection engine (bit flips, bursts, stuck-at cells) for the
@@ -12,15 +12,14 @@ Five pillars (see ``docs/robustness.md``):
   :class:`ErrorBudgetController` searching the voltage ladder for the
   max survivable fault rate within a declared error budget, with
   graceful degradation;
-* :mod:`repro.resilience.checkpoint` — a crash-tolerant journal of
-  completed (workload, config) results so killed sweeps, frontier
-  searches included, resume byte-identically (``--resume``);
 * :mod:`repro.errors` — the typed exception hierarchy the CLI maps to
   documented exit codes (re-exported here for convenience).
+
+Killed sweeps, frontier searches included, resume from the run-history
+store's ``memo`` table (``--resume``; see :mod:`repro.obs.store`).
 """
 
 from repro.errors import ConfigError, ReproError, SimulationFault, TraceFormatError
-from repro.resilience.checkpoint import SweepJournal, context_fingerprint, open_journal
 from repro.resilience.controller import (
     ErrorBudgetController,
     FrontierOptions,
@@ -53,9 +52,6 @@ __all__ = [
     "ErrorBudgetController",
     "FrontierOptions",
     "FrontierResult",
-    "SweepJournal",
-    "context_fingerprint",
-    "open_journal",
     "ReproError",
     "ConfigError",
     "TraceFormatError",

@@ -31,12 +31,12 @@ The control loop (see ``docs/robustness.md``):
   :attr:`FrontierOptions.hysteresis` steps from the verified frontier
   as a guard band, so a marginal frontier step is not what deployment
   advice points at.
-* **resume from the journal** — the controller keeps no state of its
+* **resume from the store** — the controller keeps no state of its
   own: the search is a deterministic function of each probe's output
-  error and run record, which the sweep journal restores. A resumed
-  search restarts at the nominal step, re-walks its bracket through
-  memo hits (re-emitting its full decision log) and simulates only the
-  probes the journal lacks.
+  error and run record, which ``--resume`` restores from the history
+  store's memo. A resumed search restarts at the nominal step,
+  re-walks its bracket through memo hits (re-emitting its full
+  decision log) and simulates only the probes the store lacks.
 """
 
 from __future__ import annotations

@@ -182,10 +182,10 @@ class FaultConfig:
     def from_dict(cls, data: dict) -> "FaultConfig":
         """Rebuild a config from its :meth:`to_dict` form.
 
-        The exact round-trip counterpart controller checkpoints,
-        history-store provenance rows and BENCH JSON reconstruct
-        configs through: ``FaultConfig.from_dict(cfg.to_dict()) ==
-        cfg`` for every valid config. Missing fields take their
+        The exact round-trip counterpart history-store provenance
+        rows and BENCH JSON reconstruct configs through:
+        ``FaultConfig.from_dict(cfg.to_dict()) == cfg`` for every valid
+        config. Missing fields take their
         defaults; unknown fields, wrong types and out-of-range values
         raise :class:`~repro.errors.ConfigError` naming the offending
         field (range checks come from ``__post_init__``).

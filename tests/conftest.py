@@ -4,6 +4,9 @@ Workload fixtures use tiny scales so the full suite stays fast; the
 benchmark harness exercises full-size datasets.
 """
 
+import contextlib
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,26 @@ def _isolated_history_store(tmp_path, monkeypatch):
     about path resolution delete ``REPRO_STORE`` themselves.
     """
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "history.db"))
+
+
+@pytest.fixture
+def memo_rows():
+    """Count the rows in a store's memo table; 0 before it exists.
+
+    Opens the store read-only, so polling never creates the file a
+    child process is about to create.
+    """
+
+    def count(path):
+        try:
+            with contextlib.closing(
+                sqlite3.connect(f"file:{path}?mode=ro", uri=True, timeout=5)
+            ) as conn:
+                return conn.execute("SELECT COUNT(*) FROM memo").fetchone()[0]
+        except sqlite3.Error:
+            return 0
+
+    return count
 
 
 @pytest.fixture

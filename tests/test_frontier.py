@@ -1,20 +1,19 @@
 """Tests for the energy/fault frontier: voltage ladder, controller,
-journal resume, and the ``frontier`` experiment end-to-end.
+store-backed resume, and the ``frontier`` experiment end-to-end.
 
 Unit tests drive the :class:`ErrorBudgetController` with synthetic
 error curves (no simulation) to pin the bracketing search, graceful
 degradation, hysteresis and eval caps. In-process tests resume a
-search from a partial sweep journal and rerun one on a used
-checkpoint directory. The integration test SIGKILLs a real
+search from a history store missing its last probe's memo rows and
+rerun one into a used store. The integration test SIGKILLs a real
 ``repro frontier`` CLI run mid-search and asserts the resumed run
 reproduces an uninterrupted one byte-identically, with the
 controller's decisions recorded in the run-history store.
 """
 
-import glob
+import contextlib
 import json
 import os
-import shutil
 import signal
 import sqlite3
 import subprocess
@@ -249,7 +248,7 @@ class TestErrorBudgetController:
 
 
 class TestControllerCheckpoint:
-    """A checkpointed search resumes from the sweep journal alone: it
+    """A recorded search resumes from the store's memo alone: it
     restarts at step 0 and re-walks its bracket through memo hits."""
 
     OPTIONS = {"error_budget": 0.25, "voltage_steps": 6}
@@ -278,31 +277,37 @@ class TestControllerCheckpoint:
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
-        """A plain search, then two on one checkpoint dir (no resume)."""
-        ckpt = tmp_path_factory.mktemp("frontier") / "ckpt"
+        """A plain search, then two recorded into one store (no resume)."""
+        store = tmp_path_factory.mktemp("frontier") / "history.db"
         plain = self._search()
-        first = self._search(checkpoint_dir=str(ckpt))
-        second = self._search(checkpoint_dir=str(ckpt))
-        return plain, first, second, ckpt
+        first = self._search(store_path=str(store), record_history=True)
+        second = self._search(store_path=str(store), record_history=True)
+        return plain, first, second, store
 
     @pytest.fixture(scope="class")
     def resumed(self, runs, tmp_path_factory):
-        """Resume from a journal that lacks the last probe's entries, as
+        """Resume from a store that lacks the last probe's memo rows, as
         a kill during that probe leaves it; record every simulation."""
         from repro.harness.frontier import _step_spec
         from repro.harness.runner import ExperimentContext
-        from repro.resilience.checkpoint import spec_digest
+        from repro.obs.store import config_digest
 
-        plain, _, _, ckpt = runs
-        journal = tmp_path_factory.mktemp("partial") / "ckpt"
-        shutil.copytree(ckpt, journal)
+        plain, _, _, store = runs
+        partial = tmp_path_factory.mktemp("partial") / "history.db"
         options = FrontierOptions.from_mapping(self.OPTIONS)
         steps = [e["step"] for e in plain.ctx.events
                  if e["kind"] == "controller_step"]
         spec = _step_spec(voltage_ladder(6)[steps[-1]], options)
-        digest = spec_digest("canneal", spec)
-        for kind in ("run", "error"):
-            (journal / f"{kind}-canneal-{digest}.pkl").unlink()
+        digest = config_digest({"workload": "canneal", "spec": spec.to_dict()})
+        with contextlib.closing(sqlite3.connect(store)) as src, \
+                contextlib.closing(sqlite3.connect(partial)) as conn:
+            src.backup(conn)
+            deleted = conn.execute(
+                "DELETE FROM memo WHERE workload = 'canneal' AND digest = ?",
+                (digest,),
+            ).rowcount
+            conn.commit()
+        assert deleted == 2  # the probe's run and error rows
 
         simulated = []
         real_simulate = ExperimentContext._simulate
@@ -313,11 +318,13 @@ class TestControllerCheckpoint:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ExperimentContext, "_simulate", counting)
-            result = self._search(checkpoint_dir=str(journal), resume=True)
+            result = self._search(
+                store_path=str(partial), record_history=True, resume=True
+            )
         return steps, spec, simulated, result
 
     def test_rerun_without_resume_repeats_the_search(self, runs):
-        plain, first, second, ckpt = runs
+        plain, first, second, store = runs
 
         def strip(rows):
             return [
@@ -331,13 +338,13 @@ class TestControllerCheckpoint:
             first.ctx.run_summaries()
         )
         assert self._tables(second) == self._tables(plain)
-        assert not (ckpt / "frontier").exists()
+        assert not (store.parent / "frontier").exists()
 
     def test_resume_mid_bracket_is_byte_identical(self, runs, resumed):
         plain = runs[0]
         steps, spec, simulated, result = resumed
         assert len(steps) > 1  # the killed probe is not the first one
-        # Only the probe the journal lacks is simulated again...
+        # Only the probe the store lacks is simulated again...
         assert simulated == [("canneal", spec)]
         # ...and the search ends where the uninterrupted one did.
         assert self._tables(result) == self._tables(plain)
@@ -419,16 +426,15 @@ class TestFrontierKillAndResume:
         )
         return env
 
-    def test_sigkilled_search_resumes_byte_identical(self, tmp_path):
+    def test_sigkilled_search_resumes_byte_identical(self, tmp_path, memo_rows):
         env = self._env()
-        ckpt = tmp_path / "ckpt"
         store = tmp_path / "history.db"
 
-        # Run 1: SIGKILLed once the first probe hit the journal.
+        # Run 1: SIGKILLed once the first probe hit the store's memo.
         proc = subprocess.Popen(
             self._cli(
                 tmp_path, tmp_path / "json_killed",
-                ["--jobs", "2", "--checkpoint-dir", str(ckpt)],
+                ["--jobs", "2", "--store", str(store)],
             ),
             env=env,
             stdout=subprocess.DEVNULL,
@@ -436,7 +442,7 @@ class TestFrontierKillAndResume:
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
+            if memo_rows(store) or proc.poll() is not None:
                 break
             time.sleep(0.05)
         interrupted = proc.poll() is None
@@ -444,21 +450,20 @@ class TestFrontierKillAndResume:
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-        # Run 2: resume against the same journal + controller state.
+        # Run 2: resume, recording into the same store.
         resumed = subprocess.run(
             self._cli(
                 tmp_path, tmp_path / "json_resumed",
-                ["--jobs", "2", "--checkpoint-dir", str(ckpt),
-                 "--resume", "--store", str(store)],
+                ["--jobs", "2", "--resume", "--store", str(store)],
             ),
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "[resumed" in resumed.stdout
         if interrupted:
-            assert glob.glob(str(ckpt / "*.pkl"))
+            assert memo_rows(store)
 
-        # Run 3: the same search uninterrupted, no checkpointing.
+        # Run 3: the same search uninterrupted, in a store of its own.
         clean = subprocess.run(
             self._cli(tmp_path, tmp_path / "json_clean", []),
             env=env, capture_output=True, text=True, timeout=600,

@@ -2,12 +2,13 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
 from repro.cache.stats import CacheStats
 from repro.cli import main
-from repro.harness.runner import ExperimentContext, dopp_spec
+from repro.harness.runner import ExperimentContext, dopp_spec, run_trace, uni_spec
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 from repro.obs import Observability, RingBufferSink
@@ -150,6 +151,31 @@ class TestExperimentContextObservability:
         ctx = ExperimentContext(seed=1, scale=0.05, workloads=["swaptions"])
         assert not ctx.obs.enabled
         assert ctx.obs.profiler.phases == {}
+
+
+class TestTracedRecordsPickle:
+    """A finished record holds no tracer, so traced runs can be stored
+    in the history store's memo."""
+
+    @pytest.mark.parametrize(
+        "spec", [dopp_spec(), uni_spec()], ids=["dopp", "uni"]
+    )
+    def test_traced_record_pickles(self, spec, tmp_path):
+        obs = Observability(enabled=True, trace_path=str(tmp_path / "t.jsonl"))
+        ctx = ExperimentContext(
+            seed=3, scale=0.01, workloads=["canneal"], obs=obs
+        )
+        try:
+            records = [
+                ctx.run("canneal", spec),
+                run_trace(ctx.trace("canneal"), spec, obs=obs),
+            ]
+            blobs = [pickle.dumps(record) for record in records]
+        finally:
+            obs.close()
+        assert obs.jsonl.written > 0  # the LLC was traced while it ran
+        for record, blob in zip(records, blobs):
+            assert pickle.loads(blob).system == record.system
 
 
 class TestCliObservability:

@@ -67,10 +67,10 @@ V3_JOBS_DDL = (
 
 
 def old_store(path, version):
-    """A store as schema ``version`` (1-3) built it, with two runs.
+    """A store as schema ``version`` (1-4) built it, with two runs.
 
     Each run holds one result row; at v3 the ``jobs`` table also holds
-    one job row per run, linked through ``run_id``.
+    one job row per run, linked through ``run_id`` (v4 dropped it).
     """
     conn = sqlite3.connect(path)
     for stmt in _SCHEMA_V1:
@@ -78,7 +78,7 @@ def old_store(path, version):
     if version >= 2:
         for stmt in _MIGRATION_V2:
             conn.execute(stmt)
-    if version >= 3:
+    if version == 3:
         for stmt in V3_JOBS_DDL:
             conn.execute(stmt)
     for run_id in (1, 2):
@@ -93,7 +93,7 @@ def old_store(path, version):
             "VALUES (?, 'kmeans', 'baseline-2MB', 0.01, ?)",
             (run_id, json.dumps(summary_row())),
         )
-        if version >= 3:
+        if version == 3:
             conn.execute(
                 "INSERT INTO jobs (id, submitted_unix, state, spec, run_id, "
                 "daemon) VALUES (?, ?, 'done', ?, ?, 'host:1')",
@@ -129,7 +129,9 @@ class TestSchema:
                 "SELECT name FROM sqlite_master WHERE type = 'table'"
             )[1]
         }
-        assert {"runs", "results", "metrics", "events", "engine_stats"} <= tables
+        assert {
+            "runs", "results", "metrics", "events", "engine_stats", "memo"
+        } <= tables
 
     def test_v1_database_auto_upgrades(self, tmp_path):
         path = str(tmp_path / "old.db")
@@ -157,7 +159,7 @@ class TestSchema:
     def test_migrated_and_fresh_schemas_match(self, tmp_path):
         fresh = schema_of(str(tmp_path / "fresh.db"))
         assert "jobs" not in {name for _, name, _ in fresh}
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             path = old_store(str(tmp_path / f"v{version}.db"), version)
             assert schema_of(path) == fresh, f"v{version}"
 
@@ -303,16 +305,24 @@ class TestRecording:
         assert events[0]["done"] == 1
 
     def test_gc_cascades_and_keeps_newest(self, store):
+        from repro.harness.runner import baseline_spec
+
         for i in range(4):
             run_id = store.start_run()
             store.add_result(run_id, summary_row())
             store.add_events(run_id, [{"kind": "worker_heartbeat", "unit": "u"}])
+            store.remember(
+                run_id, "error", f"app{i}", baseline_spec(), 0.0,
+                seed=7, scale=1.0, engine="batched",
+            )
         kept = store.run_ids()[-2:]
         assert store.gc(keep=2) == 2
         assert store.run_ids() == kept
         _, [(results,)] = store.query("SELECT COUNT(*) FROM results")
         _, [(events,)] = store.query("SELECT COUNT(*) FROM events")
+        _, memo = store.query("SELECT run_id FROM memo ORDER BY run_id")
         assert results == 2 and events == 2
+        assert memo == [(run_id,) for run_id in kept]
 
     def test_top_validates_metric(self, store):
         run_id = store.start_run()
@@ -652,6 +662,33 @@ class TestCliStoreRecording:
             == 0
         )
         assert os.path.exists(os.path.join(json_dir, "history.db"))
+
+    def test_runs_row_records_the_effective_knobs(self, tmp_path, monkeypatch):
+        """Seed, scale and engine set through the environment are what
+        the run row, its config hash and the BENCH context record."""
+        from repro.harness.strategy import run_strategies
+
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        monkeypatch.setenv("REPRO_SEED", "3")
+        db = str(tmp_path / "history.db")
+        for scale in ("0.01", "0.02"):
+            monkeypatch.setenv("REPRO_SCALE", scale)
+            result = run_strategies(
+                ["table2"], workloads=["swaptions"],
+                store_path=db, record_history=True,
+            )
+            (row,) = result.ctx.run_summaries()
+            assert row["engine_stats"]["engine"] == "reference"
+            assert result.ctx.context_summary()["engine"] == "reference"
+        with RunStore(db) as store:
+            first, second = (store.run_row(i) for i in store.run_ids())
+        assert (first["engine"], first["seed"], first["scale"]) == (
+            "reference", 3, 0.01
+        )
+        assert (second["engine"], second["seed"], second["scale"]) == (
+            "reference", 3, 0.02
+        )
+        assert first["config_hash"] != second["config_hash"]
 
     def test_unusable_store_never_fails_the_run(self, tmp_path, capsys):
         bad = str(tmp_path / "corrupt.db")

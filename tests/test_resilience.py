@@ -5,14 +5,16 @@ Covers the three pillars of the layer: deterministic fault injection
 counts), graceful engine degradation (batched failure falls back to
 the reference interpreter with an observable event), and harness
 recovery (worker timeouts/deaths retried in a fresh pool; interrupted
-sweeps resume from an on-disk journal byte-identically).
+sweeps resume from the history store's memo byte-identically).
 """
 
-import glob
+import contextlib
 import json
+import logging
 import multiprocessing
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -38,11 +40,6 @@ from repro.harness.runner import (
 from repro.harness.strategy import run_strategies
 from repro.obs import EVENT_ENGINE_FALLBACK, EVENT_WORKER_RETRY, Observability
 from repro.obs.store import RunStore
-from repro.resilience.checkpoint import (
-    context_fingerprint,
-    open_journal,
-    spec_digest,
-)
 from repro.resilience.faults import FaultConfig, FaultInjector
 
 SEED = 3
@@ -99,6 +96,35 @@ def _fork_ctx(src, **kwargs):
     )
     ctx._traces = dict(src._traces)
     return ctx
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated a pair the memo should have held")
+
+
+@pytest.fixture
+def repro_warnings():
+    """Messages of the WARNING records the ``repro`` loggers emit.
+
+    A handler on the ``repro`` logger itself: the CLI's
+    ``configure_logging`` turns propagation to the root logger off.
+    """
+    messages = []
+
+    class _Collect(logging.Handler):
+        def emit(self, record):
+            messages.append(record.getMessage())
+
+    logger = logging.getLogger("repro")
+    handler = _Collect(logging.WARNING)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.WARNING)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 class TestFaultConfig:
@@ -326,19 +352,35 @@ class TestEngineFallback:
         assert {row["workload"] for row in rows} == {"swaptions", "kmeans"}
         assert all("synthetic" in row["error"] for row in rows)
 
+    @pytest.mark.parametrize(
+        "engine, env",
+        [
+            pytest.param("reference", None, id="engine_arg"),
+            pytest.param(None, "reference", id="REPRO_ENGINE"),
+        ],
+    )
     def test_explicit_reference_engine_failure_raises(
-        self, swaptions_ctx, monkeypatch
+        self, swaptions_ctx, monkeypatch, engine, env
     ):
+        attempts = []
+
         def boom_engine(system, trace, limit=None):
+            attempts.append(system)
             raise RuntimeError("reference down")
 
         monkeypatch.setitem(ENGINES, "reference", boom_engine)
-        ctx = _fork_ctx(swaptions_ctx, engine="reference")
+        if env is not None:
+            monkeypatch.setenv("REPRO_ENGINE", env)
+        ctx = _fork_ctx(swaptions_ctx, engine=engine)
         with pytest.raises(SimulationFault) as excinfo:
             ctx.run("swaptions", baseline_spec())
         assert excinfo.value.exit_code == 4
         assert "reference engine failed" in str(excinfo.value)
         assert "swaptions" in str(excinfo.value)
+        # The reference engine was the one asked for: one attempt, and
+        # no fallback to itself.
+        assert len(attempts) == 1
+        assert not _events_of(ctx, EVENT_ENGINE_FALLBACK)
 
     def test_both_engines_failing_raises(self, swaptions_ctx, monkeypatch):
         def hook(system, trace):
@@ -545,114 +587,175 @@ class TestParallelResilience:
 
 
 class TestCheckpoint:
-    def test_journal_roundtrip_skips_recompute(self, swaptions_ctx, tmp_path):
-        journal = open_journal(str(tmp_path / "ckpt"), swaptions_ctx)
+    """The history store's ``memo`` table is the resume memo."""
+
+    @staticmethod
+    def _attach(ctx, path, sha=None):
+        """Record ``ctx`` into a new run of the store at ``path``."""
+        store = RunStore(str(path))
+        ctx.store, ctx.run_id = store, store.start_run(sha=sha)
+        return store
+
+    @staticmethod
+    def _fresh(**kwargs):
+        knobs = {"seed": SEED, "scale": SCALE, "workloads": ["swaptions"]}
+        return ExperimentContext(**{**knobs, **kwargs})
+
+    def test_journal_roundtrip_skips_recompute(
+        self, swaptions_ctx, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "history.db"
+        ctx = _fork_ctx(swaptions_ctx)
+        store = self._attach(ctx, path)
         spec = baseline_spec()
         rec = swaptions_ctx.run("swaptions", spec)
-        journal.record_run("swaptions", spec, rec)
-        journal.record_error("swaptions", dopp_spec(14, 0.25), 0.125)
-
-        fresh = ExperimentContext(
-            seed=SEED, scale=SCALE, workloads=["swaptions"]
+        ctx.remember_run("swaptions", spec, rec)
+        ctx.remember_error("swaptions", dopp_spec(14, 0.25), 0.125)
+        ctx.remember_error("swaptions", FSPEC, 0.25)
+        ctx.remember_error("kmeans", FSPEC, 0.5)
+        # One digest per (workload, spec): they differ across both.
+        _, [(digests,)] = store.query(
+            "SELECT COUNT(DISTINCT digest) FROM memo WHERE kind = 'error'"
         )
-        resumed = open_journal(str(tmp_path / "ckpt"), fresh)
-        assert resumed.load_into(fresh) == (1, 1)
+        assert digests == 3
+        store.close()
+
+        fresh = self._fresh()
+        self._attach(fresh, path)
+        assert fresh.resume() == (1, 2)
         # The memo hit means run() never simulates again.
+        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
         loaded = fresh.run("swaptions", spec)
         assert loaded.system == rec.system
         assert loaded.energy == rec.energy
-        assert fresh._errors[("swaptions", dopp_spec(14, 0.25))] == 0.125
+        assert fresh.error("swaptions", dopp_spec(14, 0.25)) == 0.125
+        assert fresh.error("swaptions", FSPEC) == 0.25
         # Loading twice adopts nothing new.
-        assert resumed.load_into(fresh) == (0, 0)
+        assert fresh.resume() == (0, 0)
+        fresh.store.close()
 
-    def test_meta_mismatch_is_a_config_error(self, swaptions_ctx, tmp_path):
-        directory = str(tmp_path / "ckpt")
-        journal = open_journal(directory, swaptions_ctx)
-        journal.record_error("swaptions", dopp_spec(14, 0.25), 0.5)
-        other = ExperimentContext(
-            seed=SEED + 1, scale=SCALE, workloads=["swaptions"]
-        )
-        with pytest.raises(ConfigError) as excinfo:
-            open_journal(directory, other)
-        assert excinfo.value.exit_code == 2
-        assert "checkpoint" in str(excinfo.value)
+    def test_rows_under_other_knobs_are_not_adopted(self, tmp_path):
+        path = tmp_path / "history.db"
+        sha = "a" * 40
+        writer = self._fresh()
+        with self._attach(writer, path, sha=sha):
+            writer.remember_error("swaptions", dopp_spec(14, 0.25), 0.5)
+        for knobs, reader_sha in (
+            ({"seed": SEED + 1}, sha),
+            ({"scale": SCALE * 2}, sha),
+            ({"engine": "reference"}, sha),
+            ({}, "b" * 40),
+            ({}, sha),
+        ):
+            reader = self._fresh(**knobs)
+            with self._attach(reader, path, sha=reader_sha):
+                adopted = reader.resume()
+            assert adopted == ((0, 1) if not knobs and reader_sha == sha
+                               else (0, 0)), (knobs, reader_sha)
 
-    def test_corrupt_entry_is_skipped(self, swaptions_ctx, tmp_path):
-        directory = tmp_path / "ckpt"
-        journal = open_journal(str(directory), swaptions_ctx)
-        journal.record_error("swaptions", dopp_spec(14, 0.25), 0.5)
-        (directory / "run-swaptions-deadbeefdeadbeef.pkl").write_bytes(
-            b"truncated garbage"
-        )
-        fresh = ExperimentContext(
-            seed=SEED, scale=SCALE, workloads=["swaptions"]
-        )
-        assert open_journal(str(directory), fresh).load_into(fresh) == (0, 1)
+    def test_corrupt_entry_is_skipped(self, tmp_path, repro_warnings):
+        path = tmp_path / "history.db"
+        writer = self._fresh()
+        with self._attach(writer, path):
+            writer.remember_error("swaptions", dopp_spec(14, 0.25), 0.5)
+        with contextlib.closing(sqlite3.connect(path)) as conn:
+            conn.execute(
+                "INSERT INTO memo (kind, workload, digest, seed, scale, "
+                "engine, run_id, payload) VALUES ('run', 'swaptions', "
+                "'deadbeefdeadbeef', ?, ?, 'batched', ?, ?)",
+                (SEED, SCALE, writer.run_id, b"truncated garbage"),
+            )
+            conn.commit()
+        fresh = self._fresh()
+        with self._attach(fresh, path):
+            assert fresh.resume() == (0, 1)
+        assert len([m for m in repro_warnings if "unreadable" in m]) == 1
 
-    def test_entries_outside_the_context_are_ignored(
-        self, swaptions_ctx, tmp_path
-    ):
-        directory = str(tmp_path / "ckpt")
-        journal = open_journal(directory, swaptions_ctx)
-        journal.record_error("kmeans", dopp_spec(14, 0.25), 0.5)
-        fresh = ExperimentContext(
-            seed=SEED, scale=SCALE, workloads=["swaptions"]
-        )
-        assert open_journal(directory, fresh).load_into(fresh) == (0, 0)
-
-    def test_fingerprint_and_digest_are_stable(self, swaptions_ctx):
-        fp = context_fingerprint(swaptions_ctx)
-        assert fp["seed"] == SEED and fp["scale"] == SCALE
-        assert fp["engine"] == "default"
-        d1 = spec_digest("swaptions", FSPEC)
-        assert d1 == spec_digest("swaptions", FSPEC)
-        assert d1 != spec_digest("kmeans", FSPEC)
-        assert d1 != spec_digest("swaptions", dopp_spec(14, 0.25))
-
-    def test_open_journal_disabled_without_directory(self, swaptions_ctx):
-        assert open_journal("", swaptions_ctx) is None
-        assert open_journal(None, swaptions_ctx) is None
-
-    def test_existing_file_is_a_config_error(self, swaptions_ctx, tmp_path):
-        path = tmp_path / "ckpt.zip"  # e.g. a container from an old build
-        path.write_bytes(b"PK not a directory")
-        with pytest.raises(ConfigError) as excinfo:
-            open_journal(str(path), swaptions_ctx)
-        assert excinfo.value.exit_code == 2
-        assert str(path) in str(excinfo.value)
+    def test_entries_outside_the_context_are_ignored(self, tmp_path):
+        path = tmp_path / "history.db"
+        writer = self._fresh(workloads=["kmeans"])
+        with self._attach(writer, path):
+            writer.remember_error("kmeans", dopp_spec(14, 0.25), 0.5)
+        fresh = self._fresh()
+        with self._attach(fresh, path):
+            assert fresh.resume() == (0, 0)
 
     def test_memo_entries_are_journaled(self, swaptions_ctx, tmp_path):
-        ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        ctx.journal = open_journal(str(tmp_path / "ckpt"), ctx)
-        record = swaptions_ctx.run("swaptions", baseline_spec())
-        ctx.remember_run("swaptions", baseline_spec(), record)
-        ctx.remember_error("swaptions", dopp_spec(14, 0.25), 0.25)
-        fresh = ExperimentContext(seed=SEED, scale=SCALE, workloads=["swaptions"])
-        assert ctx.journal.load_into(fresh) == (1, 1)
+        """Every result entering the memo is committed, under any jobs."""
+        path = tmp_path / "history.db"
+        pairs = [("swaptions", baseline_spec())]
+        errors = [("swaptions", dopp_spec(14, 0.25))]
+        for jobs in (1, 2):
+            ctx = _fork_ctx(swaptions_ctx)
+            with self._attach(ctx, path) as store:
+                if jobs == 1:
+                    ctx.run(*pairs[0])
+                    ctx.error(*errors[0])
+                else:
+                    prefetch_pairs(ctx, pairs, errors, jobs=jobs)
+                _, rows = store.query(
+                    "SELECT kind FROM memo WHERE run_id = ? ORDER BY kind",
+                    (ctx.run_id,),
+                )
+            assert rows == [("error",), ("run",)], jobs
+
+    def test_failed_memo_write_warns_once(
+        self, swaptions_ctx, tmp_path, monkeypatch, repro_warnings
+    ):
+        """A store that fails mid-run costs resumability, not the run."""
+        plain = run_strategies(["fig10"], ctx=_fork_ctx(swaptions_ctx))
+        writes = []
+
+        def locked(self, *args, **kwargs):
+            writes.append(args)
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(RunStore, "remember", locked)
+        path = str(tmp_path / "history.db")
+        result = run_strategies(
+            ["fig10"], ctx=_fork_ctx(swaptions_ctx),
+            store_path=path, record_history=True,
+        )
+        assert len(writes) == 1
+        assert len([m for m in repro_warnings if "memo writes" in m]) == 1
+        assert {k: t.to_dict() for k, t in result.tables["fig10"].items()} == {
+            k: t.to_dict() for k, t in plain.tables["fig10"].items()
+        }
+        with RunStore(path) as store:
+            (run,) = store.list_runs()
+            _, [(memo,)] = store.query("SELECT COUNT(*) FROM memo")
+        assert run["finished"] == 1
+        assert run["results"] == len(plain.ctx.run_summaries())
+        assert memo == 0
+        # The driver detached the closed store from the context.
+        assert result.ctx.store is None
 
 
 class TestSequentialCheckpoint:
-    """``--checkpoint-dir`` under ``--jobs 1`` (no prefetch)."""
+    """The store-backed memo under ``--jobs 1`` (no prefetch)."""
 
     @staticmethod
-    def _cli(tmp_path, ckpt, *extra):
+    def _cli(tmp_path, store, *extra):
         return [
             "table2", "--scale", "0.02", "--seed", str(SEED),
             "--workloads", "kmeans", "--jobs", "1",
-            "--checkpoint-dir", str(ckpt),
-            "--json-out", str(tmp_path / "json"), "--no-store", *extra,
+            "--store", str(store),
+            "--json-out", str(tmp_path / "json"), *extra,
         ]
 
-    def test_jobs1_journals_and_resumes(self, tmp_path, capsys):
+    def test_jobs1_journals_and_resumes(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
-        ckpt = tmp_path / "ck"
-        assert main(self._cli(tmp_path, ckpt)) == 0
-        assert len(glob.glob(str(ckpt / "run-kmeans-*.pkl"))) == 1
+        store = tmp_path / "history.db"
+        assert main(self._cli(tmp_path, store)) == 0
+        with RunStore(str(store)) as recorded:
+            _, rows = recorded.query("SELECT kind, workload FROM memo")
+        assert rows == [("run", "kmeans")]
         first = json.loads((tmp_path / "json" / "table2.json").read_text())
         capsys.readouterr()
 
-        assert main(self._cli(tmp_path, ckpt, "--resume")) == 0
+        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
+        assert main(self._cli(tmp_path, store, "--resume")) == 0
         assert "[resumed 1 runs and 0 errors" in capsys.readouterr().out
         resumed = json.loads((tmp_path / "json" / "table2.json").read_text())
         assert resumed == first
@@ -660,19 +763,27 @@ class TestSequentialCheckpoint:
     def test_file_path_fails_before_simulating(
         self, tmp_path, capsys, monkeypatch
     ):
+        """``--resume`` against a store path that cannot be opened."""
         from repro.cli import main
 
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated despite a bad --checkpoint-dir")
-
-        monkeypatch.setattr(ExperimentContext, "_simulate", no_simulation)
-        ckpt = tmp_path / "ck"
-        ckpt.write_text("not a directory")
-        assert main(self._cli(tmp_path, ckpt)) == 2
+        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
+        store = tmp_path / "not-a-database"
+        store.mkdir()
+        assert main(self._cli(tmp_path, store, "--resume")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert str(ckpt) in err
+        assert str(store) in err
         assert "Traceback" not in err
+
+    def test_resume_without_store_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._cli(tmp_path, tmp_path / "h.db", "--resume", "--no-store"))
+        assert excinfo.value.code == 2
+        assert "--no-store" in capsys.readouterr().err
+        with pytest.raises(ConfigError):
+            run_strategies(["table2"], resume=True)
 
 
 class TestKillAndResume:
@@ -702,16 +813,16 @@ class TestKillAndResume:
         with open(os.path.join(json_dir, "BENCH_obs.json")) as fh:
             return _strip(json.load(fh)["runs"])
 
-    def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
+    def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path, memo_rows):
         env = self._env()
-        ckpt = tmp_path / "ckpt"
+        store = tmp_path / "history.db"
 
-        # Run 1: parallel sweep, SIGKILLed once the journal has its
-        # first completed record.
+        # Run 1: parallel sweep, SIGKILLed once the store's memo has
+        # its first completed result.
         proc = subprocess.Popen(
             self._cli(
                 tmp_path, tmp_path / "json_killed",
-                ["--jobs", "2", "--checkpoint-dir", str(ckpt)],
+                ["--jobs", "2", "--store", str(store)],
             ),
             env=env,
             stdout=subprocess.DEVNULL,
@@ -719,7 +830,7 @@ class TestKillAndResume:
         )
         deadline = time.monotonic() + 120
         while time.monotonic() < deadline:
-            if glob.glob(str(ckpt / "*.pkl")) or proc.poll() is not None:
+            if memo_rows(store) or proc.poll() is not None:
                 break
             time.sleep(0.05)
         interrupted = proc.poll() is None
@@ -727,22 +838,22 @@ class TestKillAndResume:
             proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-        # Run 2: resume against the same journal.
+        # Run 2: resume from the same store.
         resumed = subprocess.run(
             self._cli(
                 tmp_path, tmp_path / "json_resumed",
-                ["--jobs", "2", "--checkpoint-dir", str(ckpt), "--resume"],
+                ["--jobs", "2", "--store", str(store), "--resume"],
             ),
             env=env, capture_output=True, text=True, timeout=600,
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "[resumed" in resumed.stdout
         if interrupted:
-            # The kill landed mid-sweep: the journal held a strict
+            # The kill landed mid-sweep: the memo held a strict
             # subset, so the resume both loaded and computed records.
-            assert glob.glob(str(ckpt / "*.pkl"))
+            assert memo_rows(store)
 
-        # Run 3: the same sweep uninterrupted, no checkpointing.
+        # Run 3: the same sweep uninterrupted, in a store of its own.
         clean = subprocess.run(
             self._cli(tmp_path, tmp_path / "json_clean", ["--jobs", "2"]),
             env=env, capture_output=True, text=True, timeout=600,

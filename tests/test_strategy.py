@@ -434,18 +434,16 @@ class TestCliIntegration:
     def test_registered_strategy_full_pipeline(
         self, registered_tiny, tmp_path, capsys
     ):
-        """A plugin runs through the CLI with checkpoint, store and jobs."""
+        """A plugin runs through the CLI with the store, resume and jobs."""
         from repro.cli import main
         from repro.obs.store import RunStore
 
-        ckpt = tmp_path / "ckpt"
         store = tmp_path / "history.db"
         argv = [
             "experiments", "tiny", "fansweep",
             "--jobs", "2",
             "--scale", str(SCALE), "--seed", str(SEED),
             "--workloads", "swaptions",
-            "--checkpoint-dir", str(ckpt),
             "--store", str(store),
             "--json-out", str(tmp_path / "json"),
         ]
@@ -455,7 +453,7 @@ class TestCliIntegration:
             out = capsys.readouterr().out
             assert "Tiny" in out and "Fan" in out
             assert "recorded in" in out
-            # Resume: the journaled results short-circuit the prefetch.
+            # Resume: the memoized results short-circuit the prefetch.
             assert main(argv + ["--resume"]) == 0
             out = capsys.readouterr().out
             assert "[resumed" in out
