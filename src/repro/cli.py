@@ -64,12 +64,17 @@ errors (including an unknown experiment name), 3 for malformed trace
 files, 4 for simulation faults — with a one-line message on stderr;
 ``--log-level debug`` additionally prints the full traceback.
 
-``--profile`` prints a per-phase timing breakdown and writes the event
-trace and metrics snapshot next to the JSON tables. Every experiment
-additionally serializes its tables to ``results/json/<name>.json`` and
-updates the cumulative ``results/json/BENCH_obs.json`` run summary;
-``report`` renders that summary back as text and ``compare`` diffs two
-summaries, exiting 1 on a regression.
+``--profile`` prints a per-phase breakdown of self times (a phase's
+time minus the phases nested in it) and writes the metrics snapshot
+next to the JSON tables; a recorded run also lands the profile in the
+history store. It reads timers and counters only: the JSONL event
+stream is written under ``--trace-out`` alone, with or without
+``--profile``, so profiling leaves the engine on its fast paths. Every
+experiment additionally serializes its tables to
+``results/json/<name>.json`` and updates the cumulative
+``results/json/BENCH_obs.json`` run summary; ``report`` renders that
+summary back as text and ``compare`` diffs two summaries, exiting 1 on
+a regression.
 
 ``--version`` (or ``-V``) prints the package version and exits.
 
@@ -516,8 +521,8 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--profile",
         action="store_true",
-        help="enable observability: per-phase timing breakdown, event trace "
-        "and metrics snapshot under --json-out",
+        help="print a per-phase self-time breakdown and write a metrics "
+        "snapshot under --json-out (no event trace; see --trace-out)",
     )
     common.add_argument(
         "--trace-out",
@@ -735,15 +740,14 @@ def _run_pipeline(parser, args, names, argv) -> int:
 
     enabled = args.profile or bool(args.trace_out) or bool(args.metrics_out)
     stem = names[0] if len(names) == 1 else "experiments"
-    trace_path = args.trace_out
-    if args.profile and trace_path is None:
-        trace_path = os.path.join(args.json_out, f"trace_{stem}.jsonl")
     metrics_path = args.metrics_out
     if args.profile and metrics_path is None:
         metrics_path = os.path.join(args.json_out, f"metrics_{stem}.json")
     obs = (
         Observability(
-            enabled=enabled, trace_path=trace_path, trace_sample=args.trace_sample
+            enabled=enabled,
+            trace_path=args.trace_out,
+            trace_sample=args.trace_sample,
         )
         if enabled
         else Observability.disabled()
@@ -779,8 +783,9 @@ def _run_pipeline(parser, args, names, argv) -> int:
         if args.profile:
             print()
             print(obs.profiler.render())
-            if trace_path and obs.jsonl is not None:
-                print(f"\n[event trace: {obs.jsonl.written} events -> {trace_path}]")
+            if obs.jsonl is not None:
+                print(f"\n[event trace: {obs.jsonl.written} events -> "
+                      f"{args.trace_out}]")
     return 0
 
 

@@ -12,8 +12,9 @@ on inline fast paths:
   cascading a dirty L2 victim into the LLC writeback path) and the L2
   read touch inline;
 * a store with remote sharer bits set first replays the directory
-  consult inline — the remote private copies are popped and the sharer
-  vector collapses to the writer, exactly as
+  consult inline — the remote private copies are popped, the sharer
+  vector collapses to the writer and a traced run gets the
+  ``coherence_invalidation`` event, exactly as
   ``System._handle_store_coherence`` — and then retires through the
   ordinary store paths below (runs of writes to the same producer
   region batch into consecutive inline invalidations);
@@ -25,20 +26,23 @@ on inline fast paths:
 * a read that misses both private levels replays the whole miss path
   inline: against a conventional baseline LLC the probe, fill, dirty-
   victim writeback (through the bounded writeback buffer) and
-  back-invalidation purge are raw dict operations; against a
+  back-invalidation purge are raw dict operations, which emit the
+  ``wb_enqueue`` and ``back_invalidation`` events of
+  ``System._apply_reply`` in its order when traced; against a
   Doppelgänger organization the engine speaks the same three-call
   adapter protocol the reference uses (``read`` / ``fill`` /
   ``_apply_reply``), so groups of approximate fills that share an MTag
   entry are resolved by the precomputed map memo in one pass and each
   evicted data block's tag linked list is walked once, inside the
   adapter, per eviction — not once per access;
-* the few remaining cases — traced stores that must emit coherence
-  events, approximate blocks with no tracked value, a victim fill that
-  would evict the very block the demand is about to hit, and any
-  access under fault injection that reaches a fault site — fall
-  through to the shared slow path of :mod:`repro.engine.step`. The
-  per-class tallies are published as ``system.engine_stats`` (see
-  ``docs/engine.md``).
+* the few remaining cases — approximate blocks with no tracked value,
+  a victim fill that would evict the very block the demand is about to
+  hit, and any access under fault injection that reaches a fault site
+  — fall through to the shared slow path of :mod:`repro.engine.step`.
+  The per-class tallies are published as ``system.engine_stats`` (see
+  ``docs/engine.md``). An attached tracer never changes which path an
+  access takes, so a traced run has the untraced run's tallies and the
+  reference engine's event stream.
 
 Eligibility is decided by probing the caches' live tag→way maps
 directly. An earlier design pre-masked each chunk against a snapshot of
@@ -131,16 +135,13 @@ def run(system, trace, limit: Optional[int] = None):
 
     # The raw (dict-op) LLC fast paths need a conventional single-array,
     # approx-oblivious LLC whose victim choice is a pure query. Any
-    # other organization — or a traced run, whose writeback and
-    # back-invalidation events the raw ops would not emit — goes
-    # through the adapter-call ("semi") path below, which speaks the
-    # exact three-call protocol of the reference. Fault injection
-    # decides per LLC/DRAM read, so under it every double-miss must
-    # reach the slow path's hooks — the private L1/L2 fast paths never
-    # touch a fault site and stay eligible.
+    # other organization goes through the adapter-call ("semi") path
+    # below, which speaks the exact three-call protocol of the
+    # reference. Fault injection decides per LLC/DRAM read, so under it
+    # every double-miss must reach the slow path's hooks — the private
+    # L1/L2 fast paths never touch a fault site and stay eligible.
     faults_none = st.faults is None
-    llc_plain = (isinstance(system.llc, BaselineLLC) and faults_none
-                 and system.tracer is None)
+    llc_plain = isinstance(system.llc, BaselineLLC) and faults_none
     if llc_plain:
         lcache = system.llc.cache
         llc_plain = (lcache.policy_name in _PURE_VICTIM_POLICIES
@@ -220,7 +221,6 @@ def run(system, trace, limit: Optional[int] = None):
     comp_gaps = 0  # gap sum over fast-path accesses
     insns = 0  # instruction count over fast-path accesses
     # Slow-path (fall-through) tallies, by reason.
-    n_slow_coh = 0  # traced stores with remote sharers
     n_slow_untracked = 0  # approximate fills with no tracked value
     n_slow_entangled = 0  # victim fill would evict the demand block
     n_slow_faults = 0  # double-misses under fault injection
@@ -265,14 +265,9 @@ def run(system, trace, limit: Optional[int] = None):
             if sharers.get(a, 0) & ~core_bit[c]:
                 # Remote sharers: replay the directory consult inline —
                 # pop every remote private copy and collapse the sharer
-                # vector to the writer. The slow path also emits the
-                # coherence event, so traced runs keep using it.
-                if tracer is not None:
-                    n_slow_coh += 1
-                    step(system, st, c, a, True, approx_l[p], rids_l[p],
-                         vids_l[p], gaps_l[p])
-                    continue
+                # vector to the writer.
                 rem = sharers[a] & ~core_bit[c]
+                inv0 = n_coh_inv
                 c2 = 0
                 while rem:
                     if rem & 1:
@@ -291,6 +286,9 @@ def run(system, trace, limit: Optional[int] = None):
                     c2 += 1
                 n_coh_dir += 1
                 sharers[a] = core_bit[c]
+                if tracer is not None:
+                    tracer.emit("coherence_invalidation", addr=a, writer=c,
+                                sharers=n_coh_inv - inv0)
             vid = vids_l[p]
             if w1 is not None:
                 # Fast path: store hit in the L1, no remote copies.
@@ -623,10 +621,17 @@ def run(system, trace, limit: Optional[int] = None):
                         lls.back_invalidations += 1
                         ea = ebn << bshift
                         if vbl.dirty:
-                            wb += wb_enqueue(ea, int(now))
+                            stall = wb_enqueue(ea, int(now))
+                            wb += stall
                             mem_write(ea)
+                            if tracer is not None:
+                                tracer.emit("wb_enqueue", addr=ea,
+                                            stall=stall)
                         system.back_invalidations += 1
                         mem_wr += purge(ebn, ea)
+                        if tracer is not None:
+                            tracer.emit("back_invalidation", addr=ea,
+                                        origin=a)
             else:
                 reply = llc_read(a, c, ap, rid)
                 if not reply.hit:
@@ -847,9 +852,13 @@ def run(system, trace, limit: Optional[int] = None):
                     ea = ebn << bshift
                     if vbl.dirty:
                         llc_stats.writebacks += 1
-                        wbf += wb_enqueue(ea, int(now))
+                        wbf = wb_enqueue(ea, int(now))
                         mem_write(ea)
+                        if tracer is not None:
+                            tracer.emit("wb_enqueue", addr=ea, stall=wbf)
                     mem_wr += purge(ebn, ea)
+                    if tracer is not None:
+                        tracer.emit("back_invalidation", addr=ea, origin=a)
                     del llc_maps[sl][vbl.tag]
                     n_llc_evict += 1
                 wsl[wayl] = new_block(tl, state=shared, value_id=fill_vid)
@@ -1102,8 +1111,7 @@ def run(system, trace, limit: Optional[int] = None):
     bd["writeback"] += wb_bd
     st.instructions += insns
 
-    slow_total = (n_slow_coh + n_slow_untracked + n_slow_entangled
-                  + n_slow_faults)
+    slow_total = n_slow_untracked + n_slow_entangled + n_slow_faults
     system.engine_stats = {
         "engine": "batched",
         "accesses": n,
@@ -1121,7 +1129,6 @@ def run(system, trace, limit: Optional[int] = None):
             "write_fill": sum(n_wmiss),
         },
         "slow": {
-            "coherence_traced": n_slow_coh,
             "untracked_values": n_slow_untracked,
             "victim_entangled": n_slow_entangled,
             "faults": n_slow_faults,

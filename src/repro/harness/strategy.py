@@ -545,11 +545,14 @@ def _land_context(store, run_id, ctx) -> None:
 
 
 def _record_history_run(
-    store, run_id, ctx, *, wall_s, cpu_s, experiments, echo
+    store, run_id, ctx, *, wall_s, cpu_s, experiments, profile, echo
 ):
-    """Land results, run events and final timings in the history store."""
+    """Land results, run events, the phase profile (if any) and final
+    timings in the history store."""
     try:
         _land_context(store, run_id, ctx)
+        if profile is not None:
+            store.add_profile(run_id, profile)
         store.finish_run(
             run_id,
             wall_s=wall_s,
@@ -679,7 +682,9 @@ def run_strategies(
       the memo rows of earlier runs with the same workloads, seed,
       scale, engine and git SHA before anything simulates;
     * **observability** — each strategy runs in its own profiler
-      phase, and declared metrics are pre-registered.
+      phase, and declared metrics are pre-registered; a recorded run
+      with an enabled profiler lands its profile in the store as
+      ``profile.…`` metric rows.
 
     Args:
         experiments: registered names and/or strategy instances, in
@@ -841,6 +846,7 @@ def run_strategies(
             wall_s=(perf_counter_ns() - start_ns) / 1e9,
             cpu_s=_cpu_seconds(cpu_start),
             experiments={o.name: {"wall_s": o.wall_s} for o in result.outcomes},
+            profile=obs.profiler.report() if obs.profiler.enabled else None,
             echo=echo,
         )
     return result

@@ -4,7 +4,13 @@ The harness brackets its pipeline stages — workload construction,
 trace generation, simulation, energy accounting, functional error
 runs — with :meth:`PhaseProfiler.phase`. Phase names are
 slash-separated paths (``sim/canneal/dopp-14bit-1/4``) so the report
-can both show leaf timings and roll totals up by top-level stage.
+can both show per-phase timings and roll them up by top-level stage.
+
+Phases nest: ``experiment/fig10`` encloses the ``sim/…`` phases of the
+runs it simulates. Each phase therefore records its total time and its
+*self* time — the total minus the time of the phases opened inside it.
+Stage roll-ups sum self times, so every nanosecond counts toward
+exactly one stage.
 
 Timing uses ``perf_counter_ns`` (monotonic, ns resolution); a disabled
 profiler's ``phase()`` yields immediately without reading the clock.
@@ -14,27 +20,37 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter_ns
-from typing import Dict
+from typing import Dict, List
 
 
 class PhaseStat:
-    """Accumulated time of one named phase."""
+    """Accumulated total and self time of one named phase."""
 
-    __slots__ = ("total_ns", "count")
+    __slots__ = ("total_ns", "self_ns", "count")
 
     def __init__(self):
         """Start at zero time, zero entries."""
         self.total_ns = 0
+        self.self_ns = 0
         self.count = 0
 
     @property
     def seconds(self) -> float:
-        """Accumulated time in seconds."""
+        """Accumulated time in seconds, nested phases included."""
         return self.total_ns / 1e9
+
+    @property
+    def self_seconds(self) -> float:
+        """Accumulated time in seconds outside nested phases."""
+        return self.self_ns / 1e9
 
     def as_dict(self) -> dict:
         """JSON-friendly snapshot."""
-        return {"seconds": self.seconds, "count": self.count}
+        return {
+            "seconds": self.seconds,
+            "self_seconds": self.self_seconds,
+            "count": self.count,
+        }
 
 
 class PhaseProfiler:
@@ -48,6 +64,8 @@ class PhaseProfiler:
         """Create an empty profiler (see class docstring)."""
         self.enabled = enabled
         self._phases: Dict[str, PhaseStat] = {}
+        #: Nested-phase time so far of each open phase, innermost last.
+        self._open: List[int] = []
 
     @contextmanager
     def phase(self, name: str):
@@ -55,15 +73,20 @@ class PhaseProfiler:
         if not self.enabled:
             yield
             return
+        self._open.append(0)
         start = perf_counter_ns()
         try:
             yield
         finally:
             elapsed = perf_counter_ns() - start
+            nested = self._open.pop()
+            if self._open:
+                self._open[-1] += elapsed
             stat = self._phases.get(name)
             if stat is None:
                 stat = self._phases[name] = PhaseStat()
             stat.total_ns += elapsed
+            stat.self_ns += elapsed - nested
             stat.count += 1
 
     # ------------------------------------------------------------ reporting
@@ -74,25 +97,16 @@ class PhaseProfiler:
         return dict(self._phases)
 
     def total_seconds(self) -> float:
-        """Sum of *top-level* phase time (nested phases overlap parents)."""
-        return sum(
-            stat.seconds for name, stat in self._phases.items() if "/" not in name
-        )
+        """Time spent inside any phase (the sum of all self times)."""
+        return sum(stat.self_ns for stat in self._phases.values()) / 1e9
 
     def by_stage(self) -> Dict[str, float]:
-        """Seconds per top-level stage (first path component)."""
-        stages: Dict[str, float] = {}
+        """Self seconds per top-level stage (first path component)."""
+        stages: Dict[str, int] = {}
         for name, stat in self._phases.items():
             stage = name.split("/", 1)[0]
-            # Only leaves count toward a stage to avoid double-counting
-            # when a parent phase with the same prefix is also recorded.
-            if any(
-                other != name and other.startswith(name + "/")
-                for other in self._phases
-            ):
-                continue
-            stages[stage] = stages.get(stage, 0.0) + stat.seconds
-        return stages
+            stages[stage] = stages.get(stage, 0) + stat.self_ns
+        return {stage: ns / 1e9 for stage, ns in stages.items()}
 
     def report(self) -> dict:
         """JSON-friendly breakdown: per-phase and per-stage."""
@@ -102,22 +116,24 @@ class PhaseProfiler:
         }
 
     def render(self, min_seconds: float = 0.0) -> str:
-        """Human-readable per-phase timing breakdown."""
+        """Human-readable per-phase timing breakdown, by self time."""
         if not self._phases:
             return "phase profile: (no phases recorded)"
         stages = self.by_stage()
         grand = sum(stages.values()) or 1.0
-        lines = ["phase profile", "============="]
-        lines.append(f"{'stage':<12} {'seconds':>9}  {'%':>5}")
+        title = "phase profile (self time: nested phases excluded)"
+        lines = [title, "=" * len(title)]
+        lines.append(f"{'stage':<12} {'self s':>9}  {'%':>5}")
         for stage, secs in sorted(stages.items(), key=lambda kv: -kv[1]):
             lines.append(f"{stage:<12} {secs:>9.3f}  {100 * secs / grand:>5.1f}")
         lines.append("")
-        lines.append(f"{'phase':<44} {'seconds':>9}  {'count':>5}")
-        ordered = sorted(self._phases.items(), key=lambda kv: -kv[1].total_ns)
+        lines.append(f"{'phase':<44} {'self s':>9} {'total s':>9}  {'count':>5}")
+        ordered = sorted(self._phases.items(), key=lambda kv: -kv[1].self_ns)
         for name, stat in ordered:
-            if stat.seconds < min_seconds:
+            if stat.self_seconds < min_seconds:
                 continue
-            lines.append(f"{name:<44} {stat.seconds:>9.3f}  {stat.count:>5}")
+            lines.append(f"{name:<44} {stat.self_seconds:>9.3f} "
+                         f"{stat.seconds:>9.3f}  {stat.count:>5}")
         return "\n".join(lines)
 
     def merge(self, other: "PhaseProfiler") -> None:
@@ -127,6 +143,7 @@ class PhaseProfiler:
             if mine is None:
                 mine = self._phases[name] = PhaseStat()
             mine.total_ns += stat.total_ns
+            mine.self_ns += stat.self_ns
             mine.count += stat.count
 
     def reset(self) -> None:

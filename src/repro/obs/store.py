@@ -19,7 +19,10 @@ table              contents
                    columns plus the verbatim summary row and the full
                    nested ``RunRecord.to_dict()`` JSON
 ``metrics``        flat (name, value) rows per run/result — per-site fault
-                   counters land here as ``faults.<site>.<counter>``
+                   counters land here as ``faults.<site>.<counter>``, a
+                   profiled run's phase profile as run-level
+                   ``profile.stages.<stage>`` and
+                   ``profile.phases.<phase>.<field>`` rows
 ``events``         the run events of ``ExperimentContext.emit``: worker
                    heartbeats, engine fallbacks, worker retries,
                    controller decisions, cancellation
@@ -462,15 +465,16 @@ class RunStore:
                 ),
             )
             result_id = cur.lastrowid
-            faults = summary.get("faults") or {}
-            for site, counters in sorted((faults.get("sites") or {}).items()):
-                for name, value in sorted(counters.items()):
-                    self.add_metric(
-                        run_id,
-                        f"faults.{site}.{name}",
-                        value,
-                        result_id=result_id,
-                    )
+            sites = (summary.get("faults") or {}).get("sites") or {}
+            self._insert_metrics(
+                run_id,
+                {
+                    f"faults.{site}.{name}": value
+                    for site, counters in sorted(sites.items())
+                    for name, value in sorted(counters.items())
+                },
+                result_id,
+            )
             engine_stats = summary.get("engine_stats")
             if engine_stats:
                 from repro.hierarchy.system import flatten_engine_stats
@@ -488,22 +492,61 @@ class RunStore:
             self._conn.commit()
             return result_id
 
-    def add_metric(
-        self, run_id: int, name: str, value, result_id: Optional[int] = None
+    def _insert_metrics(
+        self, run_id: int, metrics: Dict[str, object],
+        result_id: Optional[int] = None,
     ) -> None:
-        """Insert one flat (name, value) metric row."""
+        """Insert flat (name, value) metric rows, without committing."""
+        self._conn.executemany(
+            "INSERT INTO metrics (run_id, result_id, name, value) "
+            "VALUES (?, ?, ?, ?)",
+            [
+                (run_id, result_id, name,
+                 None if value is None else float(value))
+                for name, value in metrics.items()
+            ],
+        )
+
+    def add_profile(self, run_id: int, report: dict) -> None:
+        """Land a phase profile as run-level ``profile.…`` metric rows.
+
+        ``report`` is :meth:`~repro.obs.profiling.PhaseProfiler.report`:
+        each stage becomes ``profile.stages.<stage>`` and each phase
+        field ``profile.phases.<phase>.<field>``, all in one
+        transaction. :meth:`export_run` rebuilds the same dict.
+        """
+        rows = {
+            f"profile.stages.{stage}": seconds
+            for stage, seconds in report.get("stages", {}).items()
+        }
+        for phase, stat in report.get("phases", {}).items():
+            for field, value in stat.items():
+                rows[f"profile.phases.{phase}.{field}"] = value
         with self._lock:
-            self._conn.execute(
-                "INSERT INTO metrics (run_id, result_id, name, value) "
-                "VALUES (?, ?, ?, ?)",
-                (
-                    run_id,
-                    result_id,
-                    name,
-                    None if value is None else float(value),
-                ),
-            )
+            self._insert_metrics(run_id, rows)
             self._conn.commit()
+
+    def _profile_for(self, run_id: int) -> Optional[dict]:
+        """The phase profile :meth:`add_profile` landed, or None."""
+        with self._lock:
+            rows = self._conn.execute(
+                "SELECT name, value FROM metrics WHERE run_id = ? AND "
+                "result_id IS NULL AND name LIKE 'profile.%' ORDER BY id",
+                (run_id,),
+            ).fetchall()
+        if not rows:
+            return None
+        profile: dict = {"phases": {}, "stages": {}}
+        for name, value in rows:
+            group, key = name[len("profile."):].split(".", 1)
+            if group == "stages":
+                profile["stages"][key] = value
+                continue
+            phase, field = key.rsplit(".", 1)
+            profile["phases"].setdefault(phase, {})[field] = (
+                int(value) if field == "count" else value
+            )
+        return profile
 
     def add_events(self, run_id: int, events: Iterable[dict]) -> int:
         """Bulk-insert run-event dicts (``ctx.events``); returns the count.
@@ -688,10 +731,11 @@ class RunStore:
 
         The result is accepted anywhere a loaded ``BENCH_obs.json``
         dict is (notably :func:`repro.obs.compare.compare_bench` via
-        ``store:`` refs), with the run's provenance under ``store``.
+        ``store:`` refs), with the run's provenance under ``store`` and
+        a profiled run's phase profile under ``profile``.
         """
         run = self.run_row(run_id)
-        return {
+        out = {
             "schema": BENCH_SCHEMA,
             "experiments": run.get("experiments") or {},
             "runs": self.results_for(run_id),
@@ -704,6 +748,10 @@ class RunStore:
                 "config_hash": run.get("config_hash"),
             },
         }
+        profile = self._profile_for(run_id)
+        if profile is not None:
+            out["profile"] = profile
+        return out
 
     def list_runs(self, limit: Optional[int] = None) -> List[dict]:
         """Newest-first run rows joined with their result counts."""

@@ -4,16 +4,21 @@ The batched engine's contract (ISSUE 2) is exact equivalence — same
 CacheStats, cycle counts, stall breakdowns, coherence counters and
 approximation behavior as the reference interpreter on every workload
 and LLC organization. Floating-point fields are compared with ``==``,
-not approx: the fast path only regroups exact dyadic sums.
+not approx: the fast path only regroups exact dyadic sums. With a
+tracer attached the batched engine must also emit the reference's event
+stream, and take the same fast paths as an untraced run.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from repro.engine import ENGINES, engine_names, get_engine
 from repro.harness.runner import ConfigSpec, baseline_spec, dopp_spec, uni_spec
 from repro.hierarchy.system import System, SystemConfig
+from repro.obs.events import EventSink, Tracer
 from repro.workloads.registry import get_workload, workload_names
 
 SEED = 3
@@ -69,6 +74,53 @@ def test_approx_llc_equivalence(traces, name, spec):
     ref = _run(trace, spec, "reference")
     bat = _run(trace, spec, "batched")
     assert_results_equal(ref, bat)
+
+
+class _EventLog(EventSink):
+    """Keeps every event as the JSONL sink would write it, minus ``ts_ns``."""
+
+    def __init__(self):
+        self.lines = []
+
+    def emit(self, event):
+        row = event.as_dict()
+        del row["ts_ns"]
+        self.lines.append(json.dumps(row, default=str))
+
+
+def _run_traced(trace, spec: ConfigSpec, engine: str):
+    log = _EventLog()
+    system = System(spec.build_llc(trace.regions, 0.0625),
+                    tracer=Tracer([log]))
+    result = system.run(trace, engine=engine)
+    return result, system.engine_stats, log.lines
+
+
+TRACED_SPECS = {
+    "baseline": baseline_spec(),
+    "dopp": dopp_spec(14, 0.25),
+    "uni": uni_spec(14, 0.5),
+}
+TRACED_CASES = [(name, "baseline") for name in workload_names()] + [
+    (name, kind) for name in ("canneal", "jpeg") for kind in ("dopp", "uni")
+]
+
+
+@pytest.mark.parametrize(
+    "name,kind", TRACED_CASES, ids=[f"{n}-{k}" for n, k in TRACED_CASES]
+)
+def test_traced_equivalence(traces, name, kind):
+    trace = traces[name]
+    spec = TRACED_SPECS[kind]
+    ref, _, ref_events = _run_traced(trace, spec, "reference")
+    bat, bat_stats, bat_events = _run_traced(trace, spec, "batched")
+    assert_results_equal(ref, bat)
+    assert len(bat_events) == len(ref_events)
+    assert bat_events == ref_events
+    # A tracer never changes which path an access takes.
+    plain = System(spec.build_llc(trace.regions, 0.0625))
+    assert plain.run(trace, engine="batched") == bat
+    assert bat_stats == plain.engine_stats
 
 
 @pytest.mark.parametrize("policy", ["fifo", "plru", "random"])

@@ -190,11 +190,71 @@ class TestCliObservability:
         assert os.path.exists(os.path.join(json_dir, "table2.json"))
         assert os.path.exists(os.path.join(json_dir, "BENCH_obs.json"))
         assert os.path.exists(os.path.join(json_dir, "metrics_table2.json"))
-        assert os.path.exists(os.path.join(json_dir, "trace_table2.jsonl"))
+        # Profiling reads timers and counters; the event stream needs
+        # --trace-out.
+        assert not os.path.exists(os.path.join(json_dir, "trace_table2.jsonl"))
         bench = json.load(open(os.path.join(json_dir, "BENCH_obs.json")))
         assert "table2" in bench["experiments"]
         assert bench["runs"]
         assert bench["profile"]["stages"]
+
+    def test_profile_leaves_results_and_engine_stats_unchanged(
+        self, capsys, tmp_path
+    ):
+        argv = ["table2", "--scale", "0.05", "--seed", "3",
+                "--workloads", "swaptions", "jpeg", "--no-store"]
+        plain_dir = str(tmp_path / "plain")
+        profiled_dir = str(tmp_path / "profiled")
+        assert main(argv + ["--json-out", plain_dir]) == 0
+        assert main(argv + ["--json-out", profiled_dir, "--profile"]) == 0
+        capsys.readouterr()
+
+        def rows(json_dir):
+            bench = json.load(open(os.path.join(json_dir, "BENCH_obs.json")))
+            host = ("sim_wall_s", "accesses_per_sec")
+            return [
+                {k: v for k, v in row.items() if k not in host}
+                for row in bench["runs"]
+            ]
+
+        plain, profiled = rows(plain_dir), rows(profiled_dir)
+        assert len(plain) == 2
+        assert profiled == plain
+        # Both runs reach the LLC's inline miss path.
+        assert all(row["engine_stats"]["fast"]["mem_fill"] for row in profiled)
+        assert not [f for f in os.listdir(profiled_dir) if f.endswith(".jsonl")]
+
+    def test_profile_with_trace_out_writes_the_trace(self, capsys, tmp_path):
+        trace_path = str(tmp_path / "events.jsonl")
+        json_dir = str(tmp_path / "json")
+        assert main(
+            ["table2", "--scale", "0.05", "--seed", "3",
+             "--workloads", "swaptions", "--json-out", json_dir,
+             "--no-store", "--profile", "--trace-out", trace_path]
+        ) == 0
+        out = capsys.readouterr().out
+        events = read_jsonl(trace_path)
+        assert "back_invalidation" in {e["kind"] for e in events}
+        assert f"[event trace: {len(events)} events -> {trace_path}]" in out
+
+    def test_profile_lands_in_history_store(self, capsys, tmp_path):
+        json_dir = str(tmp_path / "json")
+        store = str(tmp_path / "h.db")
+        exported = str(tmp_path / "export.json")
+        assert main(
+            ["fig10", "--scale", "0.01", "--seed", "3",
+             "--workloads", "kmeans", "--json-out", json_dir,
+             "--store", store, "--profile"]
+        ) == 0
+        assert main(
+            ["history", "--store", store, "export", "last", "--out", exported]
+        ) == 0
+        capsys.readouterr()
+        bench = json.load(open(os.path.join(json_dir, "BENCH_obs.json")))
+        profile = json.load(open(exported))["profile"]
+        assert profile == bench["profile"]
+        assert "experiment/fig10" in profile["phases"]
+        assert set(profile["stages"]) >= {"experiment", "sim", "trace"}
 
     def test_json_table_rows_match_text_table(self, capsys, tmp_path):
         json_dir = str(tmp_path / "json")

@@ -1,5 +1,6 @@
 """Tests for phase profiling (repro.obs.profiling)."""
 
+from repro.obs import profiling
 from repro.obs.profiling import PhaseProfiler
 
 
@@ -50,6 +51,22 @@ class TestPhaseProfiler:
         # Only the leaf counts; the enclosing phase would double-count.
         stages = prof.by_stage()
         assert stages["sim"] <= prof.phases["sim/canneal"].seconds
+
+    def test_stage_times_are_self_times(self, monkeypatch):
+        # An experiment phase encloses the simulations it runs; its
+        # stage gets only the time spent outside them.
+        ticks = iter([0, 10, 90, 100])
+        monkeypatch.setattr(profiling, "perf_counter_ns", lambda: next(ticks))
+        prof = PhaseProfiler()
+        with prof.phase("experiment/fig10"):
+            with prof.phase("sim/canneal/baseline"):
+                pass
+        assert prof.by_stage() == {"experiment": 20e-9, "sim": 80e-9}
+        outer = prof.report()["phases"]["experiment/fig10"]
+        assert outer == {"seconds": 100e-9, "self_seconds": 20e-9, "count": 1}
+        assert prof.total_seconds() == 100e-9
+        lines = prof.render().splitlines()
+        assert lines[3].split()[0] == "sim"
 
     def test_render_lists_phases(self):
         prof = PhaseProfiler()

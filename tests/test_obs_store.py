@@ -269,6 +269,32 @@ class TestRecording:
         )
         assert rows == [("faults.dram.injected", 2.0), ("faults.llc.injected", 3.0)]
 
+    def test_profile_round_trips_through_metrics(self, store):
+        run_id = store.start_run()
+        assert "profile" not in store.export_run(run_id)
+        report = {
+            "phases": {
+                "experiment/fig10": {
+                    "seconds": 2.5, "self_seconds": 0.125, "count": 1,
+                },
+                "sim/kmeans/uni-14bit-0.5": {
+                    "seconds": 2.375, "self_seconds": 2.375, "count": 4,
+                },
+            },
+            "stages": {"experiment": 0.125, "sim": 2.375},
+        }
+        store.add_profile(run_id, report)
+        exported = store.export_run(run_id)["profile"]
+        assert exported == report
+        assert isinstance(
+            exported["phases"]["experiment/fig10"]["count"], int
+        )
+        _, rows = store.query(
+            "SELECT name FROM metrics WHERE result_id IS NULL ORDER BY id"
+        )
+        assert rows[0] == ("profile.stages.experiment",)
+        assert ("profile.phases.sim/kmeans/uni-14bit-0.5.count",) in rows
+
     def test_engine_stats_fan_out(self, store):
         run_id = store.start_run()
         row = summary_row(
