@@ -71,7 +71,7 @@ def main() -> None:
     table.add_row("off-chip KB", base.system.traffic_bytes // 1024,
                   dopp.system.traffic_bytes // 1024)
     table.add_row("tags per shared entry (current)", None,
-                  round(dopp.llc.dopp.current_avg_tags_per_entry(), 2))
+                  round(dopp.llc_stats["tags_per_entry"], 2))
     print()
     print(table.render())
 

@@ -2,9 +2,9 @@
 
 The paper's storage results "only look at approximate blocks residing
 in the LLC" of the baseline 2 MB system. An :class:`LLCSnapshot`
-captures exactly that: for every approximate block resident at the end
-of a baseline simulation (or, cheaper, the approximate working set the
-trace touches), its element values and owning region.
+holds, for each such block, its element values and owning region;
+:func:`snapshot_from_workload` fills one from the approximate working
+set the trace touches, without a simulation.
 
 Savings metrics:
 
@@ -97,28 +97,6 @@ def snapshot_from_workload(workload, block_size: int = 64) -> LLCSnapshot:
             snapshot.add(region_id, region, flat[b * elems : (b + 1) * elems])
         if len(flat) % elems:
             snapshot.add(region_id, region, flat[n_full * elems :])
-    return snapshot
-
-
-def snapshot_from_system(system, llc, trace) -> LLCSnapshot:
-    """Snapshot the approximate blocks resident in a simulated LLC.
-
-    Walks a finished baseline simulation's LLC contents; blocks whose
-    current values are tracked in the trace's value table contribute
-    their values.
-    """
-    snapshot = LLCSnapshot()
-    regions = trace.regions
-    for addr in llc.cache.resident_addrs():
-        region_id = regions.find_id(addr)
-        if region_id < 0:
-            continue
-        region = regions[region_id]
-        if not region.approx:
-            continue
-        vid = system._cur_value.get(addr, -1)
-        if vid >= 0:
-            snapshot.add(region_id, region, trace.values[vid])
     return snapshot
 
 

@@ -101,9 +101,11 @@ def simulate(
 
     Returns:
         The :class:`RunRecord` — timing in ``.system``, energy in
-        ``.energy``, the LLC structure in ``.llc``, JSON form via
-        ``.to_dict()``. Workload runs are memoized on the context;
-        trace runs are standalone.
+        ``.energy``, the end-of-run LLC numbers in ``.llc_stats``, JSON
+        form via ``.to_dict()``. Workload runs are memoized on the
+        context; trace runs are standalone. The record holds no live
+        LLC: to inspect one, build a :class:`~repro.hierarchy.system.System`
+        directly (see ``examples/multiprogram.py``).
     """
     from repro.errors import ConfigError
 

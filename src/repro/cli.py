@@ -71,10 +71,11 @@ history store. It reads timers and counters only: the JSONL event
 stream is written under ``--trace-out`` alone, with or without
 ``--profile``, so profiling leaves the engine on its fast paths. Every
 experiment additionally serializes its tables to
-``results/json/<name>.json`` and updates the cumulative
-``results/json/BENCH_obs.json`` run summary; ``report`` renders that
-summary back as text and ``compare`` diffs two summaries, exiting 1 on
-a regression.
+``results/json/<name>.json``, and each invocation writes its run
+summary to ``results/json/BENCH_obs.json`` (replacing the previous
+one; ``history export`` of a recorded run rebuilds it from the store);
+``report`` renders that summary back as text and ``compare`` diffs two
+summaries, exiting 1 on a regression.
 
 ``--version`` (or ``-V``) prints the package version and exits.
 
@@ -94,11 +95,7 @@ from typing import Optional
 from repro.errors import ConfigError, ReproError
 from repro.harness.strategy import experiment_names, registry, run_strategies
 from repro.obs import Observability, configure_logging, get_logger
-from repro.obs.output import (
-    DEFAULT_JSON_DIR,
-    render_report,
-    update_bench_summary,
-)
+from repro.obs.output import DEFAULT_JSON_DIR, render_report
 
 __all__ = ["experiment_names", "main"]
 
@@ -110,8 +107,8 @@ def _main_compare(argv) -> int:
 
     Either positional may be a ``BENCH_obs.json`` path or a ``store:``
     reference (``store:last``, ``store:last-1``, ``store:<id>``) into
-    the run-history store — so the CI perf gate can diff against
-    recorded history instead of a cached file.
+    the run-history store, so two recorded runs diff without their
+    files.
     """
     from repro.obs.compare import compare_bench
     from repro.obs.store import default_store_path
@@ -779,7 +776,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
             obs.registry.save_json(metrics_path)
             log.info("metrics snapshot written to %s", metrics_path)
         obs.close()
-        update_bench_summary(args.json_out, profile=obs.profiler.report())
         if args.profile:
             print()
             print(obs.profiler.render())

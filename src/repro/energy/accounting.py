@@ -17,7 +17,7 @@ multiply-add operations at 8 pJ each (Galal et al. FPU generator), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.energy.cacti import CactiModel
@@ -44,6 +44,8 @@ class EnergyReport:
         area_mm2: total LLC area.
         breakdown: per-(structure, port) dynamic energy in pJ.
         cycles: runtime used for leakage energy.
+        structures: the priced LLC's physical structures (Table 3),
+            kept for leakage shares but left out of :meth:`to_dict`.
     """
 
     dynamic_pj: float
@@ -52,6 +54,7 @@ class EnergyReport:
     breakdown: Dict[tuple, float]
     cycles: int = 0
     frequency_ghz: float = 1.0
+    structures: Dict[str, CacheStructure] = field(default_factory=dict)
 
     @property
     def leakage_energy_pj(self) -> float:
@@ -149,6 +152,7 @@ class EnergyModel:
             area_mm2=area,
             breakdown=breakdown,
             cycles=cycles,
+            structures=structures,
         )
 
     def llc_area_mm2(self, llc) -> float:

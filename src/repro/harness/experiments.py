@@ -28,7 +28,6 @@ from repro.analysis.storage import (
     dedup_savings,
     doppelganger_bdi_savings,
     doppelganger_savings,
-    snapshot_from_system,
     snapshot_from_workload,
 )
 from repro.core.maps import MapConfig
@@ -167,16 +166,9 @@ def table2_approx_footprint(ctx: ExperimentContext) -> Table:
         precision=1,
     )
     for name in ctx.names:
-        record = ctx.run(name, baseline_spec())
-        llc = record.llc
-        trace = ctx.trace(name)
-        total = 0
-        approx = 0
-        for addr in llc.cache.resident_addrs():
-            total += 1
-            region = trace.regions.find(addr)
-            if region is not None and region.approx:
-                approx += 1
+        stats = ctx.run(name, baseline_spec()).llc_stats
+        total = stats["resident_blocks"]
+        approx = stats["approx_resident_blocks"]
         measured = 100.0 * approx / total if total else 0.0
         table.add_row(name, measured, ctx.workload(name).paper_approx_footprint)
     return table
@@ -304,14 +296,13 @@ def fig10_data_array(ctx: ExperimentContext) -> Dict[str, Table]:
         run.add_row(name, *runtimes)
         for f, r in zip(DATA_FRACTIONS, runtimes):
             runtime_cols[f].append(r)
-        dopp = ctx.run(name, specs[0.25]).llc.dopp
-        d = dopp.stats
+        d = ctx.run(name, specs[0.25]).llc_stats
         stats.add_row(
             name,
-            dopp.current_avg_tags_per_entry(),
-            d.avg_tags_per_evicted_entry,
-            100.0 * d.dirty_eviction_fraction,
-            100.0 * d.hit_rate,
+            d["tags_per_entry"],
+            d["tags_per_evicted_entry"],
+            100.0 * d["dirty_eviction_fraction"],
+            100.0 * d["hit_rate"],
         )
     run.add_row("geomean", *[geometric_mean(runtime_cols[f]) for f in DATA_FRACTIONS])
     run.add_note("paper: 2.3% average runtime increase with the 1/4 data array")

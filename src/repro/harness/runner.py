@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from time import perf_counter_ns
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -183,12 +183,14 @@ def uni_spec(map_bits: int = 14, data_fraction: float = 0.5) -> ConfigSpec:
 
 @dataclass
 class RunRecord:
-    """One simulated (workload, config) result."""
+    """One simulated (workload, config) result, as numbers only, so it
+    pickles in a few KB (memo rows, ``--jobs`` worker results)."""
 
     spec: ConfigSpec
     system: SystemResult
     energy: EnergyReport
-    llc: object
+    #: What the drivers read from the LLC after its run (:func:`_llc_stats`).
+    llc_stats: dict
     #: Simulation wall time (ns, ``perf_counter_ns``) and trace length,
     #: recorded so the BENCH summary can chart accesses/second.
     wall_ns: int = 0
@@ -202,6 +204,14 @@ class RunRecord:
     #: Per-class fast/slow-path tallies published by the engine
     #: (``system.engine_stats``; see ``docs/engine.md``).
     engine_stats: Optional[dict] = None
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle, refusing a record pickled with other fields: a memo
+        row of other code then fails to load and is recomputed."""
+        names = {f.name for f in fields(self)}
+        if set(state) != names:
+            raise TypeError(f"RunRecord fields {sorted(state)} != {sorted(names)}")
+        self.__dict__.update(state)
 
     @property
     def cycles(self) -> int:
@@ -307,14 +317,49 @@ def run_trace(
         raise SimulationFault(
             f"replay of trace {trace.name!r} failed under {spec.label()}: {exc}"
         ) from exc
-    wall_ns = perf_counter_ns() - start_ns
-    energy = (energy_model or EnergyModel()).dynamic_energy(
-        llc, cycles=result.cycles
+    return _finished_record(
+        spec, trace, system, result, energy_model or EnergyModel(),
+        wall_ns=perf_counter_ns() - start_ns,
     )
+
+
+def _llc_stats(llc, regions) -> dict:
+    """End-of-run LLC numbers: resident and approximate resident blocks
+    of the baseline (Table 2); tags per entry, per evicted entry, dirty
+    evictions and hit rate of Doppelgänger (the Fig. 10 companion)."""
+    if llc.name == "baseline":
+        resident = approx = 0
+        for addr in llc.cache.resident_addrs():
+            resident += 1
+            region = regions.find(addr)
+            if region is not None and region.approx:
+                approx += 1
+        return {"resident_blocks": resident, "approx_resident_blocks": approx}
+    dopp = llc.dopp if llc.name == "doppelganger" else llc.uni
+    stats = dopp.stats
+    return {
+        "tags_per_entry": dopp.current_avg_tags_per_entry(),
+        "tags_per_evicted_entry": stats.avg_tags_per_evicted_entry,
+        "dirty_eviction_fraction": stats.dirty_eviction_fraction,
+        "hit_rate": stats.hit_rate,
+    }
+
+
+def _finished_record(
+    spec: ConfigSpec, trace, system: System, result: SystemResult,
+    energy_model: EnergyModel, *, wall_ns: int,
+    engine_used: Optional[str] = None,
+) -> RunRecord:
+    """Price a finished run and keep its numbers; the LLC is dropped
+    with ``system`` (shared by :meth:`ExperimentContext.run` and
+    :func:`run_trace`)."""
     return RunRecord(
-        spec=spec, system=result, energy=energy, llc=llc,
+        spec=spec, system=result,
+        energy=energy_model.dynamic_energy(system.llc, cycles=result.cycles),
+        llc_stats=_llc_stats(system.llc, trace.regions),
         wall_ns=wall_ns, accesses=len(trace),
-        faults=injector.summary() if injector is not None else None,
+        faults=system.fault_summary(),
+        engine_used=engine_used,
         engine_stats=system.engine_stats,
     )
 
@@ -522,8 +567,7 @@ class ExperimentContext:
     def _simulate(self, name: str, spec: ConfigSpec, trace):
         """Build and run one system, degrading to the reference engine.
 
-        Returns ``(result, llc, injector, engine_used, engine_stats)``.
-        A batched
+        Returns ``(system, result, engine_used)``. A batched
         failure rebuilds the hierarchy (the failed run mutated it) and
         replays under the reference interpreter, logged and emitted as
         an ``engine_fallback`` run event; if the reference fails too — or
@@ -545,12 +589,11 @@ class ExperimentContext:
             )
             if self.obs.enabled:
                 system.publish_metrics(self.obs.registry, f"sim.{name}.{label}")
-            return llc, injector, system
+            return system
 
-        llc, injector, system = build()
+        system = build()
         try:
-            result = system.run(trace, engine=self.engine)
-            return result, llc, injector, None, system.engine_stats
+            return system, system.run(trace, engine=self.engine), None
         except Exception as exc:
             if self.engine == "reference":
                 raise SimulationFault(
@@ -567,15 +610,14 @@ class ExperimentContext:
             )
         # The failed run left the hierarchy partially mutated: rebuild
         # from scratch (metrics sources re-register over the old ones).
-        llc, injector, system = build()
+        system = build()
         try:
-            result = system.run(trace, engine="reference")
+            return system, system.run(trace, engine="reference"), "reference"
         except Exception as exc:
             raise SimulationFault(
                 f"simulation failed under both engines for {name}/{label}: "
                 f"{exc}"
             ) from exc
-        return result, llc, injector, "reference", system.engine_stats
 
     def run(self, name: str, spec: ConfigSpec) -> RunRecord:
         """Simulate one (workload, config); memoized."""
@@ -587,19 +629,14 @@ class ExperimentContext:
             self.log.info("simulating %s under %s", name, label)
             with self.obs.profiler.phase(f"sim/{name}/{label}"):
                 start_ns = perf_counter_ns()
-                result, llc, injector, engine_used, engine_stats = (
-                    self._simulate(name, spec, trace)
-                )
+                system, result, engine_used = self._simulate(name, spec, trace)
                 wall_ns = perf_counter_ns() - start_ns
             with self.obs.profiler.phase(f"energy/{name}/{label}"):
-                energy = self.energy_model.dynamic_energy(llc, cycles=result.cycles)
-            self.remember_run(name, spec, RunRecord(
-                spec=spec, system=result, energy=energy, llc=llc,
-                wall_ns=wall_ns, accesses=len(trace),
-                faults=injector.summary() if injector is not None else None,
-                engine_used=engine_used,
-                engine_stats=engine_stats,
-            ))
+                record = _finished_record(
+                    spec, trace, system, result, self.energy_model,
+                    wall_ns=wall_ns, engine_used=engine_used,
+                )
+            self.remember_run(name, spec, record)
         return self._runs[key]
 
     def error(self, name: str, spec: ConfigSpec) -> float:

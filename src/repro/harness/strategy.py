@@ -626,15 +626,9 @@ def _execute_one(
             table.save(directory=out, filename=filename)
     wall_s = (perf_counter_ns() - start_ns) / 1e9
     if json_dir:
-        from repro.obs.output import save_experiment_json, update_bench_summary
+        from repro.obs.output import save_experiment_json
 
         save_experiment_json(name, tables, json_dir)
-        update_bench_summary(
-            json_dir,
-            experiments={
-                name: {"wall_s": wall_s, "tables": [k or "main" for k in tables]}
-            },
-        )
     if echo:
         echo(f"\n[{name} done in {wall_s:.1f}s]")
     return StrategyOutcome(name=name, tables=tables, wall_s=wall_s)
@@ -695,8 +689,9 @@ def run_strategies(
             ``seed`` / ``scale`` / ``workloads`` / ``engine`` /
             ``faults`` when any strategy requires it.
         out: directory for plain-text table files (None = don't save).
-        json_dir: directory for ``<name>.json`` tables and the
-            ``BENCH_obs.json`` summary (None = no JSON output).
+        json_dir: directory for ``<name>.json`` tables and this
+            invocation's ``BENCH_obs.json`` summary, written once after
+            the last strategy (None = no JSON output).
         echo: line printer for human output (``print`` on the CLI);
             None keeps the run silent, as library callers expect. With
             ``echo`` and a TTY stderr, worker heartbeats also redraw a
@@ -830,14 +825,20 @@ def run_strategies(
         if status is not None:
             status.close()
 
-    if ctx is not None and json_dir:
-        from repro.obs.output import update_bench_summary
+    experiments = {
+        o.name: {"wall_s": o.wall_s, "tables": [k or "main" for k in o.tables]}
+        for o in result.outcomes
+    }
+    profile = obs.profiler.report() if obs.profiler.enabled else None
+    if json_dir:
+        from repro.obs.output import BENCH_FILENAME, bench_summary, write_json
 
-        update_bench_summary(
-            json_dir,
-            runs=ctx.run_summaries(),
-            context=ctx.context_summary(),
-        )
+        write_json(os.path.join(json_dir, BENCH_FILENAME), bench_summary(
+            experiments,
+            ctx.run_summaries() if ctx is not None else [],
+            ctx.context_summary() if ctx is not None else None,
+            profile,
+        ))
     if store is not None:
         _record_history_run(
             store,
@@ -845,8 +846,8 @@ def run_strategies(
             ctx,
             wall_s=(perf_counter_ns() - start_ns) / 1e9,
             cpu_s=_cpu_seconds(cpu_start),
-            experiments={o.name: {"wall_s": o.wall_s} for o in result.outcomes},
-            profile=obs.profiler.report() if obs.profiler.enabled else None,
+            experiments=experiments,
+            profile=profile,
             echo=echo,
         )
     return result

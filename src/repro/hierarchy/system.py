@@ -162,10 +162,9 @@ class System:
         mem_latency: main memory latency in cycles.
         tracer: optional :class:`~repro.obs.events.Tracer`; when
             enabled it receives coherence, back-invalidation and
-            writeback-buffer events, and is lent to the LLC for its
-            protocol events while :meth:`run` simulates. A disabled (or
-            absent) tracer is normalized to None so the run loop pays
-            one None-check.
+            writeback-buffer events, and is forwarded to the LLC for
+            its protocol events. A disabled (or absent) tracer is
+            normalized to None so the run loop pays one None-check.
         faults: optional
             :class:`~repro.resilience.faults.FaultInjector`; when
             given, LLC read hits and DRAM fills consult it — detected
@@ -188,6 +187,8 @@ class System:
         self.llc = llc
         self.fault_injector = faults
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
+        if self.tracer is not None and hasattr(llc, "attach_tracer"):
+            llc.attach_tracer(self.tracer)
         #: Per-class tallies the engine publishes at the end of :meth:`run`.
         self.engine_stats: Optional[Dict] = None
         self.memory = MainMemory(mem_latency, cfg.block_size)
@@ -364,15 +365,7 @@ class System:
         from repro.engine import get_engine
 
         _, run_fn = get_engine(engine)
-        if self.tracer is None or not hasattr(self.llc, "attach_tracer"):
-            return run_fn(self, trace, limit)
-        # The LLC holds the tracer only while it simulates: a finished
-        # RunRecord keeps the LLC, and must pickle without the sinks.
-        self.llc.attach_tracer(self.tracer)
-        try:
-            return run_fn(self, trace, limit)
-        finally:
-            self.llc.attach_tracer(None)
+        return run_fn(self, trace, limit)
 
     def publish_metrics(self, registry, prefix: str = "system") -> None:
         """Publish every structure's counters into a metrics registry.

@@ -5,11 +5,13 @@ Two artifacts make runs chartable across PRs:
 * ``results/json/<experiment>.json`` — every table an experiment
   driver returned, serialized via :meth:`Table.as_dict` (title,
   headers, rows, notes), one file per experiment;
-* ``results/json/BENCH_obs.json`` — a cumulative run summary: wall
-  time per experiment, per-(workload, config) simulation throughput
-  and hit rates, and the phase-profile breakdown. Successive runs
-  merge into the existing file so the trajectory survives partial
-  reruns.
+* ``results/json/BENCH_obs.json`` — this invocation's run summary
+  (:func:`bench_summary`): wall time per experiment, per-(workload,
+  config) simulation throughput and hit rates, and the phase-profile
+  breakdown. Each invocation replaces the file; the history across
+  invocations lives in the run-history store
+  (:mod:`repro.obs.store`), whose ``history export`` of a run equals
+  the run's ``BENCH_obs.json`` plus a ``store`` block.
 
 Both are plain JSON so future tooling (or ``repro.cli report``) can
 render them without importing the simulator.
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Dict, List, Optional
 
 BENCH_SCHEMA = "repro-bench/v1"
@@ -33,8 +34,7 @@ def write_json(path: str, obj) -> str:
     The write is atomic: the JSON lands in a same-directory temp file
     that is ``os.replace``d over ``path``, so a crash (or SIGKILL) at
     any instant leaves either the old file or the new one — never a
-    truncated merge. This matters most for the cumulative
-    ``BENCH_obs.json``, which is read-modify-written on every run.
+    truncated one.
     """
     directory = os.path.dirname(path)
     if directory:
@@ -70,44 +70,29 @@ def save_experiment_json(name: str, tables: Dict[str, object], directory: str) -
     return write_json(os.path.join(directory, f"{name}.json"), payload)
 
 
-def update_bench_summary(
-    directory: str,
-    experiments: Optional[Dict[str, dict]] = None,
-    runs: Optional[List[dict]] = None,
+def bench_summary(
+    experiments: Dict[str, dict],
+    runs: List[dict],
+    context: Optional[dict],
     profile: Optional[dict] = None,
-    context: Optional[dict] = None,
-) -> str:
-    """Merge new results into ``<directory>/BENCH_obs.json``.
+) -> dict:
+    """One invocation's BENCH summary, the ``BENCH_obs.json`` payload.
 
-    Experiment entries replace same-named predecessors; runs replace
-    entries with the same (workload, config) pair; profile and context
-    overwrite wholesale (they describe the latest invocation).
+    ``experiments`` maps each experiment to ``{"wall_s", "tables"}``,
+    ``runs`` holds one ``RunRecord.summary_row`` per (workload, config)
+    and ``context`` the ``ExperimentContext.context_summary`` (None
+    without a context); ``profile`` is the phase profile of a profiled
+    run. The history store's ``export_run`` builds its export here too.
     """
-    path = os.path.join(directory, BENCH_FILENAME)
-    summary = {"schema": BENCH_SCHEMA, "experiments": {}, "runs": []}
-    if os.path.exists(path):
-        try:
-            existing = load_json(path)
-            if isinstance(existing, dict) and existing.get("schema") == BENCH_SCHEMA:
-                summary = existing
-        except (OSError, ValueError):
-            pass  # a corrupt summary is regenerated, not fatal
-    summary["updated_unix"] = time.time()
-    if experiments:
-        summary.setdefault("experiments", {}).update(experiments)
-    if runs:
-        kept = [
-            r
-            for r in summary.get("runs", [])
-            if (r.get("workload"), r.get("config"))
-            not in {(n.get("workload"), n.get("config")) for n in runs}
-        ]
-        summary["runs"] = kept + list(runs)
+    summary = {
+        "schema": BENCH_SCHEMA,
+        "experiments": experiments,
+        "runs": runs,
+        "context": context,
+    }
     if profile is not None:
         summary["profile"] = profile
-    if context is not None:
-        summary["context"] = context
-    return write_json(path, summary)
+    return summary
 
 
 def render_report(directory: str) -> str:

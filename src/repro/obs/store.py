@@ -13,8 +13,9 @@ Schema (version |SCHEMA_VERSION|, migrated automatically on open):
 table              contents
 =================  ==========================================================
 ``runs``           one harness invocation: start time, wall/CPU seconds,
-                   git SHA, config hash, experiment names + wall times,
-                   workloads, engine, seed/scale/jobs, argv, context JSON
+                   git SHA, config hash, experiment names + wall times
+                   + table keys, workloads, engine, seed/scale/jobs,
+                   argv, context JSON
 ``results``        one (workload, config) simulation: the indexed BENCH
                    columns plus the verbatim summary row and the full
                    nested ``RunRecord.to_dict()`` JSON
@@ -72,7 +73,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.logs import get_logger
-from repro.obs.output import BENCH_SCHEMA
+from repro.obs.output import bench_summary
 
 log = get_logger("obs.store")
 
@@ -727,30 +728,28 @@ class RunStore:
         }
 
     def export_run(self, run_id: int) -> dict:
-        """Reconstruct a BENCH-shaped summary from the stored rows.
+        """Reconstruct a run's BENCH summary from the stored rows.
 
-        The result is accepted anywhere a loaded ``BENCH_obs.json``
-        dict is (notably :func:`repro.obs.compare.compare_bench` via
-        ``store:`` refs), with the run's provenance under ``store`` and
-        a profiled run's phase profile under ``profile``.
+        Built by :func:`~repro.obs.output.bench_summary`, like the
+        run's own ``BENCH_obs.json``, which it equals apart from the
+        run's provenance under ``store``. The result is accepted
+        anywhere a loaded ``BENCH_obs.json`` dict is (notably
+        :func:`repro.obs.compare.compare_bench` via ``store:`` refs).
         """
         run = self.run_row(run_id)
-        out = {
-            "schema": BENCH_SCHEMA,
-            "experiments": run.get("experiments") or {},
-            "runs": self.results_for(run_id),
-            "context": run.get("context"),
-            "store": {
-                "path": self.path,
-                "run_id": run_id,
-                "started_unix": run.get("started_unix"),
-                "git_sha": run.get("git_sha"),
-                "config_hash": run.get("config_hash"),
-            },
+        out = bench_summary(
+            run.get("experiments") or {},
+            self.results_for(run_id),
+            run.get("context"),
+            self._profile_for(run_id),
+        )
+        out["store"] = {
+            "path": self.path,
+            "run_id": run_id,
+            "started_unix": run.get("started_unix"),
+            "git_sha": run.get("git_sha"),
+            "config_hash": run.get("config_hash"),
         }
-        profile = self._profile_for(run_id)
-        if profile is not None:
-            out["profile"] = profile
         return out
 
     def list_runs(self, limit: Optional[int] = None) -> List[dict]:

@@ -217,10 +217,9 @@ def approx_energy_shares(record, model=None) -> Tuple[float, float]:
         if struct in APPROX_DATA_STRUCTURES and port == "data"
     )
     dyn_share = dyn_approx / report.dynamic_pj if report.dynamic_pj else 0.0
-    structures = model.structures_for(record.llc)
-    total_leak = model.cacti.leakage_mw_total(structures.values())
+    total_leak = model.cacti.leakage_mw_total(report.structures.values())
     approx_leak = 0.0
-    for name, structure in structures.items():
+    for name, structure in report.structures.items():
         if name in APPROX_DATA_STRUCTURES and structure.has_data:
             data_frac = structure.data_bits_total / (
                 structure.tag_bits_total + structure.data_bits_total

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: reporting, runner, drivers."""
 
 import os
+import pickle
 
 import pytest
 
@@ -13,6 +14,9 @@ from repro.harness.runner import (
     uni_spec,
 )
 from repro.harness import experiments
+from repro.harness.strategy import run_strategies
+from repro.hierarchy.system import System
+from repro.workloads.base import Workload
 
 
 class TestTable:
@@ -115,6 +119,77 @@ class TestExperimentContext:
         assert ctx.dynamic_energy_reduction("kmeans", spec) > 0
         assert ctx.leakage_energy_reduction("kmeans", spec) > 0
         assert ctx.normalized_traffic("kmeans", spec) > 0
+
+
+class TestRecordsCarryNumbers:
+    """A finished record keeps the LLC's numbers, not the LLC."""
+
+    @pytest.fixture(scope="class")
+    def numbers_ctx(self):
+        return ExperimentContext(
+            seed=3, scale=0.05, workloads=["canneal", "swaptions"]
+        )
+
+    @staticmethod
+    def _read_llc(llc, spec, regions):
+        """The numbers a driver needs, read off a live LLC."""
+        if spec.kind == "baseline":
+            found = [regions.find(addr) for addr in llc.cache.resident_addrs()]
+            return {
+                "resident_blocks": len(found),
+                "approx_resident_blocks": sum(
+                    r is not None and r.approx for r in found
+                ),
+            }
+        dopp = llc.dopp if spec.kind == "dopp" else llc.uni
+        return {
+            "tags_per_entry": dopp.current_avg_tags_per_entry(),
+            "tags_per_evicted_entry": dopp.stats.avg_tags_per_evicted_entry,
+            "dirty_eviction_fraction": dopp.stats.dirty_eviction_fraction,
+            "hit_rate": dopp.stats.hit_rate,
+        }
+
+    @pytest.mark.parametrize("name", ["canneal", "swaptions"])
+    @pytest.mark.parametrize(
+        "spec", [baseline_spec(), dopp_spec(), uni_spec()],
+        ids=["baseline", "dopp", "uni"],
+    )
+    def test_record_matches_a_direct_system_run(self, numbers_ctx, name, spec):
+        record = numbers_ctx.run(name, spec)
+        assert not hasattr(record, "llc")
+        assert len(pickle.dumps(record)) < 8 * 1024
+        trace = numbers_ctx.trace(name)
+        llc = spec.build_llc(trace.regions, numbers_ctx.size_factor)
+        system = System(llc, config=numbers_ctx._system_config())
+        assert system.run(trace) == record.system
+        assert record.llc_stats == self._read_llc(llc, spec, trace.regions)
+
+
+class TestTable2BuildsNoTrace:
+    """table2 reads its counts from the records: after a ``--jobs``
+    prefetch or a resume, the parent process generates no trace."""
+
+    def test_prefetched_and_resumed(self, tmp_path, monkeypatch):
+        builds = []
+        build_trace = Workload.build_trace
+
+        def counted(workload):
+            builds.append(workload.name)
+            return build_trace(workload)
+
+        monkeypatch.setattr(Workload, "build_trace", counted)
+        knobs = dict(
+            seed=3, scale=0.05, workloads=["swaptions", "kmeans", "jpeg"],
+            store_path=str(tmp_path / "history.db"), record_history=True,
+        )
+        prefetched = run_strategies(["table2"], jobs=2, **knobs)
+        assert builds == []
+        resumed = run_strategies(["table2"], resume=True, **knobs)
+        assert builds == []
+        assert (
+            resumed.tables["table2"][""].to_dict()
+            == prefetched.tables["table2"][""].to_dict()
+        )
 
 
 class TestDrivers:

@@ -6,10 +6,10 @@ import os
 from repro.harness.reporting import Table
 from repro.obs.output import (
     BENCH_FILENAME,
+    bench_summary,
     load_json,
     render_report,
     save_experiment_json,
-    update_bench_summary,
     write_json,
 )
 
@@ -60,55 +60,6 @@ class TestExperimentJson:
         assert data["tables"]["error"]["rows"] == make_table().as_dict()["rows"]
 
 
-class TestBenchSummary:
-    def test_creates_file(self, tmp_path):
-        path = update_bench_summary(
-            str(tmp_path), experiments={"fig10": {"wall_s": 1.0, "tables": ["error"]}}
-        )
-        data = load_json(path)
-        assert data["schema"] == "repro-bench/v1"
-        assert data["experiments"]["fig10"]["wall_s"] == 1.0
-
-    def test_merges_experiments_across_calls(self, tmp_path):
-        d = str(tmp_path)
-        update_bench_summary(d, experiments={"fig10": {"wall_s": 1.0}})
-        update_bench_summary(d, experiments={"fig11": {"wall_s": 2.0}})
-        data = load_json(os.path.join(d, BENCH_FILENAME))
-        assert set(data["experiments"]) == {"fig10", "fig11"}
-
-    def test_runs_replace_same_workload_config(self, tmp_path):
-        d = str(tmp_path)
-        update_bench_summary(
-            d, runs=[{"workload": "jpeg", "config": "baseline-2MB", "sim_wall_s": 9.0}]
-        )
-        update_bench_summary(
-            d,
-            runs=[
-                {"workload": "jpeg", "config": "baseline-2MB", "sim_wall_s": 1.0},
-                {"workload": "canneal", "config": "baseline-2MB", "sim_wall_s": 2.0},
-            ],
-        )
-        runs = load_json(os.path.join(d, BENCH_FILENAME))["runs"]
-        assert len(runs) == 2
-        jpeg = [r for r in runs if r["workload"] == "jpeg"][0]
-        assert jpeg["sim_wall_s"] == 1.0
-
-    def test_corrupt_summary_is_regenerated(self, tmp_path):
-        d = str(tmp_path)
-        with open(os.path.join(d, BENCH_FILENAME), "w") as fh:
-            fh.write("{not json")
-        path = update_bench_summary(d, experiments={"fig10": {"wall_s": 1.0}})
-        assert load_json(path)["experiments"]["fig10"]["wall_s"] == 1.0
-
-    def test_profile_and_context_overwrite(self, tmp_path):
-        d = str(tmp_path)
-        update_bench_summary(d, profile={"stages": {"sim": 1.0}}, context={"seed": 7})
-        update_bench_summary(d, profile={"stages": {"sim": 2.0}}, context={"seed": 8})
-        data = load_json(os.path.join(d, BENCH_FILENAME))
-        assert data["profile"]["stages"]["sim"] == 2.0
-        assert data["context"]["seed"] == 8
-
-
 class TestRenderReport:
     def test_missing_directory(self, tmp_path):
         assert "run an experiment first" in render_report(str(tmp_path / "nope"))
@@ -119,10 +70,9 @@ class TestRenderReport:
     def test_full_report(self, tmp_path):
         d = str(tmp_path)
         save_experiment_json("fig10", {"error": make_table()}, d)
-        update_bench_summary(
-            d,
-            experiments={"fig10": {"wall_s": 1.5, "tables": ["error"]}},
-            runs=[
+        write_json(os.path.join(d, BENCH_FILENAME), bench_summary(
+            {"fig10": {"wall_s": 1.5, "tables": ["error"]}},
+            [
                 {
                     "workload": "jpeg",
                     "config": "dopp-14bit-1/4",
@@ -132,8 +82,9 @@ class TestRenderReport:
                     "back_invalidations": 3,
                 }
             ],
-            profile={"stages": {"sim": 0.5, "trace": 0.1}},
-        )
+            {"seed": 7},
+            {"stages": {"sim": 0.5, "trace": 0.1}},
+        ))
         text = render_report(d)
         assert "fig10" in text
         assert "jpeg" in text

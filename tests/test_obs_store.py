@@ -664,6 +664,41 @@ class TestCliStoreRecording:
         assert main(["compare", "store:last-1", "store:last",
                      "--store", db, "--wall-threshold", "10"]) == 0
 
+    def test_export_equals_bench_obs(self, tmp_path, capsys):
+        """A recorded ``--profile`` run's ``history export`` is its
+        ``BENCH_obs.json`` plus the ``store`` block."""
+        json_dir = tmp_path / "json"
+        db = str(tmp_path / "history.db")
+        assert main(
+            ["table2", "--scale", "0.05", "--seed", "3",
+             "--workloads", "swaptions", "--json-out", str(json_dir),
+             "--store", db, "--profile"]
+        ) == 0
+        out = tmp_path / "export.json"
+        assert main(
+            ["history", "--store", db, "export", "last", "--out", str(out)]
+        ) == 0
+        exported = json.loads(out.read_text())
+        bench = json.loads((json_dir / "BENCH_obs.json").read_text())
+        assert exported.pop("store")["run_id"] == 1
+        assert bench["profile"]["stages"]
+        assert exported == bench
+
+    def test_second_invocation_replaces_bench_obs(self, tmp_path, capsys):
+        json_dir = tmp_path / "json"
+        knobs = ["--scale", "0.05", "--seed", "3", "--no-store",
+                 "--json-out", str(json_dir)]
+        assert main(["table2", "--workloads", "swaptions", *knobs]) == 0
+        assert main(["fig12", "--workloads", "kmeans", *knobs]) == 0
+        bench = json.loads((json_dir / "BENCH_obs.json").read_text())
+        assert list(bench["experiments"]) == ["fig12"]
+        assert [(r["workload"], r["config"]) for r in bench["runs"]] == [
+            ("kmeans", label) for label in (
+                "baseline-2MB", "dopp-14bit-1/2", "dopp-14bit-1/4",
+                "dopp-14bit-1/8",
+            )
+        ]
+
     def test_no_store_skips_recording(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_STORE", raising=False)
         json_dir = str(tmp_path / "json")

@@ -9,6 +9,7 @@ sweeps resume from the history store's memo byte-identically).
 """
 
 import contextlib
+import copy
 import json
 import logging
 import multiprocessing
@@ -670,6 +671,31 @@ class TestCheckpoint:
         with self._attach(fresh, path):
             assert fresh.resume() == (0, 1)
         assert len([m for m in repro_warnings if "unreadable" in m]) == 1
+
+    def test_record_with_other_fields_is_recomputed(
+        self, swaptions_ctx, tmp_path, repro_warnings
+    ):
+        """A record pickled by other code is skipped, not adopted.
+
+        Outside a git checkout every run's SHA is NULL, so rows of
+        other code pass the SHA check; the record's field check is what
+        keeps them out.
+        """
+        path = tmp_path / "history.db"
+        spec = baseline_spec()
+        fresh_record = swaptions_ctx.run("swaptions", spec)
+        stale = copy.copy(fresh_record)
+        del stale.llc_stats
+        writer = _fork_ctx(swaptions_ctx)
+        with self._attach(writer, path):
+            writer.remember_run("swaptions", spec, stale)
+        reader = _fork_ctx(swaptions_ctx)
+        with self._attach(reader, path):
+            assert reader.resume() == (0, 0)
+            record = reader.run("swaptions", spec)
+        assert len([m for m in repro_warnings if "unreadable" in m]) == 1
+        assert record.system == fresh_record.system
+        assert record.llc_stats == fresh_record.llc_stats
 
     def test_entries_outside_the_context_are_ignored(self, tmp_path):
         path = tmp_path / "history.db"

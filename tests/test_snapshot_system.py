@@ -1,12 +1,8 @@
-"""Tests for snapshotting a simulated LLC's contents."""
+"""Tests for the end-of-run snapshot a record keeps of a simulated LLC."""
 
 import numpy as np
 
-from repro.analysis.storage import snapshot_from_system
-from repro.core.maps import MapConfig
-from repro.analysis.storage import doppelganger_savings
-from repro.hierarchy.llc import BaselineLLC
-from repro.hierarchy.system import System
+from repro.harness.runner import baseline_spec, run_trace
 from repro.trace.record import DType
 from repro.trace.region import Region, RegionMap
 from repro.trace.trace import TraceBuilder
@@ -26,22 +22,10 @@ def _build(rng, size_kb=256):
 
 def test_snapshot_matches_llc_contents(rng):
     trace = _build(rng)
-    llc = BaselineLLC()
-    system = System(llc)
-    system.run(trace)
-    snapshot = snapshot_from_system(system, llc, trace)
+    stats = run_trace(trace, baseline_spec()).llc_stats
     # The 256 KB footprint fits the 2 MB LLC entirely.
-    assert len(snapshot) == trace.unique_blocks()
-
-
-def test_snapshot_usable_for_savings(rng):
-    trace = _build(rng)
-    llc = BaselineLLC()
-    system = System(llc)
-    system.run(trace)
-    snapshot = snapshot_from_system(system, llc, trace)
-    savings = doppelganger_savings(snapshot, MapConfig(12))
-    assert 0.0 <= savings < 1.0
+    assert stats["resident_blocks"] == trace.unique_blocks()
+    assert stats["approx_resident_blocks"] == trace.unique_blocks()
 
 
 def test_snapshot_excludes_precise(rng):
@@ -58,8 +42,6 @@ def test_snapshot_excludes_precise(rng):
     builder.append_region_accesses(1, idx, np.zeros(len(idx), np.int8), gap=4)
     trace = builder.build()
 
-    llc = BaselineLLC()
-    system = System(llc)
-    system.run(trace)
-    snapshot = snapshot_from_system(system, llc, trace)
-    assert len(snapshot) == region_a.num_blocks()
+    stats = run_trace(trace, baseline_spec()).llc_stats
+    assert stats["resident_blocks"] == 2 * region_a.num_blocks()
+    assert stats["approx_resident_blocks"] == region_a.num_blocks()
