@@ -70,12 +70,3 @@ class CacheStats:
         out = {f.name: getattr(self, f.name) for f in fields(CacheStats) if f.name != "extra"}
         out.update(self.extra)
         return out
-
-    def publish(self, registry, prefix: str) -> None:
-        """Register these counters as a lazily-collected metrics source.
-
-        The registry re-reads ``as_dict()`` at collection time, so
-        publishing costs nothing during simulation (see
-        :mod:`repro.obs.metrics`).
-        """
-        registry.register_source(prefix, self.as_dict)

@@ -76,17 +76,3 @@ class WritebackBuffer:
         self.enqueued += 1
         self.stall_cycles += stall
         return stall
-
-    def as_dict(self) -> dict:
-        """Counters as a plain dict (for metrics collection)."""
-        return {
-            "enqueued": self.enqueued,
-            "drained": self.drained,
-            "stall_cycles": self.stall_cycles,
-            "occupancy": len(self._queue),
-            "capacity": self.capacity,
-        }
-
-    def publish(self, registry, prefix: str = "wb_buffer") -> None:
-        """Register the buffer as a lazily-collected metrics source."""
-        registry.register_source(prefix, self.as_dict)

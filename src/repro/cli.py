@@ -65,17 +65,16 @@ files, 4 for simulation faults — with a one-line message on stderr;
 ``--log-level debug`` additionally prints the full traceback.
 
 ``--profile`` prints a per-phase breakdown of self times (a phase's
-time minus the phases nested in it) and writes the metrics snapshot
-next to the JSON tables; a recorded run also lands the profile in the
-history store. It reads timers and counters only: the JSONL event
+time minus the phases nested in it); a recorded run also lands the
+profile in the history store. It reads timers only: the JSONL event
 stream is written under ``--trace-out`` alone, with or without
-``--profile``, so profiling leaves the engine on its fast paths. Every
-experiment additionally serializes its tables to
-``results/json/<name>.json``, and each invocation writes its run
-summary to ``results/json/BENCH_obs.json`` (replacing the previous
-one; ``history export`` of a recorded run rebuilds it from the store);
-``report`` renders that summary back as text and ``compare`` diffs two
-summaries, exiting 1 on a regression.
+``--profile``, so profiling leaves the engine on its fast paths and
+keeps no finished simulation alive. Every experiment additionally
+serializes its tables to ``results/json/<name>.json``, and each
+invocation writes its run summary to ``results/json/BENCH_obs.json``
+(replacing the previous one; ``history export`` of a recorded run
+rebuilds it from the store); ``report`` renders that summary back as
+text and ``compare`` diffs two summaries, exiting 1 on a regression.
 
 ``--version`` (or ``-V``) prints the package version and exits.
 
@@ -88,7 +87,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from typing import Optional
 
@@ -98,8 +96,6 @@ from repro.obs import Observability, configure_logging, get_logger
 from repro.obs.output import DEFAULT_JSON_DIR, render_report
 
 __all__ = ["experiment_names", "main"]
-
-log = get_logger("cli")
 
 
 def _main_compare(argv) -> int:
@@ -518,8 +514,8 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-phase self-time breakdown and write a metrics "
-        "snapshot under --json-out (no event trace; see --trace-out)",
+        help="print a per-phase self-time breakdown (no event trace; "
+        "see --trace-out)",
     )
     common.add_argument(
         "--trace-out",
@@ -531,11 +527,6 @@ def _common_options() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="emit 1-in-N traced events (default 1 = every event)",
-    )
-    common.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write a metrics JSON snapshot to this path (implies metrics)",
     )
     history = common.add_argument_group(
         "run history", "sqlite run-history store (docs/observability.md)"
@@ -735,11 +726,7 @@ def _run_pipeline(parser, args, names, argv) -> int:
             )
     faults = _fault_config(args)
 
-    enabled = args.profile or bool(args.trace_out) or bool(args.metrics_out)
-    stem = names[0] if len(names) == 1 else "experiments"
-    metrics_path = args.metrics_out
-    if args.profile and metrics_path is None:
-        metrics_path = os.path.join(args.json_out, f"metrics_{stem}.json")
+    enabled = args.profile or bool(args.trace_out)
     obs = (
         Observability(
             enabled=enabled,
@@ -772,9 +759,6 @@ def _run_pipeline(parser, args, names, argv) -> int:
     )
 
     if enabled:
-        if metrics_path:
-            obs.registry.save_json(metrics_path)
-            log.info("metrics snapshot written to %s", metrics_path)
         obs.close()
         if args.profile:
             print()

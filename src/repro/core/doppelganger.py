@@ -100,7 +100,7 @@ class DoppelgangerStats:
         return self.dirty_tags_evicted / total if total else 0.0
 
     def as_dict(self) -> dict:
-        """Counters as a plain dict (for metrics collection)."""
+        """Counters as a plain dict (a run record's ``llc_stats``)."""
         out = {
             f.name: getattr(self, f.name)
             for f in dataclasses_fields(DoppelgangerStats)
@@ -108,10 +108,6 @@ class DoppelgangerStats:
         }
         out.update(self.extra)
         return out
-
-    def publish(self, registry, prefix: str) -> None:
-        """Register these counters as a lazily-collected metrics source."""
-        registry.register_source(prefix, self.as_dict)
 
 
 class DoppelgangerCache:
@@ -148,20 +144,6 @@ class DoppelgangerCache:
         # recomputes every time — stats.map_generations still counts
         # each computation for the energy model.
         self._map_memo: dict = {}
-
-    def publish_metrics(self, registry, prefix: str = "dopp") -> None:
-        """Publish protocol counters and array occupancies."""
-        self.stats.publish(registry, f"{prefix}.stats")
-        registry.register_source(
-            f"{prefix}.arrays",
-            lambda: {
-                "tag_occupied": self.tags.occupied,
-                "tag_entries": self.tags.num_entries,
-                "data_occupied": self.data.occupied,
-                "data_entries": self.data.num_entries,
-                "map_memo_entries": len(self._map_memo),
-            },
-        )
 
     # ------------------------------------------------------------- lookups
 

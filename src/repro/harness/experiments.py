@@ -599,15 +599,3 @@ def faultsweep_resilience(ctx: ExperimentContext) -> Dict[str, Table]:
     injected.add_note("counts are deterministic in (seed, rate): see "
                       "docs/robustness.md")
     return {"error": err, "runtime": run, "injected": injected}
-
-
-def experiment_names() -> list:
-    """All registered experiment names, in registry order.
-
-    Built-ins come first in paper (declaration) order, followed by any
-    ``repro.experiments`` entry-point plugins sorted by name — see
-    :class:`repro.harness.strategy.StrategyRegistry`.
-    """
-    from repro.harness.strategy import registry
-
-    return registry.names()

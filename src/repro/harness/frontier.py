@@ -192,19 +192,5 @@ def frontier_pareto(ctx: ExperimentContext) -> Dict[str, Table]:
                 entry["verdict"],
             )
 
-    if ctx.obs.enabled:
-        reg = ctx.obs.registry
-        reg.gauge("experiment.frontier.workloads_converged").set(
-            sum(1 for r in results if r.converged)
-        )
-        reg.gauge("experiment.frontier.evals_total").set(
-            sum(len(r.evals) for r in results)
-        )
-        for res in results:
-            prefix = f"experiment.frontier.{res.workload}"
-            reg.gauge(f"{prefix}.survivable_rate").set(res.survivable_rate)
-            reg.gauge(f"{prefix}.output_error").set(res.frontier_error)
-            reg.gauge(f"{prefix}.energy_saved").set(res.frontier_energy_saved)
-
     return {"": table, "points": points}
 

@@ -183,29 +183,34 @@ def _wait_result(
             continue
 
 
-def _init_worker(events) -> None:
+def _init_worker(events, parent: int) -> None:
     """Pool initializer: signal dispositions, orphan watchdog, event queue.
 
     The pool forks inside :func:`cancellation_signals`; an inherited
     handler would answer SIGTERM by cancelling a token copy nothing
     reads, so :func:`_terminate_pool` would always end in SIGKILL. The
     parent owns Ctrl-C. A worker whose parent died exits rather than
-    linger as an orphan holding both ends of its pipes.
+    linger as an orphan holding both ends of its pipes. ``parent`` is
+    the PID of the process that built the pool, taken there: a worker
+    reading its own ``getppid()`` here would record PID 1 (or a
+    subreaper) if the parent died between the fork and this call.
     """
     global _worker_events
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _worker_events = events
     threading.Thread(
-        target=_exit_when_orphaned, args=(os.getppid(),), daemon=True
+        target=_exit_when_orphaned, args=(parent,), daemon=True
     ).start()
 
 
 def _exit_when_orphaned(parent: int) -> None:
-    """Worker watchdog thread: exit once the parent process is gone."""
-    while os.getppid() == parent:
+    """Worker watchdog thread: exit within one poll once ``parent`` is
+    no longer the worker's parent process (also if it never was)."""
+    while True:
         time.sleep(_ORPHAN_POLL_S)
-    os._exit(1)
+        if os.getppid() != parent:
+            os._exit(1)
 
 
 def _send_event(event: dict) -> None:
@@ -227,7 +232,7 @@ def _run_task(task: dict):
     """Worker: simulate one workload under every requested config.
 
     Runs in a child process; builds a fresh context (observability
-    disabled — sinks and registries don't cross process boundaries)
+    disabled — tracer sinks and profilers don't cross process boundaries)
     and returns picklable records only. Specs arrive with their fault
     configs already resolved by the parent, so a worker's memo keys
     match the parent's exactly.
@@ -363,7 +368,8 @@ def _run_round(
             emit(event.pop("kind"), **event)
 
     pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(events,)
+        max_workers=workers, initializer=_init_worker,
+        initargs=(events, os.getpid()),
     )
     futures = [(task, pool.submit(_run_task, task)) for task in tasks]
     abort: Optional[str] = None

@@ -326,7 +326,9 @@ def run_trace(
 def _llc_stats(llc, regions) -> dict:
     """End-of-run LLC numbers: resident and approximate resident blocks
     of the baseline (Table 2); tags per entry, per evicted entry, dirty
-    evictions and hit rate of Doppelgänger (the Fig. 10 companion)."""
+    evictions and hit rate of Doppelgänger (the Fig. 10 companion).
+    Each LLC structure's own counters ride along under its name:
+    ``baseline``, ``precise`` and ``dopp``, or ``uni``."""
     if llc.name == "baseline":
         resident = approx = 0
         for addr in llc.cache.resident_addrs():
@@ -334,14 +336,26 @@ def _llc_stats(llc, regions) -> dict:
             region = regions.find(addr)
             if region is not None and region.approx:
                 approx += 1
-        return {"resident_blocks": resident, "approx_resident_blocks": approx}
-    dopp = llc.dopp if llc.name == "doppelganger" else llc.uni
+        return {
+            "resident_blocks": resident, "approx_resident_blocks": approx,
+            "baseline": llc.cache.stats.as_dict(),
+        }
+    if llc.name == "doppelganger":
+        dopp = llc.dopp
+        counters = {
+            "precise": llc.precise.stats.as_dict(),
+            "dopp": dopp.stats.as_dict(),
+        }
+    else:
+        dopp = llc.uni
+        counters = {"uni": dopp.stats.as_dict()}
     stats = dopp.stats
     return {
         "tags_per_entry": dopp.current_avg_tags_per_entry(),
         "tags_per_evicted_entry": stats.avg_tags_per_evicted_entry,
         "dirty_eviction_fraction": stats.dirty_eviction_fraction,
         "hit_rate": stats.hit_rate,
+        **counters,
     }
 
 
@@ -382,10 +396,8 @@ class ExperimentContext:
         scale: dataset scale (``REPRO_SCALE`` overrides the default).
         workloads: benchmark subset (all nine by default).
         obs: optional :class:`~repro.obs.Observability` bundle; when
-            given, every pipeline stage is phase-profiled, structure
-            counters are published into its metrics registry, and
-            protocol events flow to its tracer. Defaults to the inert
-            bundle.
+            given, every pipeline stage is phase-profiled and protocol
+            events flow to its tracer. Defaults to the inert bundle.
         engine: simulation engine name threaded into every
             :meth:`run` (``"batched"``, ``"reference"`` or ``None``
             for the :func:`repro.engine.get_engine` default). Resolved
@@ -583,13 +595,10 @@ class ExperimentContext:
             injector = (
                 FaultInjector(spec.faults) if spec.faults is not None else None
             )
-            system = System(
+            return System(
                 llc, config=self._system_config(), tracer=self.obs.tracer,
                 faults=injector,
             )
-            if self.obs.enabled:
-                system.publish_metrics(self.obs.registry, f"sim.{name}.{label}")
-            return system
 
         system = build()
         try:
@@ -609,7 +618,7 @@ class ExperimentContext:
                 workload=name, config=label,
             )
         # The failed run left the hierarchy partially mutated: rebuild
-        # from scratch (metrics sources re-register over the old ones).
+        # from scratch.
         system = build()
         try:
             return system, system.run(trace, engine="reference"), "reference"

@@ -156,17 +156,6 @@ class ExperimentStrategy(ABC):
     def teardown(self, ctx: Optional[ExperimentContext]) -> None:
         """Cleanup after :meth:`execute`, even on failure (default no-op)."""
 
-    def declare_metrics(self) -> Tuple[str, ...]:
-        """Custom metric names this strategy publishes while running.
-
-        The driver pre-registers each as a gauge named
-        ``experiment.<strategy>.<metric>`` in the run's metrics
-        registry (when observability is enabled), so strategies can
-        ``ctx.obs.registry.gauge(...)`` during :meth:`execute` and the
-        values land in ``--metrics-out`` snapshots.
-        """
-        return ()
-
     def label(self) -> str:
         """Display name (the registry key)."""
         return self.name or type(self).__name__
@@ -606,9 +595,6 @@ def _execute_one(
 ) -> StrategyOutcome:
     """Run one strategy's lifecycle; print, save and serialize tables."""
     name = strategy.label()
-    if obs.enabled:
-        for metric in strategy.declare_metrics():
-            obs.registry.gauge(f"experiment.{name}.{metric}")
     start_ns = perf_counter_ns()
     with obs.profiler.phase(f"experiment/{name}"):
         strategy.setup(ctx if strategy.requires.context else None)
@@ -791,8 +777,8 @@ def run_strategies(
                 if obs.enabled and echo:
                     echo(
                         "[note: --jobs simulates in worker processes; "
-                        "per-access traces/metrics are not captured for "
-                        "prefetched runs]"
+                        "event traces and phase timings are not captured "
+                        "for prefetched runs]"
                     )
                 fetched = prefetch_pairs(
                     ctx,

@@ -48,15 +48,3 @@ class MainMemory:
         """Zero the counters."""
         self.reads = 0
         self.writes = 0
-
-    def as_dict(self) -> dict:
-        """Counters as a plain dict (for metrics collection)."""
-        return {
-            "reads": self.reads,
-            "writes": self.writes,
-            "traffic_bytes": self.traffic_bytes,
-        }
-
-    def publish(self, registry, prefix: str = "dram") -> None:
-        """Register the memory as a lazily-collected metrics source."""
-        registry.register_source(prefix, self.as_dict)

@@ -123,10 +123,6 @@ class BaselineLLC:
     def attach_tracer(self, tracer) -> None:
         """No Doppelgänger mechanics to trace in the baseline."""
 
-    def publish_metrics(self, registry, prefix: str = "llc") -> None:
-        """Publish cache counters into a metrics registry."""
-        self.cache.stats.publish(registry, f"{prefix}.baseline")
-
 
 class SplitDoppelgangerLLC:
     """1 MB precise conventional cache + Doppelgänger cache (Table 1)."""
@@ -235,11 +231,6 @@ class SplitDoppelgangerLLC:
         """Precompute map values for a trace (see engine precompute)."""
         return self.dopp.seed_map_memo(pairs, values_table, stats)
 
-    def publish_metrics(self, registry, prefix: str = "llc") -> None:
-        """Publish both halves' counters into a metrics registry."""
-        self.precise.stats.publish(registry, f"{prefix}.precise")
-        self.dopp.publish_metrics(registry, f"{prefix}.dopp")
-
 
 class UnifiedDoppelgangerLLC:
     """uniDoppelgänger LLC (Sec. 3.8): one array pair for everything."""
@@ -309,7 +300,3 @@ class UnifiedDoppelgangerLLC:
     def seed_map_memo(self, pairs, values_table, stats=None) -> int:
         """Precompute map values for a trace (see engine precompute)."""
         return self.uni.seed_map_memo(pairs, values_table, stats)
-
-    def publish_metrics(self, registry, prefix: str = "llc") -> None:
-        """Publish unified-cache counters into a metrics registry."""
-        self.uni.publish_metrics(registry, f"{prefix}.uni")

@@ -37,28 +37,6 @@ from repro.trace.trace import Trace
 KB = 1024
 
 
-def flatten_engine_stats(stats: Optional[Dict]) -> Dict[str, float]:
-    """Flatten an ``engine_stats`` dict into scalar (key, value) rows.
-
-    The engine's nested per-class tallies (``fast``/``slow``/``aux``
-    groups plus ``accesses`` and ``slow_fraction``; see
-    ``docs/engine.md``) become dotted keys — ``fast.read_hit`` — the
-    shape both the metrics registry and the run-history store's
-    ``engine_stats`` table consume. None or empty input flattens to an
-    empty dict.
-    """
-    if not stats:
-        return {}
-    out: Dict[str, float] = {
-        "accesses": stats.get("accesses", 0),
-        "slow_fraction": stats.get("slow_fraction", 0.0),
-    }
-    for group in ("fast", "slow", "aux"):
-        for key, value in stats.get(group, {}).items():
-            out[f"{group}.{key}"] = value
-    return out
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """System parameters (defaults reproduce Table 1)."""
@@ -366,44 +344,6 @@ class System:
 
         _, run_fn = get_engine(engine)
         return run_fn(self, trace, limit)
-
-    def publish_metrics(self, registry, prefix: str = "system") -> None:
-        """Publish every structure's counters into a metrics registry.
-
-        Sources are lazy (collected on demand), so this is safe to call
-        before :meth:`run` and costs nothing during simulation.
-        """
-        for i, l1 in enumerate(self.l1s):
-            l1.stats.publish(registry, f"{prefix}.l1.{i}")
-        for i, l2 in enumerate(self.l2s):
-            l2.stats.publish(registry, f"{prefix}.l2.{i}")
-        self.wb_buffer.publish(registry, f"{prefix}.wb_buffer")
-        self.memory.publish(registry, f"{prefix}.dram")
-        if hasattr(self.llc, "publish_metrics"):
-            self.llc.publish_metrics(registry, f"{prefix}.llc")
-        registry.register_source(
-            f"{prefix}.coherence",
-            lambda: {
-                "invalidations": self.coherence_invalidations,
-                "back_invalidations": self.back_invalidations,
-            },
-        )
-        registry.register_source(
-            f"{prefix}.engine", self._engine_metrics
-        )
-        if self.fault_injector is not None:
-            registry.register_source(
-                f"{prefix}.faults", self.fault_injector.as_metrics
-            )
-
-    def _engine_metrics(self) -> Dict[str, float]:
-        """Flattened per-class fast/slow-path tallies (lazy source).
-
-        Empty until a run finishes — the engine attaches
-        ``engine_stats`` to the system at the end of ``run()``
-        (see ``docs/engine.md``).
-        """
-        return flatten_engine_stats(self.engine_stats)
 
     def fault_summary(self) -> Optional[Dict[str, object]]:
         """Injected-fault report for this run (None without injection)."""

@@ -1,14 +1,12 @@
-"""Observability subsystem: metrics, event tracing, phase profiling.
+"""Observability subsystem: event tracing, phase profiling, run history.
 
 The simulator's structures (:class:`~repro.cache.stats.CacheStats`,
-:class:`~repro.cache.writeback.WritebackBuffer`,
-:class:`~repro.hierarchy.dram.MainMemory`, the Doppelgänger arrays)
-already count events internally; this package makes those counters —
-and the interesting protocol events behind them — visible:
+:class:`~repro.core.doppelganger.DoppelgangerStats`, the writeback
+buffer, DRAM) count events internally, and a finished run carries the
+numbers in its :class:`~repro.harness.runner.RunRecord`; this package
+makes the protocol events behind them, and the cost of each pipeline
+phase, visible:
 
-* :mod:`repro.obs.metrics` — a registry of counters / gauges /
-  histograms / timers plus lazily-collected *sources* that structures
-  publish their stats through (near-zero overhead when disabled);
 * :mod:`repro.obs.events` — typed event tracing with pluggable sinks
   (in-memory ring buffer, JSONL file);
 * :mod:`repro.obs.profiling` — wall-clock phase profiling built on
@@ -22,9 +20,9 @@ and the interesting protocol events behind them — visible:
 * :mod:`repro.obs.livestream` — worker heartbeats for parallel sweeps
   and their TTY status line.
 
-:class:`Observability` bundles one registry + tracer + profiler and is
-what the harness passes around; ``Observability.disabled()`` (the
-default everywhere) costs one attribute check per instrumented site.
+:class:`Observability` bundles one tracer and one profiler and is what
+the harness passes around; ``Observability.disabled()`` (the default
+everywhere) costs one attribute check per instrumented site.
 """
 
 from repro.obs.context import Observability
@@ -50,13 +48,6 @@ from repro.obs.events import (
 )
 from repro.obs.livestream import LiveProgressSink
 from repro.obs.logs import configure_logging, get_logger
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-)
 from repro.obs.profiling import PhaseProfiler
 from repro.obs.store import (
     RunStore,
@@ -85,11 +76,6 @@ __all__ = [
     "EVENT_CONTROLLER_STEP",
     "EVENT_CONTROLLER_DEGRADE",
     "EVENT_CONTROLLER_CONVERGED",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Timer",
-    "MetricsRegistry",
     "PhaseProfiler",
     "RunStore",
     "default_store_path",

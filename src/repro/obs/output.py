@@ -149,9 +149,7 @@ def render_report(directory: str) -> str:
     table_files = sorted(
         f
         for f in os.listdir(directory)
-        if f.endswith(".json")
-        and f != BENCH_FILENAME
-        and not f.startswith("metrics_")
+        if f.endswith(".json") and f != BENCH_FILENAME
     )
     if table_files:
         lines.append("")

@@ -267,6 +267,23 @@ def _load_or_none(blob: Optional[str]):
     return None if blob is None else json.loads(blob)
 
 
+def _flatten_engine_stats(stats: Dict) -> Dict[str, float]:
+    """The ``engine_stats`` table's (key, value) rows for one result.
+
+    The engine's nested per-class tallies (``fast``/``slow``/``aux``
+    groups plus ``accesses`` and ``slow_fraction``; see
+    ``docs/engine.md``) become dotted keys — ``fast.read_hit``.
+    """
+    out: Dict[str, float] = {
+        "accesses": stats.get("accesses", 0),
+        "slow_fraction": stats.get("slow_fraction", 0.0),
+    }
+    for group in ("fast", "slow", "aux"):
+        for key, value in stats.get(group, {}).items():
+            out[f"{group}.{key}"] = value
+    return out
+
+
 class RunStore:
     """One sqlite database of run history.
 
@@ -478,14 +495,12 @@ class RunStore:
             )
             engine_stats = summary.get("engine_stats")
             if engine_stats:
-                from repro.hierarchy.system import flatten_engine_stats
-
                 self._conn.executemany(
                     "INSERT INTO engine_stats (result_id, key, value) "
                     "VALUES (?, ?, ?)",
                     [
                         (result_id, key, float(value))
-                        for key, value in flatten_engine_stats(
+                        for key, value in _flatten_engine_stats(
                             engine_stats
                         ).items()
                     ],

@@ -408,11 +408,3 @@ class FaultInjector:
                 for site in sorted(self._sites)
             },
         }
-
-    def as_metrics(self) -> dict:
-        """Flat counter dict for the obs metrics registry."""
-        out = {}
-        for site in sorted(self._sites):
-            for key, val in self._sites[site].stats.as_dict().items():
-                out[f"{site}.{key}"] = val
-        return out

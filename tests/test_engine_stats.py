@@ -92,17 +92,3 @@ def test_engine_stats_surface_in_records_and_summaries():
     (row,) = ctx.run_summaries()
     assert row["slow_path_fraction"] == rec.engine_stats["slow_fraction"]
     assert row["engine_stats"] == rec.engine_stats
-
-
-def test_engine_metrics_source_is_flat_and_lazy():
-    from repro.obs import Observability
-
-    obs = Observability()
-    ctx = ExperimentContext(
-        seed=SEED, scale=SCALE, workloads=["jpeg"], obs=obs
-    )
-    ctx.run("jpeg", baseline_spec())
-    snap = obs.registry.collect()
-    keys = [k for k in snap if ".engine." in k]
-    assert any(k.endswith("engine.slow_fraction") for k in keys)
-    assert any(k.endswith("engine.accesses") for k in keys)

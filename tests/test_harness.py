@@ -140,13 +140,23 @@ class TestRecordsCarryNumbers:
                 "approx_resident_blocks": sum(
                     r is not None and r.approx for r in found
                 ),
+                "baseline": llc.cache.stats.as_dict(),
             }
-        dopp = llc.dopp if spec.kind == "dopp" else llc.uni
+        if spec.kind == "dopp":
+            dopp = llc.dopp
+            counters = {
+                "precise": llc.precise.stats.as_dict(),
+                "dopp": dopp.stats.as_dict(),
+            }
+        else:
+            dopp = llc.uni
+            counters = {"uni": dopp.stats.as_dict()}
         return {
             "tags_per_entry": dopp.current_avg_tags_per_entry(),
             "tags_per_evicted_entry": dopp.stats.avg_tags_per_evicted_entry,
             "dirty_eviction_fraction": dopp.stats.dirty_eviction_fraction,
             "hit_rate": dopp.stats.hit_rate,
+            **counters,
         }
 
     @pytest.mark.parametrize("name", ["canneal", "swaptions"])

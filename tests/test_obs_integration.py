@@ -1,14 +1,23 @@
 """End-to-end observability tests: system, harness and CLI wiring."""
 
+import gc
 import json
 import os
 import pickle
+import weakref
 
 import pytest
 
+import repro.harness.runner as runner
 from repro.cache.stats import CacheStats
 from repro.cli import main
-from repro.harness.runner import ExperimentContext, dopp_spec, run_trace, uni_spec
+from repro.harness.runner import (
+    ExperimentContext,
+    baseline_spec,
+    dopp_spec,
+    run_trace,
+    uni_spec,
+)
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 from repro.obs import Observability, RingBufferSink
@@ -88,20 +97,6 @@ class TestSystemTracing:
         plain = System(small_dopp_llc(small_trace.regions))
         assert traced.run(small_trace) == plain.run(small_trace)
 
-    def test_publish_metrics_exposes_all_structures(self, small_trace):
-        obs = Observability(enabled=True)
-        llc = small_dopp_llc(small_trace.regions)
-        system = System(llc, tracer=obs.tracer)
-        system.publish_metrics(obs.registry, "sys")
-        system.run(small_trace)
-        out = obs.registry.collect()
-        assert out["sys.l1.0.accesses"] > 0
-        assert "sys.dram.reads" in out
-        assert "sys.wb_buffer.enqueued" in out
-        assert "sys.llc.dopp.stats.insertions" in out
-        assert "sys.llc.dopp.arrays.tag_occupied" in out
-        assert "sys.coherence.back_invalidations" in out
-
 
 class TestExperimentContextObservability:
     @pytest.fixture(scope="class")
@@ -142,15 +137,34 @@ class TestExperimentContextObservability:
         assert cs["seed"] == 3
         assert cs["workloads"] == ["swaptions"]
 
-    def test_metrics_published_per_run(self, ctx_and_obs):
-        ctx, obs, _ = ctx_and_obs
-        out = obs.registry.collect()
-        assert any(k.startswith("sim.swaptions.dopp-14bit-1/4.") for k in out)
-
     def test_default_context_has_inert_obs(self):
         ctx = ExperimentContext(seed=1, scale=0.05, workloads=["swaptions"])
         assert not ctx.obs.enabled
         assert ctx.obs.profiler.phases == {}
+
+
+class TestObservedRunsKeepNoSystem:
+    """An enabled bundle holds no reference to a finished simulation,
+    so profiling a sweep does not keep every System alive."""
+
+    def test_systems_are_collectable_after_run(self, monkeypatch):
+        built = []
+
+        class Tracked(System):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner, "System", Tracked)
+        obs = Observability(enabled=True)
+        ctx = ExperimentContext(
+            seed=3, scale=0.01, workloads=["canneal"], obs=obs
+        )
+        for spec in (baseline_spec(), dopp_spec(), uni_spec()):
+            ctx.run("canneal", spec)
+        gc.collect()
+        assert len(built) == 3
+        assert [ref() for ref in built] == [None, None, None]
 
 
 class TestTracedRecordsPickle:
@@ -189,9 +203,9 @@ class TestCliObservability:
         assert "phase profile" in out
         assert os.path.exists(os.path.join(json_dir, "table2.json"))
         assert os.path.exists(os.path.join(json_dir, "BENCH_obs.json"))
-        assert os.path.exists(os.path.join(json_dir, "metrics_table2.json"))
-        # Profiling reads timers and counters; the event stream needs
-        # --trace-out.
+        # Profiling reads timers only: no metrics snapshot, and the
+        # event stream needs --trace-out.
+        assert not os.path.exists(os.path.join(json_dir, "metrics_table2.json"))
         assert not os.path.exists(os.path.join(json_dir, "trace_table2.jsonl"))
         bench = json.load(open(os.path.join(json_dir, "BENCH_obs.json")))
         assert "table2" in bench["experiments"]

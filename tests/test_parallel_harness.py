@@ -81,6 +81,7 @@ class TestPrefetchRuns:
             assert other.system == rec.system
             assert other.energy == rec.energy
             assert other.accesses == rec.accesses
+            assert other.llc_stats == rec.llc_stats
 
     def test_summaries_identical_modulo_wall_time(self, contexts):
         seq, par = contexts
@@ -170,6 +171,7 @@ class TestConfigFanSplitting:
             assert other.system == rec.system
             assert other.energy == rec.energy
             assert other.engine_stats == rec.engine_stats
+            assert other.llc_stats == rec.llc_stats
 
     def test_summaries_identical_modulo_wall_time(self, contexts):
         seq, par = contexts

@@ -237,8 +237,6 @@ class TestFaultInjector:
         assert summary["config"] == inj.config.to_dict()
         assert set(summary["sites"]) == {"llc"}
         assert summary["sites"]["llc"]["reads"] == 1
-        metrics = inj.as_metrics()
-        assert metrics["llc.reads"] == 1
 
 
 class TestFaultDeterminism:
@@ -417,6 +415,13 @@ def _announcing_sleeper(task):
     time.sleep(300)
 
 
+def _initialized_sleeper(events, parent):
+    """Run the pool initializer as a worker of ``parent``, signal, hang."""
+    parallel._init_worker(events, parent)
+    parallel._send_event({"kind": "initialized"})
+    time.sleep(300)
+
+
 def _children(pid):
     """PIDs whose parent is ``pid`` (Linux ``/proc``)."""
     found = []
@@ -550,7 +555,7 @@ class TestParallelResilience:
         with cancellation_signals(CancelToken()):
             pool = ProcessPoolExecutor(
                 max_workers=1, initializer=parallel._init_worker,
-                initargs=(events,),
+                initargs=(events, os.getpid()),
             )
             pool.submit(_announcing_sleeper, {})
         # The task runs, so the initializer has run before it.
@@ -558,6 +563,26 @@ class TestParallelResilience:
         (proc,) = pool._processes.values()
         parallel._terminate_pool(pool)
         assert proc.exitcode == -signal.SIGTERM  # not the SIGKILL fallback
+
+    def test_worker_of_a_dead_parent_exits(self):
+        # A pool owner SIGKILLed between the fork and the initializer:
+        # the worker watches the owner's PID, not whatever process
+        # adopted it, so it exits instead of waiting forever.
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        events = multiprocessing.Queue()
+        child = multiprocessing.get_context("fork").Process(
+            target=_initialized_sleeper, args=(events, gone.pid)
+        )
+        child.start()
+        try:
+            assert events.get(timeout=10) == {"kind": "initialized"}
+            child.join(timeout=2)
+            assert child.exitcode == 1
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads /proc"

@@ -55,9 +55,6 @@ class TinyStrategy(ExperimentStrategy):
     def teardown(self, ctx):
         self.calls.append("teardown")
 
-    def declare_metrics(self):
-        return ("answers",)
-
 
 class TestRegistry:
     def test_round_trip_register_discover_run(self):

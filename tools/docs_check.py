@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Documentation checks, run by the ``docs-check`` CI job.
 
-Two passes over the repo's markdown:
+Three passes over the repo's markdown:
 
 1. **Link check** — every intra-repo markdown link (``[text](path)``
    with a relative target) must resolve to an existing file or
@@ -13,17 +13,25 @@ Two passes over the repo's markdown:
    and executed with :mod:`doctest` (``ELLIPSIS`` +
    ``NORMALIZE_WHITESPACE``). Run with ``PYTHONPATH=src`` so the
    examples can ``import repro``.
+3. **CLI flag check** — every ``--flag`` on a line of a fenced code
+   block that invokes ``repro.cli`` or ``repro-experiments`` (and on
+   its ``\`` continuation lines) must be an option that ``python -m
+   repro.cli <sub> --help`` prints for some subcommand, so a retired
+   flag cannot linger in the docs. The files that record history
+   (:data:`HISTORY_FILES`) are skipped.
 
 Exits non-zero with one line per problem.
 """
 
 from __future__ import annotations
 
+import contextlib
 import doctest
+import io
 import os
 import re
 import sys
-from typing import Iterator, List
+from typing import Iterator, List, Set
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,6 +40,14 @@ LINK_RE = re.compile(r"\[[^\]^\[]*\]\(([^)\s]+)\)")
 FENCE_RE = re.compile(r"^```pycon[ \t]*\n(.*?)^```[ \t]*$", re.M | re.S)
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+#: Markdown that records history, where retired flags may stay.
+HISTORY_FILES = {"CHANGES.md", "ROADMAP.md"}
+#: A command line that runs the CLI.
+CLI_RE = re.compile(r"repro\.cli|repro-experiments")
+FLAG_RE = re.compile(r"(?<![\w-])--[A-Za-z][\w-]*")
+#: Subcommands whose ``--help`` lists the CLI's options (plus every
+#: ``history`` subcommand, read off ``history --help``).
+CLI_SUBCOMMANDS = ("run", "experiments", "compare", "replay", "ingest", "history")
 
 
 def markdown_files() -> Iterator[str]:
@@ -89,13 +105,67 @@ def check_examples(path: str) -> List[str]:
     return []
 
 
+def _cli_help(argv: List[str]) -> str:
+    """What ``python -m repro.cli <argv> --help`` prints."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            main(argv + ["--help"])
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+
+def cli_flags() -> Set[str]:
+    """Every option the CLI's subcommands accept."""
+    history = _cli_help(["history"])
+    subs = re.search(r"\{([\w,]+)\}", history).group(1).split(",")
+    flags = set(FLAG_RE.findall(history))
+    for argv in [[sub] for sub in CLI_SUBCOMMANDS] + [
+        ["history", sub] for sub in subs
+    ]:
+        flags.update(FLAG_RE.findall(_cli_help(argv)))
+    return flags
+
+
+def check_cli_flags(path: str, known: Set[str]) -> List[str]:
+    """Flags the CLI does not accept on a file's command lines."""
+    rel = os.path.relpath(path, REPO)
+    if rel in HISTORY_FILES:
+        return []
+    problems = []
+    in_fence = in_command = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            stripped = line.strip()
+            if stripped.startswith("```"):
+                in_fence, in_command = not in_fence, False
+                continue
+            if not in_fence:
+                continue
+            in_command = in_command or bool(CLI_RE.search(line))
+            if in_command:
+                problems.extend(
+                    f"{rel}:{lineno}: {flag} is not a CLI option"
+                    for flag in FLAG_RE.findall(line)
+                    if flag not in known
+                )
+            in_command = in_command and stripped.endswith("\\")
+    return problems
+
+
 def main() -> int:
-    """Run both checks over every markdown file; 0 iff all clean."""
+    """Run the three checks over every markdown file; 0 iff all clean."""
     problems: List[str] = []
     for path in markdown_files():
         problems.extend(check_links(path))
     for path in markdown_files():
         problems.extend(check_examples(path))
+    known = cli_flags()
+    for path in markdown_files():
+        problems.extend(check_cli_flags(path, known))
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
