@@ -59,7 +59,6 @@ class SetAssociativeCache:
         policy: str = "lru",
         name: str = "cache",
         level: str = "",
-        policy_seed: Optional[int] = None,
     ):
         if size_bytes <= 0 or size_bytes % (ways * block_size):
             raise ValueError(
@@ -79,13 +78,12 @@ class SetAssociativeCache:
         self.name = name
         self.level = level
         self.policy_name = policy
-        self._policy_seed = policy_seed
         self.stats = CacheStats()
         # Per set: way -> CacheBlock, plus a tag -> way map for O(1) probes.
         self._ways: List[Dict[int, CacheBlock]] = [dict() for _ in range(self.num_sets)]
         self._tag_to_way: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways, seed=policy_seed) for _ in range(self.num_sets)
+            make_policy(policy, ways) for _ in range(self.num_sets)
         ]
 
     # ---------------------------------------------------------------- addressing

@@ -13,9 +13,8 @@ Two engines share one per-access slow path (:mod:`repro.engine.step`):
   to the shared slow path. Produces *bit-identical* results (stats,
   cycle counts, stall breakdowns) — enforced by
   ``tests/test_engine_equivalence.py`` — and transparently falls back
-  to ``reference`` for configurations whose arithmetic or replacement
-  policy cannot be batched exactly (non-power-of-two issue width,
-  ``random`` replacement).
+  to ``reference`` for the one configuration whose arithmetic cannot
+  be batched exactly (a non-power-of-two issue width).
 
 Select an engine per call (``System.run(trace, engine="reference")``),
 per process (``REPRO_ENGINE=reference``), or via the public API

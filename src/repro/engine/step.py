@@ -240,7 +240,7 @@ def finalize(system, st: RunState):
         per_core_cycles=per_core,
         instructions=st.instructions,
         llc_misses=system.llc.miss_count(),
-        llc_accesses=system._llc_accesses(),
+        llc_accesses=system.llc.access_count(),
         dram_reads=system.memory.reads,
         dram_writes=system.memory.writes,
         traffic_bytes=system.memory.traffic_bytes,

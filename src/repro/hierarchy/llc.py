@@ -10,6 +10,7 @@ three-call protocol the :class:`~repro.hierarchy.system.System` uses:
 
 Each reply reports memory writebacks and (for the inclusive LLC)
 back-invalidations the system must apply to the private caches.
+``miss_count()`` and ``access_count()`` give the run's demand totals.
 
 Organizations:
 
@@ -46,6 +47,33 @@ _REPLY_HIT = LLCReply(True)
 _REPLY_MISS = LLCReply(False)
 
 
+def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) -> LLCReply:
+    """Install a fetched block in a conventional (inclusive) array.
+
+    The victim, if any, is back-invalidated, and written back when dirty.
+    """
+    result = cache.install(addr, dirty=dirty, value_id=value_id)
+    writebacks = (result.evicted_addr,) if result.writeback else ()
+    back_invals = (result.evicted_addr,) if result.evicted_addr is not None else ()
+    cache.stats.back_invalidations += len(back_invals)
+    return LLCReply(hit=False, writebacks=writebacks, back_invalidations=back_invals)
+
+
+def _absorb_writeback(cache: SetAssociativeCache, addr: int, value_id: int) -> LLCReply:
+    """Absorb a dirty L2 eviction; forward to memory if not resident."""
+    block = cache.probe(addr)
+    if block is None:
+        # Raced with an LLC eviction: the writeback goes to memory.
+        return LLCReply(hit=False, writebacks=(addr,))
+    block.dirty = True
+    if value_id >= 0:
+        block.value_id = value_id
+    cache.stats.write_accesses += 1
+    cache.stats.tag_lookups += 1
+    cache.stats.data_writes += 1
+    return _REPLY_HIT
+
+
 class BaselineLLC:
     """Conventional shared LLC (2 MB, 16-way, LRU, inclusive)."""
 
@@ -56,11 +84,10 @@ class BaselineLLC:
         size_bytes: int = 2 * MB,
         ways: int = 16,
         block_size: int = 64,
-        policy: str = "lru",
         regions=None,
     ):
         self.cache = SetAssociativeCache(
-            size_bytes, ways, block_size, policy, name="LLC", level="LLC"
+            size_bytes, ways, block_size, name="LLC", level="LLC"
         )
         self.block_size = block_size
 
@@ -80,11 +107,7 @@ class BaselineLLC:
         dirty: bool = False,
     ) -> LLCReply:
         """Install a block fetched from memory."""
-        result = self.cache.install(addr, dirty=dirty, value_id=value_id)
-        writebacks = (result.evicted_addr,) if result.writeback else ()
-        back_invals = (result.evicted_addr,) if result.evicted_addr is not None else ()
-        self.cache.stats.back_invalidations += len(back_invals)
-        return LLCReply(hit=False, writebacks=writebacks, back_invalidations=back_invals)
+        return _install(self.cache, addr, value_id, dirty)
 
     def handle_writeback(
         self,
@@ -96,17 +119,7 @@ class BaselineLLC:
         values: Optional[np.ndarray] = None,
     ) -> LLCReply:
         """Absorb a dirty L2 eviction; forward to memory if not resident."""
-        block = self.cache.probe(addr)
-        if block is None:
-            # Raced with an LLC eviction: the writeback goes to memory.
-            return LLCReply(hit=False, writebacks=(addr,))
-        block.dirty = True
-        if value_id >= 0:
-            block.value_id = value_id
-        self.cache.stats.write_accesses += 1
-        self.cache.stats.tag_lookups += 1
-        self.cache.stats.data_writes += 1
-        return _REPLY_HIT
+        return _absorb_writeback(self.cache, addr, value_id)
 
     def energy_events(self) -> dict:
         """Access counts per physical structure, for the energy model."""
@@ -119,6 +132,10 @@ class BaselineLLC:
     def miss_count(self) -> int:
         """Demand misses at the LLC."""
         return self.cache.stats.misses
+
+    def access_count(self) -> int:
+        """Demand accesses at the LLC."""
+        return self.cache.stats.accesses
 
     def attach_tracer(self, tracer) -> None:
         """No Doppelgänger mechanics to trace in the baseline."""
@@ -172,11 +189,7 @@ class SplitDoppelgangerLLC:
                 addr, region_id, values, value_id=value_id, dirty=dirty, core=core
             )
             return LLCReply(False, outcome.writebacks, outcome.back_invalidations)
-        result = self.precise.install(addr, dirty=dirty, value_id=value_id)
-        writebacks = (result.evicted_addr,) if result.writeback else ()
-        back_invals = (result.evicted_addr,) if result.evicted_addr is not None else ()
-        self.precise.stats.back_invalidations += len(back_invals)
-        return LLCReply(False, writebacks, back_invals)
+        return _install(self.precise, addr, value_id, dirty)
 
     def handle_writeback(
         self,
@@ -195,16 +208,7 @@ class SplitDoppelgangerLLC:
                 )
             outcome = self.dopp.writeback(addr, region_id, values, value_id=value_id, core=core)
             return LLCReply(outcome.hit, outcome.writebacks, outcome.back_invalidations)
-        block = self.precise.probe(addr)
-        if block is None:
-            return LLCReply(hit=False, writebacks=(addr,))
-        block.dirty = True
-        if value_id >= 0:
-            block.value_id = value_id
-        self.precise.stats.write_accesses += 1
-        self.precise.stats.tag_lookups += 1
-        self.precise.stats.data_writes += 1
-        return _REPLY_HIT
+        return _absorb_writeback(self.precise, addr, value_id)
 
     def energy_events(self) -> dict:
         """Access counts per physical structure, for the energy model."""
@@ -222,6 +226,10 @@ class SplitDoppelgangerLLC:
     def miss_count(self) -> int:
         """Demand misses across both halves."""
         return self.precise.stats.misses + self.dopp.stats.misses
+
+    def access_count(self) -> int:
+        """Demand accesses across both halves."""
+        return self.precise.stats.accesses + self.dopp.stats.accesses
 
     def attach_tracer(self, tracer) -> None:
         """Route protocol events of the Doppelgänger half to ``tracer``."""
@@ -292,6 +300,10 @@ class UnifiedDoppelgangerLLC:
     def miss_count(self) -> int:
         """Demand misses at the unified LLC."""
         return self.uni.stats.misses
+
+    def access_count(self) -> int:
+        """Demand accesses at the unified LLC."""
+        return self.uni.stats.accesses
 
     def attach_tracer(self, tracer) -> None:
         """Route protocol events of the unified cache to ``tracer``."""

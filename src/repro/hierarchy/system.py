@@ -53,7 +53,6 @@ class SystemConfig:
     issue_width: int = 4
     wb_capacity: int = 16
     wb_drain_interval: int = 20
-    policy: str = "lru"
     #: Minimum cycles between consecutive memory-miss completions on
     #: one core. The 4-wide OoO core of Table 1 overlaps independent
     #: misses (memory-level parallelism); a burst of misses therefore
@@ -173,14 +172,14 @@ class System:
         self.wb_buffer = WritebackBuffer(cfg.wb_capacity, cfg.wb_drain_interval)
         self.l1s = [
             SetAssociativeCache(
-                cfg.l1_bytes, cfg.l1_ways, cfg.block_size, cfg.policy,
+                cfg.l1_bytes, cfg.l1_ways, cfg.block_size,
                 name=f"L1-{c}", level="L1",
             )
             for c in range(cfg.num_cores)
         ]
         self.l2s = [
             SetAssociativeCache(
-                cfg.l2_bytes, cfg.l2_ways, cfg.block_size, cfg.policy,
+                cfg.l2_bytes, cfg.l2_ways, cfg.block_size,
                 name=f"L2-{c}", level="L2",
             )
             for c in range(cfg.num_cores)
@@ -350,17 +349,3 @@ class System:
         if self.fault_injector is None:
             return None
         return self.fault_injector.summary()
-
-    def _llc_accesses(self) -> int:
-        """Demand accesses seen by the LLC, across organizations."""
-        llc = self.llc
-        if hasattr(llc, "cache"):
-            return llc.cache.stats.accesses
-        total = 0
-        if hasattr(llc, "precise"):
-            total += llc.precise.stats.accesses
-        if hasattr(llc, "dopp"):
-            total += llc.dopp.stats.accesses
-        if hasattr(llc, "uni"):
-            total += llc.uni.stats.accesses
-        return total

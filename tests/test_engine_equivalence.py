@@ -17,7 +17,7 @@ import pytest
 
 from repro.engine import ENGINES, engine_names, get_engine
 from repro.harness.runner import ConfigSpec, baseline_spec, dopp_spec, uni_spec
-from repro.hierarchy.system import System, SystemConfig
+from repro.hierarchy.system import System
 from repro.obs.events import EventSink, Tracer
 from repro.workloads.registry import get_workload, workload_names
 
@@ -25,10 +25,9 @@ SEED = 3
 SCALE = 0.05
 
 
-def _run(trace, spec: ConfigSpec, engine: str, config: SystemConfig = None):
+def _run(trace, spec: ConfigSpec, engine: str):
     llc = spec.build_llc(trace.regions, 0.0625)
-    system = System(llc, config=config or SystemConfig())
-    return system.run(trace, engine=engine)
+    return System(llc).run(trace, engine=engine)
 
 
 def assert_results_equal(ref, bat):
@@ -121,17 +120,6 @@ def test_traced_equivalence(traces, name, kind):
     plain = System(spec.build_llc(trace.regions, 0.0625))
     assert plain.run(trace, engine="batched") == bat
     assert bat_stats == plain.engine_stats
-
-
-@pytest.mark.parametrize("policy", ["fifo", "plru", "random"])
-def test_policy_equivalence(traces, policy):
-    # random falls back to the reference engine inside batched.run;
-    # fifo/plru exercise the fast path with non-LRU replacement.
-    cfg = SystemConfig(policy=policy)
-    trace = traces["kmeans"]
-    ref = _run(trace, baseline_spec(), "reference", cfg)
-    bat = _run(trace, baseline_spec(), "batched", cfg)
-    assert_results_equal(ref, bat)
 
 
 def test_limit_equivalence(traces):

@@ -75,8 +75,9 @@ def test_reference_engine_reports_interpreted(traces):
 
 
 def test_delegated_config_is_marked(traces):
-    # random replacement delegates wholesale to the reference loop.
-    cfg = SystemConfig(policy="random")
+    # A non-power-of-two issue width delegates wholesale to the
+    # reference loop.
+    cfg = SystemConfig(issue_width=3)
     es = _engine_stats(traces["jpeg"], baseline_spec(), "batched", cfg)
     assert es["engine"] == "batched"
     assert es.get("delegated") is True

@@ -1,4 +1,4 @@
-"""Additional LLC-adapter tests: energy events, miss counting, routing."""
+"""Additional LLC-adapter tests: energy events, miss and access counting, routing."""
 
 import numpy as np
 import pytest
@@ -65,6 +65,20 @@ class TestMissCounting:
         llc.fill(0, 0, True, 0, values=np.full(16, 5.0))
         llc.read(0, 0, True, 0)
         assert llc.miss_count() == 2  # the hit adds nothing
+
+
+@pytest.mark.parametrize("make", [
+    BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC,
+], ids=["baseline", "split", "unified"])
+def test_access_count_counts_demand_reads_only(make):
+    llc = make(regions=regions())
+    for addr, approx, rid in ((0, True, 0), (1 << 21, False, 1)):
+        llc.read(addr, 0, approx, rid)          # miss
+        llc.fill(addr, 0, approx, rid, values=np.full(16, 5.0))
+        llc.read(addr, 0, approx, rid)          # hit
+        llc.handle_writeback(addr, 0, approx, rid, values=np.full(16, 6.0))
+    assert llc.access_count() == 4
+    assert llc.miss_count() == 2
 
 
 class TestRouting:
