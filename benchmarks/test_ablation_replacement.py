@@ -9,7 +9,7 @@ sensitive benchmark (canneal) and reports LLC misses and runtime.
 from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig
 from repro.harness.reporting import Table
-from repro.harness.runner import baseline_spec
+from repro.harness.runner import baseline_spec, system_config
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 
@@ -38,7 +38,7 @@ def test_ablation_replacement(once, ctx, emit):
                 precise_bytes=max(int(1024 * 1024 * ctx.size_factor), 64 * 1024),
                 regions=trace.regions,
             )
-            result = System(llc, config=ctx._system_config()).run(trace)
+            result = System(llc, config=system_config(ctx.size_factor)).run(trace)
             table.add_row(policy, result.llc_misses, result.cycles / base_cycles)
         return table
 

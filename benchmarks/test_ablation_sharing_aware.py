@@ -10,7 +10,7 @@ from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig
 from repro.core.replacement_ext import make_sharing_aware
 from repro.harness.reporting import Table
-from repro.harness.runner import baseline_spec
+from repro.harness.runner import baseline_spec, system_config
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 
@@ -39,7 +39,7 @@ def test_ablation_sharing_aware(once, ctx, emit):
                 )
                 if aware:
                     make_sharing_aware(spec_llc.dopp)
-                system = System(spec_llc, config=ctx._system_config())
+                system = System(spec_llc, config=system_config(ctx.size_factor))
                 result = system.run(trace)
                 table.add_row(
                     name,

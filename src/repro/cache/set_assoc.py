@@ -10,7 +10,7 @@ from the recorded events.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.cache.block import BlockState, CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_policy
@@ -270,12 +270,6 @@ class SetAssociativeCache:
             if block is not None and block.dirty:
                 dirty.append((addr, block))
         return dirty
-
-    def for_each_block(self, fn: Callable[[int, CacheBlock], None]) -> None:
-        """Apply ``fn(addr, block)`` to every resident block."""
-        for set_idx, ways_map in enumerate(self._ways):
-            for block in ways_map.values():
-                fn(self._compose_addr(set_idx, block.tag), block)
 
     def __repr__(self) -> str:
         return (

@@ -82,11 +82,6 @@ class DoppelgangerConfig:
         """Approximate data array capacity in bytes."""
         return self.data_entries * self.block_size
 
-    @property
-    def tag_equivalent_bytes(self) -> int:
-        """Capacity a conventional cache with this many tags would have."""
-        return self.tag_entries * self.block_size
-
 
 @dataclass(frozen=True)
 class UniDoppelgangerConfig:

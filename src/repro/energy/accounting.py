@@ -165,13 +165,3 @@ class EnergyModel:
             self.cacti.area_mm2(l1_structure()) + self.cacti.area_mm2(l2_structure())
         )
         return self.llc_area_mm2(llc) + private
-
-    def private_dynamic_pj(self, l1_stats, l2_stats) -> float:
-        """Dynamic energy of the private caches (for hierarchy totals)."""
-        l1 = l1_structure()
-        l2 = l2_structure()
-        e = l1_stats.tag_lookups * self.cacti.tag_energy_pj(l1)
-        e += (l1_stats.data_reads + l1_stats.data_writes) * self.cacti.data_energy_pj(l1)
-        e += l2_stats.tag_lookups * self.cacti.tag_energy_pj(l2)
-        e += (l2_stats.data_reads + l2_stats.data_writes) * self.cacti.data_energy_pj(l2)
-        return e

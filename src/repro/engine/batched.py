@@ -68,14 +68,6 @@ from repro.engine.precompute import trace_columns
 from repro.engine.step import finalize, make_state, prepare, process_access
 from repro.hierarchy.llc import BaselineLLC
 
-#: Test seam for the resilience layer: when set, called as
-#: ``_FAIL_HOOK(system, trace)`` at the top of :func:`run` so the
-#: harness's batched-to-reference fallback can be exercised with a
-#: synthetic failure (see ``tests/test_resilience.py``). Always None
-#: in production.
-_FAIL_HOOK = None
-
-
 def _flush(stats, read_hits, write_hits, read_misses, write_misses,
            evictions, writebacks, invalidations):
     """Add a run's event counts to one cache's ``CacheStats``.
@@ -101,8 +93,6 @@ def _flush(stats, read_hits, write_hits, read_misses, write_misses,
 
 def run(system, trace, limit: Optional[int] = None):
     """Simulate ``trace``, bit-identically to the reference engine."""
-    if _FAIL_HOOK is not None:
-        _FAIL_HOOK(system, trace)
     cfg = system.config
     width_i = cfg.issue_width
     if width_i & (width_i - 1):
@@ -202,7 +192,7 @@ def run(system, trace, limit: Optional[int] = None):
     inval1, inval2 = per_core(), per_core()
     llc_hit = [0, 0]  # LLC outcome of the demand L2 misses, (load, store)
     llc_miss = [0, 0]
-    llc_evict = [0, 0]  # raw baseline-LLC evictions; aux reports the loads'
+    llc_evict = 0  # raw baseline-LLC evictions
     llc_dirty = 0  # ... of them dirty
     n_coh_dir = 0  # inline store-coherence directory consults
     n_coh_inv = 0  # inline remote-sharer invalidations
@@ -474,7 +464,7 @@ def run(system, trace, limit: Optional[int] = None):
                 if tracer is not None:
                     tracer.emit("back_invalidation", addr=ea, origin=a)
                 del llc_maps[sl][vbl.tag]
-                llc_evict[wr] += 1
+                llc_evict += 1
             wsl[wayl] = new_block(tl, state=shared,
                                   value_id=cur_value.get(a, -1))
             llc_maps[sl][tl] = wayl
@@ -500,11 +490,10 @@ def run(system, trace, limit: Optional[int] = None):
                miss2[0][c], miss2[1][c] + vfill2[c],
                evict2[c], dirty2[c], inval2[c])
     if llc_plain:
-        evicted = sum(llc_evict)
         _flush(lcache.stats, sum(llc_hit), 0, sum(llc_miss), 0,
-               evicted, llc_dirty, 0)
-        lcache.stats.back_invalidations += evicted
-        system.back_invalidations += evicted
+               llc_evict, llc_dirty, 0)
+        lcache.stats.back_invalidations += llc_evict
+        system.back_invalidations += llc_evict
     system.memory.reads += sum(llc_miss)
     system.memory.writes += mem_wr
     system.coherence_invalidations += n_coh_inv
@@ -538,7 +527,7 @@ def run(system, trace, limit: Optional[int] = None):
         "aux": {
             "coherence_inlined": n_coh_dir,
             "remote_invalidations_inlined": n_coh_inv,
-            "llc_evictions_inlined": llc_evict[0],
+            "llc_evictions_inlined": llc_evict,
         },
         "slow_fraction": (slow_total / n) if n else 0.0,
     }

@@ -12,7 +12,7 @@ exception                   exit code  raised for
 ==========================  =========  =================================
 :class:`ConfigError`        2          invalid configuration / usage
 :class:`TraceFormatError`   3          unreadable or malformed trace
-:class:`SimulationFault`    4          simulation failed on both engines
+:class:`SimulationFault`    4          an engine failed mid-simulation
 :class:`Cancelled`          130        run cancelled (SIGINT / SIGTERM)
 ==========================  =========  =================================
 
@@ -117,8 +117,8 @@ class TraceFormatError(ReproError, ValueError):
 class SimulationFault(ReproError, RuntimeError):
     """A simulation failed and could not be recovered (exit code 4).
 
-    Raised by the harness when a run fails on the reference engine too
-    (after the batched engine already fell back — see
+    Raised by :func:`~repro.harness.runner.run_trace` when the engine
+    fails (nothing is re-run on another engine; see
     ``docs/robustness.md``), or when a parallel sweep exhausts its
     retries. The original exception is chained as ``__cause__``.
     """

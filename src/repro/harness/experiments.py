@@ -47,6 +47,7 @@ from repro.harness.runner import (
     uni_spec,
 )
 from repro.harness.strategy import Requirements, experiment
+from repro.resilience.faults import FaultConfig
 
 #: The built-in strategies in paper order, appended by the
 #: :func:`~repro.harness.strategy.experiment` registrations below.
@@ -68,7 +69,7 @@ FAULT_RATE_SWEEP = (0.0, 1e-4, 1e-3, 1e-2)
 FAULT_SEED = 11
 
 
-def fault_config(rate: float) -> "FaultConfig":
+def fault_config(rate: float) -> FaultConfig:
     """The sweep's fault model at one per-read rate.
 
     Two-bit transient flips on every read of the unprotected structures
@@ -76,8 +77,6 @@ def fault_config(rate: float) -> "FaultConfig":
     lines (precise DRAM lines stay ECC-protected and only pay refetch
     latency).
     """
-    from repro.resilience.faults import FaultConfig
-
     return FaultConfig(
         seed=FAULT_SEED, read_rate=rate, flip_bits=2,
         targets=("approx_data", "dram"),
@@ -543,8 +542,7 @@ def summary_headline(ctx: ExperimentContext) -> Table:
 @experiment(
     "faultsweep",
     "output quality and cost vs injected fault rate",
-    # Built on use: the sweep specs pull in the fault model.
-    requires=lambda: _sweep(faultsweep_specs()),
+    requires=_sweep(faultsweep_specs()),
 )
 def faultsweep_resilience(ctx: ExperimentContext) -> Dict[str, Table]:
     """Resilience sweep: output quality and cost vs injected fault rate.

@@ -49,9 +49,9 @@ every record already merged, and surfaces as the typed
 ``KeyboardInterrupt`` traceback mid-merge. Workers ignore SIGINT, die
 on SIGTERM and exit once orphaned (:func:`_init_worker`).
 
-Run events: workers put theirs (heartbeats, engine fallbacks) on their
-pool's own queue, and the parent re-emits them into its context while
-it polls for results. The queue is dropped with the pool, so a worker
+Run events: workers put theirs (heartbeats) on their pool's own
+queue, and the parent re-emits them into its context while it polls
+for results. The queue is dropped with the pool, so a worker
 killed mid-put cannot wedge the next round.
 """
 
@@ -324,10 +324,16 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     ``shutdown(wait=True)`` would join workers that may never exit (the
     original hang this module had on a worker death); instead cancel
     queued work and terminate any process still alive. The process
-    handles must be snapshotted first: ``shutdown`` drops the pool's
-    ``_processes`` dict even with ``wait=False``.
+    handles and the pool's manager thread must be snapshotted first:
+    ``shutdown`` drops the pool's references to both even with
+    ``wait=False``.
+
+    The manager thread joins the workers too, and whichever thread
+    reaps a worker is the one that records its exit status; joining
+    the manager last means every status is recorded on return.
     """
     procs = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for proc in procs:
         if proc.is_alive():
@@ -337,6 +343,8 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         if proc.is_alive():  # ignored SIGTERM: escalate
             proc.kill()
             proc.join(timeout=5)
+    if manager is not None:
+        manager.join(timeout=5)
 
 
 def _run_round(
@@ -432,8 +440,8 @@ def prefetch_pairs(
     skipped; fault configs are resolved through
     :meth:`ExperimentContext.apply_faults` first so worker memo keys,
     parent memo keys and stored memo digests all agree. Returns the
-    number of simulations fetched. Worker run events (heartbeats,
-    engine fallbacks) and retries are emitted into ``ctx``.
+    number of simulations fetched. Worker run events (heartbeats) and
+    retries are emitted into ``ctx``.
 
     Args:
         run_pairs: (workload, spec) pairs to simulate.

@@ -7,7 +7,6 @@ and writes it under ``results/``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from typing import Iterable, List, Optional, Sequence, Union
@@ -151,20 +150,6 @@ class Table:
         for note in data.get("notes", []):
             table.add_note(note)
         return table
-
-    def save_json(self, directory: str = "results/json", filename: Optional[str] = None) -> str:
-        """Write :meth:`as_dict` as JSON under ``directory``; returns path."""
-        os.makedirs(directory, exist_ok=True)
-        if filename is None:
-            slug = "".join(
-                ch if ch.isalnum() else "_" for ch in self.title.lower()
-            ).strip("_")
-            filename = f"{slug[:60]}.json"
-        path = os.path.join(directory, filename)
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, default=str)
-            fh.write("\n")
-        return path
 
     def save(self, directory: str = "results", filename: Optional[str] = None) -> str:
         """Write the rendering to ``directory/filename``; returns path."""

@@ -28,8 +28,8 @@ from repro.energy.accounting import EnergyModel, EnergyReport
 from repro.engine import get_engine
 from repro.errors import SimulationFault
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
-from repro.hierarchy.system import System, SystemConfig, SystemResult
-from repro.obs import EVENT_ENGINE_FALLBACK, Observability, get_logger
+from repro.hierarchy.system import KB, System, SystemConfig, SystemResult
+from repro.obs import Observability, get_logger
 from repro.resilience.faults import FaultConfig, FaultInjector
 from repro.workloads.registry import get_workload, workload_names
 
@@ -51,6 +51,13 @@ def snap_pow2(scale: float) -> float:
     if scale >= 1.0:
         return 1.0
     return 2.0 ** max(round(math.log2(scale)), -4)
+
+
+def system_config(size_factor: float) -> SystemConfig:
+    """Table 1 system with the L2 scaled alongside the LLC (32 KB floor)."""
+    if size_factor >= 1.0:
+        return SystemConfig()
+    return SystemConfig(l2_bytes=max(int(128 * KB * size_factor), 32 * KB))
 
 
 @dataclass(frozen=True)
@@ -198,9 +205,6 @@ class RunRecord:
     #: Fault-injection report (``FaultInjector.summary()``) when the
     #: spec carried a fault config, else None.
     faults: Optional[dict] = None
-    #: Engine that produced the result when it differs from the one
-    #: requested (the batched engine degraded to the reference).
-    engine_used: Optional[str] = None
     #: Per-class fast/slow-path tallies published by the engine
     #: (``system.engine_stats``; see ``docs/engine.md``).
     engine_stats: Optional[dict] = None
@@ -240,8 +244,6 @@ class RunRecord:
         }
         if self.faults is not None:
             out["faults"] = self.faults
-        if self.engine_used is not None:
-            out["engine_used"] = self.engine_used
         if self.engine_stats is not None:
             out["engine_stats"] = self.engine_stats
         return out
@@ -274,8 +276,6 @@ class RunRecord:
         }
         if self.faults is not None:
             row["faults"] = self.faults
-        if self.engine_used is not None:
-            row["engine_used"] = self.engine_used
         if self.engine_stats is not None:
             row["slow_path_fraction"] = self.engine_stats.get("slow_fraction")
             row["engine_stats"] = self.engine_stats
@@ -291,36 +291,57 @@ def run_trace(
     energy_model: Optional[EnergyModel] = None,
     obs: Optional[Observability] = None,
 ) -> RunRecord:
-    """Simulate a standalone trace (no workload registry entry).
+    """Simulate ``trace`` under ``spec`` and price the run.
 
-    The front door for imported traces (:mod:`repro.ingest`) and traces
-    loaded via :func:`repro.trace.io.load_trace`: builds the spec's LLC
-    over the trace's own regions, runs the full system under the chosen
-    engine, and returns the same :class:`RunRecord` shape the memoized
-    workload pipeline produces — so replayed results serialize, compare
-    and report identically.
+    The one path from a (trace, spec) pair to a :class:`RunRecord`:
+    :meth:`ExperimentContext.run` memoizes it for workload traces, and
+    imported (:mod:`repro.ingest`) or saved
+    (:func:`repro.trace.io.load_trace`) traces call it directly. It
+    builds the spec's LLC over the trace's own regions and the Table 1
+    hierarchy at ``size_factor`` (:func:`system_config`), runs it under
+    ``engine`` (``None``: the :func:`repro.engine.get_engine` default)
+    and prices it with ``energy_model``. ``obs`` profiles the two steps
+    as the ``sim/<trace>/<config>`` and ``energy/<trace>/<config>``
+    phases and receives the structure events.
 
     Raises:
-        SimulationFault: the simulation failed (no cross-engine
-            fallback here — callers replaying a trace pick the engine
-            deliberately).
+        SimulationFault: the engine failed. The run is not retried on
+            another engine: the message names the trace, the config and
+            the engine, and a batched failure points to a rerun under
+            ``--engine reference``.
     """
     spec = spec if spec is not None else baseline_spec()
     obs = obs or Observability.disabled()
-    llc = spec.build_llc(trace.regions, size_factor)
-    injector = FaultInjector(spec.faults) if spec.faults is not None else None
-    system = System(llc, tracer=obs.tracer, faults=injector)
-    start_ns = perf_counter_ns()
-    try:
-        result = system.run(trace, engine=engine)
-    except Exception as exc:
-        raise SimulationFault(
-            f"replay of trace {trace.name!r} failed under {spec.label()}: {exc}"
-        ) from exc
-    return _finished_record(
-        spec, trace, system, result, energy_model or EnergyModel(),
-        wall_ns=perf_counter_ns() - start_ns,
-    )
+    engine = get_engine(engine)[0]
+    label = spec.label()
+    with obs.profiler.phase(f"sim/{trace.name}/{label}"):
+        start_ns = perf_counter_ns()
+        llc = spec.build_llc(trace.regions, size_factor)
+        injector = FaultInjector(spec.faults) if spec.faults is not None else None
+        system = System(
+            llc, config=system_config(size_factor), tracer=obs.tracer,
+            faults=injector,
+        )
+        try:
+            result = system.run(trace, engine=engine)
+        except Exception as exc:
+            hint = "" if engine == "reference" else "; rerun with --engine reference"
+            raise SimulationFault(
+                f"{engine} engine failed on {trace.name}/{label}: "
+                f"{type(exc).__name__}: {exc}{hint}"
+            ) from exc
+        wall_ns = perf_counter_ns() - start_ns
+    with obs.profiler.phase(f"energy/{trace.name}/{label}"):
+        return RunRecord(
+            spec=spec, system=result,
+            energy=(energy_model or EnergyModel()).dynamic_energy(
+                llc, cycles=result.cycles
+            ),
+            llc_stats=_llc_stats(llc, trace.regions),
+            wall_ns=wall_ns, accesses=len(trace),
+            faults=system.fault_summary(),
+            engine_stats=system.engine_stats,
+        )
 
 
 def _llc_stats(llc, regions) -> dict:
@@ -357,25 +378,6 @@ def _llc_stats(llc, regions) -> dict:
         "hit_rate": stats.hit_rate,
         **counters,
     }
-
-
-def _finished_record(
-    spec: ConfigSpec, trace, system: System, result: SystemResult,
-    energy_model: EnergyModel, *, wall_ns: int,
-    engine_used: Optional[str] = None,
-) -> RunRecord:
-    """Price a finished run and keep its numbers; the LLC is dropped
-    with ``system`` (shared by :meth:`ExperimentContext.run` and
-    :func:`run_trace`)."""
-    return RunRecord(
-        spec=spec, system=result,
-        energy=energy_model.dynamic_energy(system.llc, cycles=result.cycles),
-        llc_stats=_llc_stats(system.llc, trace.regions),
-        wall_ns=wall_ns, accesses=len(trace),
-        faults=system.fault_summary(),
-        engine_used=engine_used,
-        engine_stats=system.engine_stats,
-    )
 
 
 def env_scale(default: float = 1.0) -> float:
@@ -458,8 +460,8 @@ class ExperimentContext:
     def emit(self, kind: str, **fields) -> None:
         """Record one run event: the single entry point for them.
 
-        Run events (``controller_*``, ``engine_fallback``,
-        ``worker_retry``, ``worker_heartbeat``, ``run_cancelled``) are
+        Run events (``controller_*``, ``worker_retry``,
+        ``worker_heartbeat``, ``run_cancelled``) are
         appended to :attr:`events` as ``{"kind", "ts_unix", **fields}``
         dicts (an event forwarded from a worker keeps its own
         ``ts_unix``), forwarded to ``obs.tracer`` (a no-op unless
@@ -491,16 +493,6 @@ class ExperimentContext:
             with self.obs.profiler.phase(f"trace/{name}"):
                 self._traces[name] = self.workload(name).build_trace()
         return self._traces[name]
-
-    def _system_config(self) -> SystemConfig:
-        """Table 1 system with L2 capacity scaled alongside the LLC."""
-        from repro.hierarchy.system import KB
-
-        if self.size_factor >= 1.0:
-            return SystemConfig()
-        return SystemConfig(
-            l2_bytes=max(int(128 * KB * self.size_factor), 32 * KB)
-        )
 
     # ------------------------------------------------------------------ memo
 
@@ -576,76 +568,17 @@ class ExperimentContext:
             return spec.with_faults(self.faults)
         return spec
 
-    def _simulate(self, name: str, spec: ConfigSpec, trace):
-        """Build and run one system, degrading to the reference engine.
-
-        Returns ``(system, result, engine_used)``. A batched
-        failure rebuilds the hierarchy (the failed run mutated it) and
-        replays under the reference interpreter, logged and emitted as
-        an ``engine_fallback`` run event; if the reference fails too — or
-        was the engine asked for — the error surfaces as a
-        :class:`~repro.errors.SimulationFault` naming the (workload,
-        config) pair.
-        """
-        label = spec.label()
-
-        def build():
-            """Assemble a fresh System around this spec's LLC."""
-            llc = spec.build_llc(trace.regions, self.size_factor)
-            injector = (
-                FaultInjector(spec.faults) if spec.faults is not None else None
-            )
-            return System(
-                llc, config=self._system_config(), tracer=self.obs.tracer,
-                faults=injector,
-            )
-
-        system = build()
-        try:
-            return system, system.run(trace, engine=self.engine), None
-        except Exception as exc:
-            if self.engine == "reference":
-                raise SimulationFault(
-                    f"reference engine failed for {name}/{label}: {exc}"
-                ) from exc
-            self.log.warning(
-                "batched engine failed for %s/%s (%s); retrying with the "
-                "reference engine", name, label, exc,
-            )
-            self.emit(
-                EVENT_ENGINE_FALLBACK,
-                engine=self.engine, error=repr(exc),
-                workload=name, config=label,
-            )
-        # The failed run left the hierarchy partially mutated: rebuild
-        # from scratch.
-        system = build()
-        try:
-            return system, system.run(trace, engine="reference"), "reference"
-        except Exception as exc:
-            raise SimulationFault(
-                f"simulation failed under both engines for {name}/{label}: "
-                f"{exc}"
-            ) from exc
-
     def run(self, name: str, spec: ConfigSpec) -> RunRecord:
-        """Simulate one (workload, config); memoized."""
+        """Simulate one (workload, config); memoizes :func:`run_trace`."""
         spec = self.apply_faults(spec)
         key = (name, spec)
         if key not in self._runs:
             trace = self.trace(name)
-            label = spec.label()
-            self.log.info("simulating %s under %s", name, label)
-            with self.obs.profiler.phase(f"sim/{name}/{label}"):
-                start_ns = perf_counter_ns()
-                system, result, engine_used = self._simulate(name, spec, trace)
-                wall_ns = perf_counter_ns() - start_ns
-            with self.obs.profiler.phase(f"energy/{name}/{label}"):
-                record = _finished_record(
-                    spec, trace, system, result, self.energy_model,
-                    wall_ns=wall_ns, engine_used=engine_used,
-                )
-            self.remember_run(name, spec, record)
+            self.log.info("simulating %s under %s", name, spec.label())
+            self.remember_run(name, spec, run_trace(
+                trace, spec, engine=self.engine, size_factor=self.size_factor,
+                energy_model=self.energy_model, obs=self.obs,
+            ))
         return self._runs[key]
 
     def error(self, name: str, spec: ConfigSpec) -> float:

@@ -6,8 +6,8 @@ declares what it needs (:class:`Requirements`), produces its tables in
 ``execute()``, and is discovered through a :class:`StrategyRegistry`
 rather than hard-coded CLI branches. The harness machinery that used
 to be special-cased per experiment (``--jobs`` fan-splitting,
-resume from the history store, retries, engine fallback, observability
-phases, history-store recording) lives once in :func:`run_strategies`
+resume from the history store, retries, observability phases,
+history-store recording) lives once in :func:`run_strategies`
 and is driven purely by registry metadata, so a new experiment — in
 this package or a third-party distribution — is a ~100-line class, not
 a harness fork.
@@ -164,10 +164,7 @@ class ExperimentStrategy(ABC):
 class FunctionStrategy(ExperimentStrategy):
     """A strategy whose ``execute`` is one driver function.
 
-    What :func:`experiment` registers. ``requires`` may be a
-    zero-argument callable instead of a :class:`Requirements`, for spec
-    lists too costly to build at import time; it is then rebuilt on
-    each access.
+    What :func:`experiment` registers.
     """
 
     def __init__(self, name: str, description: str, driver, requires):
@@ -175,14 +172,7 @@ class FunctionStrategy(ExperimentStrategy):
         self.name = name
         self.description = description
         self.driver = driver
-        self._requires = requires
-
-    @property
-    def requires(self) -> Requirements:
-        """The driver's declared requirements."""
-        if callable(self._requires):
-            return self._requires()
-        return self._requires
+        self.requires = requires
 
     def execute(self, ctx):
         """Run the driver (``ctx`` is None for config-only drivers)."""
@@ -431,11 +421,6 @@ class StrategyRunResult:
     def tables(self) -> Dict[str, Tables]:
         """Strategy name -> its tables."""
         return {o.name: o.tables for o in self.outcomes}
-
-    @property
-    def walls(self) -> Dict[str, float]:
-        """Strategy name -> wall seconds."""
-        return {o.name: o.wall_s for o in self.outcomes}
 
 
 def _normalize_tables(name: str, result) -> Tables:

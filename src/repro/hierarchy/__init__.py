@@ -12,7 +12,6 @@ statistics that drive the runtime and energy results.
 from repro.hierarchy.dram import MainMemory
 from repro.hierarchy.llc import (
     BaselineLLC,
-    LLCReply,
     SplitDoppelgangerLLC,
     UnifiedDoppelgangerLLC,
 )
@@ -20,7 +19,6 @@ from repro.hierarchy.system import System, SystemConfig, SystemResult
 
 __all__ = [
     "BaselineLLC",
-    "LLCReply",
     "MainMemory",
     "SplitDoppelgangerLLC",
     "System",

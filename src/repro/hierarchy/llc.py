@@ -22,32 +22,24 @@ Organizations:
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig
-from repro.core.doppelganger import DoppelgangerCache
+from repro.core.doppelganger import DoppelgangerCache, LLCOutcome
 from repro.core.unidoppelganger import UniDoppelgangerCache
 
 MB = 1024 * 1024
 
 
-class LLCReply(NamedTuple):
-    """Outcome of an LLC operation, as seen by the system."""
-
-    hit: bool
-    writebacks: tuple = ()
-    back_invalidations: tuple = ()
-
-
 #: Shared immutable replies for the two no-side-effect outcomes.
-_REPLY_HIT = LLCReply(True)
-_REPLY_MISS = LLCReply(False)
+_REPLY_HIT = LLCOutcome(True)
+_REPLY_MISS = LLCOutcome(False)
 
 
-def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) -> LLCReply:
+def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) -> LLCOutcome:
     """Install a fetched block in a conventional (inclusive) array.
 
     The victim, if any, is back-invalidated, and written back when dirty.
@@ -56,15 +48,15 @@ def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) 
     writebacks = (result.evicted_addr,) if result.writeback else ()
     back_invals = (result.evicted_addr,) if result.evicted_addr is not None else ()
     cache.stats.back_invalidations += len(back_invals)
-    return LLCReply(hit=False, writebacks=writebacks, back_invalidations=back_invals)
+    return LLCOutcome(hit=False, writebacks=writebacks, back_invalidations=back_invals)
 
 
-def _absorb_writeback(cache: SetAssociativeCache, addr: int, value_id: int) -> LLCReply:
+def _absorb_writeback(cache: SetAssociativeCache, addr: int, value_id: int) -> LLCOutcome:
     """Absorb a dirty L2 eviction; forward to memory if not resident."""
     block = cache.probe(addr)
     if block is None:
         # Raced with an LLC eviction: the writeback goes to memory.
-        return LLCReply(hit=False, writebacks=(addr,))
+        return LLCOutcome(hit=False, writebacks=(addr,))
     block.dirty = True
     if value_id >= 0:
         block.value_id = value_id
@@ -91,7 +83,7 @@ class BaselineLLC:
         )
         self.block_size = block_size
 
-    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCReply:
+    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCOutcome:
         """Demand lookup; misses do not fill."""
         result = self.cache.access(addr, is_write=False, fill_on_miss=False)
         return _REPLY_HIT if result.hit else _REPLY_MISS
@@ -105,7 +97,7 @@ class BaselineLLC:
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
         dirty: bool = False,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Install a block fetched from memory."""
         return _install(self.cache, addr, value_id, dirty)
 
@@ -117,7 +109,7 @@ class BaselineLLC:
         region_id: int,
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Absorb a dirty L2 eviction; forward to memory if not resident."""
         return _absorb_writeback(self.cache, addr, value_id)
 
@@ -161,11 +153,10 @@ class SplitDoppelgangerLLC:
         )
         self.dopp = DoppelgangerCache(self.config, regions=regions)
 
-    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCReply:
+    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCOutcome:
         """Route by the access's approximate bit (ISA support, Sec. 4.1)."""
         if approx:
-            outcome = self.dopp.lookup(addr, is_write=False, core=core)
-            return _REPLY_HIT if outcome.hit else _REPLY_MISS
+            return self.dopp.lookup(addr, is_write=False, core=core)
         result = self.precise.access(addr, is_write=False, fill_on_miss=False)
         return _REPLY_HIT if result.hit else _REPLY_MISS
 
@@ -178,17 +169,16 @@ class SplitDoppelgangerLLC:
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
         dirty: bool = False,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Install a fetched block in the appropriate half."""
         if approx:
             if values is None:
                 raise ValueError(
                     f"approximate fill of {addr:#x} (region {region_id}) needs block values"
                 )
-            outcome = self.dopp.insert(
+            return self.dopp.insert(
                 addr, region_id, values, value_id=value_id, dirty=dirty, core=core
             )
-            return LLCReply(False, outcome.writebacks, outcome.back_invalidations)
         return _install(self.precise, addr, value_id, dirty)
 
     def handle_writeback(
@@ -199,15 +189,14 @@ class SplitDoppelgangerLLC:
         region_id: int,
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Dirty L2 eviction: Sec. 3.4 path for approximate blocks."""
         if approx:
             if values is None:
                 raise ValueError(
                     f"approximate writeback of {addr:#x} (region {region_id}) needs values"
                 )
-            outcome = self.dopp.writeback(addr, region_id, values, value_id=value_id, core=core)
-            return LLCReply(outcome.hit, outcome.writebacks, outcome.back_invalidations)
+            return self.dopp.writeback(addr, region_id, values, value_id=value_id, core=core)
         return _absorb_writeback(self.precise, addr, value_id)
 
     def energy_events(self) -> dict:
@@ -250,10 +239,9 @@ class UnifiedDoppelgangerLLC:
         self.block_size = self.config.block_size
         self.uni = UniDoppelgangerCache(self.config, regions=regions)
 
-    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCReply:
+    def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCOutcome:
         """Tag probe handles both kinds uniformly."""
-        outcome = self.uni.lookup(addr, is_write=False, core=core)
-        return _REPLY_HIT if outcome.hit else _REPLY_MISS
+        return self.uni.lookup(addr, is_write=False, core=core)
 
     def fill(
         self,
@@ -264,13 +252,12 @@ class UnifiedDoppelgangerLLC:
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
         dirty: bool = False,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Install a fetched block, precise or approximate."""
-        outcome = self.uni.insert_block(
+        return self.uni.insert_block(
             addr, approx, region_id=region_id, values=values, value_id=value_id,
             dirty=dirty, core=core,
         )
-        return LLCReply(False, outcome.writebacks, outcome.back_invalidations)
 
     def handle_writeback(
         self,
@@ -280,12 +267,11 @@ class UnifiedDoppelgangerLLC:
         region_id: int,
         value_id: int = -1,
         values: Optional[np.ndarray] = None,
-    ) -> LLCReply:
+    ) -> LLCOutcome:
         """Dirty L2 eviction of either kind."""
-        outcome = self.uni.writeback_block(
+        return self.uni.writeback_block(
             addr, approx, region_id=region_id, values=values, value_id=value_id, core=core
         )
-        return LLCReply(outcome.hit, outcome.writebacks, outcome.back_invalidations)
 
     def energy_events(self) -> dict:
         """Access counts per physical structure, for the energy model."""

@@ -33,7 +33,6 @@ from repro.obs.events import (
     EVENT_CONTROLLER_DEGRADE,
     EVENT_CONTROLLER_STEP,
     EVENT_DATA_EVICTION,
-    EVENT_ENGINE_FALLBACK,
     EVENT_FAULT_INJECTED,
     EVENT_MAP_GENERATION,
     EVENT_TAG_INSERT,
@@ -71,7 +70,6 @@ __all__ = [
     "EVENT_COHERENCE_INVALIDATION",
     "EVENT_WB_ENQUEUE",
     "EVENT_FAULT_INJECTED",
-    "EVENT_ENGINE_FALLBACK",
     "EVENT_WORKER_RETRY",
     "EVENT_CONTROLLER_STEP",
     "EVENT_CONTROLLER_DEGRADE",

@@ -21,8 +21,8 @@ kind                        payload fields
 ECC-detected refetch from a silent approximate-array corruption; see
 ``docs/robustness.md``).
 
-*Run events* — ``engine_fallback``, ``worker_retry``,
-``worker_heartbeat``, ``controller_step`` / ``controller_degrade`` /
+*Run events* — ``worker_retry``, ``worker_heartbeat``,
+``controller_step`` / ``controller_degrade`` /
 ``controller_converged`` and ``run_cancelled`` — describe the harness
 run, not the simulated hardware. They enter through
 :meth:`repro.harness.runner.ExperimentContext.emit`, which records
@@ -52,7 +52,6 @@ EVENT_BACK_INVALIDATION = "back_invalidation"
 EVENT_COHERENCE_INVALIDATION = "coherence_invalidation"
 EVENT_WB_ENQUEUE = "wb_enqueue"
 EVENT_FAULT_INJECTED = "fault_injected"
-EVENT_ENGINE_FALLBACK = "engine_fallback"
 EVENT_WORKER_RETRY = "worker_retry"
 EVENT_CONTROLLER_STEP = "controller_step"
 EVENT_CONTROLLER_DEGRADE = "controller_degrade"
@@ -68,7 +67,6 @@ EVENT_KINDS = (
     EVENT_COHERENCE_INVALIDATION,
     EVENT_WB_ENQUEUE,
     EVENT_FAULT_INJECTED,
-    EVENT_ENGINE_FALLBACK,
     EVENT_WORKER_RETRY,
     EVENT_CONTROLLER_STEP,
     EVENT_CONTROLLER_DEGRADE,

@@ -25,8 +25,8 @@ table              contents
                    ``profile.stages.<stage>`` and
                    ``profile.phases.<phase>.<field>`` rows
 ``events``         the run events of ``ExperimentContext.emit``: worker
-                   heartbeats, engine fallbacks, worker retries,
-                   controller decisions, cancellation
+                   heartbeats, worker retries, controller decisions,
+                   cancellation
 ``engine_stats``   flattened per-class engine tallies per result
                    (``fast.read_hit`` …; see ``docs/engine.md``)
 ``memo``           the resume memo: one pickled ``(spec, record or error)``
@@ -91,6 +91,8 @@ STORE_REF_PREFIX = "store:"
 #: both as the connect timeout and the connection's ``busy_timeout``.
 BUSY_TIMEOUT_S = 5.0
 
+#: The v1 tables. Nothing writes the ``results`` column after ``error``
+#: any more; it stays so that stores need no migration.
 _SCHEMA_V1 = (
     """
     CREATE TABLE IF NOT EXISTS runs (
@@ -461,8 +463,8 @@ class RunStore:
                 "INSERT INTO results (run_id, workload, config, sim_wall_s, "
                 "accesses, accesses_per_sec, cycles, llc_miss_rate, "
                 "l1_hit_rate, l2_hit_rate, traffic_bytes, error, "
-                "engine_used, slow_path_fraction, summary, record) "
-                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "slow_path_fraction, summary, record) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
                     run_id,
                     summary.get("workload"),
@@ -476,7 +478,6 @@ class RunStore:
                     summary.get("l2_hit_rate"),
                     summary.get("traffic_bytes"),
                     summary.get("error"),
-                    summary.get("engine_used"),
                     summary.get("slow_path_fraction"),
                     json.dumps(summary, default=str),
                     _json_or_none(record),

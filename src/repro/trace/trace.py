@@ -97,10 +97,6 @@ class Trace:
         """Fraction of accesses that are stores."""
         return float(self.is_write.mean()) if len(self) else 0.0
 
-    def approx_access_fraction(self) -> float:
-        """Fraction of accesses that touch approximate data."""
-        return float(self.approx.mean()) if len(self) else 0.0
-
     def unique_blocks(self) -> int:
         """Number of distinct blocks referenced."""
         return len(np.unique(self.addrs // self.block_size))
@@ -108,10 +104,6 @@ class Trace:
     def footprint_bytes(self) -> int:
         """Referenced footprint in bytes."""
         return self.unique_blocks() * self.block_size
-
-    def per_core_counts(self, num_cores: int = 4) -> List[int]:
-        """Access counts per core."""
-        return [int((self.cores == c).sum()) for c in range(num_cores)]
 
     def block_values(self, value_id: int) -> np.ndarray:
         """Element values of value-table entry ``value_id``."""

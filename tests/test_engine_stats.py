@@ -9,7 +9,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.runner import ExperimentContext, baseline_spec, dopp_spec, uni_spec
+from repro.harness.runner import (
+    ExperimentContext,
+    baseline_spec,
+    dopp_spec,
+    run_trace,
+    snap_pow2,
+    uni_spec,
+)
 from repro.hierarchy.system import System, SystemConfig
 from repro.workloads.registry import get_workload, workload_names
 
@@ -54,6 +61,21 @@ def test_classes_sum_to_accesses_approx_llc(traces, name, spec):
     # adapter protocol, not the raw-dict LLC path.
     assert es["fast"]["llc_read_hit"] == 0
     assert es["fast"]["mem_fill"] == 0
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_inlined_llc_evictions_count_loads_and_stores(traces, name):
+    # Every access retires inline here, so every LLC eviction (each a
+    # back-invalidation) is an inlined one, whether a load or a store
+    # missed.
+    rec = run_trace(
+        traces[name], baseline_spec(), engine="batched",
+        size_factor=snap_pow2(SCALE),
+    )
+    assert rec.engine_stats["slow_fraction"] == 0
+    inlined = rec.engine_stats["aux"]["llc_evictions_inlined"]
+    assert inlined == rec.system.back_invalidations
+    assert inlined == rec.llc_stats["baseline"]["evictions"]
 
 
 def test_slow_fraction_below_gate_on_table2(traces):

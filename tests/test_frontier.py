@@ -288,8 +288,8 @@ class TestControllerCheckpoint:
     def resumed(self, runs, tmp_path_factory):
         """Resume from a store that lacks the last probe's memo rows, as
         a kill during that probe leaves it; record every simulation."""
+        import repro.harness.runner as runner
         from repro.harness.frontier import _step_spec
-        from repro.harness.runner import ExperimentContext
         from repro.obs.store import config_digest
 
         plain, _, _, store = runs
@@ -310,14 +310,14 @@ class TestControllerCheckpoint:
         assert deleted == 2  # the probe's run and error rows
 
         simulated = []
-        real_simulate = ExperimentContext._simulate
+        real_run_trace = runner.run_trace
 
-        def counting(self, name, spec, trace):
-            simulated.append((name, spec))
-            return real_simulate(self, name, spec, trace)
+        def counting(trace, spec, **kwargs):
+            simulated.append((trace.name, spec))
+            return real_run_trace(trace, spec, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ExperimentContext, "_simulate", counting)
+            mp.setattr(runner, "run_trace", counting)
             result = self._search(
                 store_path=str(partial), record_history=True, resume=True
             )

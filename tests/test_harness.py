@@ -11,6 +11,8 @@ from repro.harness.runner import (
     ExperimentContext,
     baseline_spec,
     dopp_spec,
+    run_trace,
+    system_config,
     uni_spec,
 )
 from repro.harness import experiments
@@ -104,6 +106,12 @@ class TestExperimentContext:
         b = ctx.run("kmeans", baseline_spec())
         assert a is b
 
+    def test_run_is_run_trace_at_the_context_size(self, ctx):
+        # Same hierarchy at a scaled size_factor, L2 included.
+        spec = dopp_spec(14, 0.25)
+        direct = run_trace(ctx.trace("kmeans"), spec, size_factor=ctx.size_factor)
+        assert direct.system.to_dict() == ctx.run("kmeans", spec).system.to_dict()
+
     def test_normalized_runtime_baseline_is_one(self, ctx):
         assert ctx.normalized_runtime("kmeans", baseline_spec()) == pytest.approx(1.0)
 
@@ -170,7 +178,7 @@ class TestRecordsCarryNumbers:
         assert len(pickle.dumps(record)) < 8 * 1024
         trace = numbers_ctx.trace(name)
         llc = spec.build_llc(trace.regions, numbers_ctx.size_factor)
-        system = System(llc, config=numbers_ctx._system_config())
+        system = System(llc, config=system_config(numbers_ctx.size_factor))
         assert system.run(trace) == record.system
         assert record.llc_stats == self._read_llc(llc, spec, trace.regions)
 

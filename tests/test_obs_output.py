@@ -33,18 +33,6 @@ class TestTableJson:
     def test_as_dict_is_json_serializable(self):
         json.dumps(make_table().as_dict())
 
-    def test_save_json(self, tmp_path):
-        path = make_table().save_json(str(tmp_path))
-        data = load_json(path)
-        assert data["title"] == "Fig. X: demo"
-        assert data["rows"][0] == ["canneal", 1.25, 3]
-        assert data["rows"][1][1] is None
-
-    def test_save_json_explicit_filename(self, tmp_path):
-        path = make_table().save_json(str(tmp_path), filename="demo.json")
-        assert path.endswith("demo.json")
-        assert os.path.exists(path)
-
 
 class TestExperimentJson:
     def test_single_table_keyed_main(self, tmp_path):

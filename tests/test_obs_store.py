@@ -247,7 +247,7 @@ class TestRecording:
 
     def test_results_round_trip_verbatim(self, store):
         run_id = store.start_run()
-        row = summary_row(engine_used="batched", slow_path_fraction=0.125)
+        row = summary_row(slow_path_fraction=0.125)
         store.add_result(run_id, row, record={"accesses": 1000})
         assert store.results_for(run_id) == [row]
         assert store.records_for(run_id) == {

@@ -2,10 +2,11 @@
 
 Covers the three pillars of the layer: deterministic fault injection
 (same config + seed => identical results across runs, engines and job
-counts), graceful engine degradation (batched failure falls back to
-the reference interpreter with an observable event), and harness
-recovery (worker timeouts/deaths retried in a fresh pool; interrupted
-sweeps resume from the history store's memo byte-identically).
+counts), engine failures that stop the run (a typed
+``SimulationFault`` naming the pair and the engine, never a silent
+re-run on another engine), and harness recovery (worker
+timeouts/deaths retried in a fresh pool; interrupted sweeps resume
+from the history store's memo byte-identically).
 """
 
 import contextlib
@@ -24,9 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-import repro.engine.batched as batched
 import repro.harness.parallel as parallel
-from repro.engine import ENGINES
+import repro.harness.runner as runner
+from repro.engine import ENGINES, reference
 from repro.errors import ConfigError, SimulationFault
 from repro.harness.parallel import (
     CancelToken,
@@ -39,7 +40,7 @@ from repro.harness.runner import (
     dopp_spec,
 )
 from repro.harness.strategy import run_strategies
-from repro.obs import EVENT_ENGINE_FALLBACK, EVENT_WORKER_RETRY, Observability
+from repro.obs import EVENT_WORKER_RETRY, Observability
 from repro.obs.store import RunStore
 from repro.resilience.faults import FaultConfig, FaultInjector
 
@@ -67,19 +68,6 @@ def _kinds(obs):
 
 def _events_of(ctx, kind):
     return [event for event in ctx.events if event["kind"] == kind]
-
-
-class _KindSink:
-    """Event sink keeping only the kinds under test (the ring would
-    evict them under the flood of per-access protocol events)."""
-
-    def __init__(self, *kinds):
-        self.kinds = kinds
-        self.events = []
-
-    def emit(self, event):
-        if event.kind in self.kinds:
-            self.events.append(event)
 
 
 @pytest.fixture(scope="module")
@@ -301,55 +289,51 @@ class TestFaultDeterminism:
 
 
 class TestEngineFallback:
-    def test_batched_failure_falls_back_to_reference(
-        self, swaptions_ctx, monkeypatch
-    ):
-        def boom(system, trace):
+    """There is no engine fallback: an engine failure stops the run
+    with a ``SimulationFault`` (exit code 4) naming the workload, the
+    config and the engine, and nothing is re-run on another engine."""
+
+    @staticmethod
+    def _fail_batched(monkeypatch):
+        """Make the batched engine raise; returns the list of traces
+        the reference engine is then asked to run."""
+        reference_calls = []
+
+        def boom(system, trace, limit=None):
             raise RuntimeError("synthetic batched-path failure")
 
-        monkeypatch.setattr(batched, "_FAIL_HOOK", boom)
-        obs = Observability(enabled=True)
-        sink = _KindSink(EVENT_ENGINE_FALLBACK)
-        obs.tracer.add_sink(sink)
-        ctx = _fork_ctx(swaptions_ctx, obs=obs)
-        rec = ctx.run("swaptions", baseline_spec())
-        assert rec.engine_used == "reference"
-        assert rec.to_dict()["engine_used"] == "reference"
-        # Bit-identical to the healthy batched run (engine equivalence).
-        healthy = swaptions_ctx.run("swaptions", baseline_spec())
-        assert rec.system == healthy.system
-        assert rec.energy == healthy.energy
-        assert len(sink.events) == 1
-        ev = sink.events[0]
-        assert ev.fields["workload"] == "swaptions"
-        assert "synthetic batched-path failure" in ev.fields["error"]
-        # The run event is recorded in the context with tracing off too.
-        plain = _fork_ctx(swaptions_ctx)
-        plain.run("swaptions", baseline_spec())
-        (event,) = _events_of(plain, EVENT_ENGINE_FALLBACK)
-        assert event["workload"] == "swaptions"
-        assert event["config"] == baseline_spec().label()
-        assert "synthetic batched-path failure" in event["error"]
+        def counted(system, trace, limit=None):
+            reference_calls.append(trace.name)
+            return reference.run(system, trace, limit)
 
-    def test_fallback_in_a_worker_lands_in_the_store(
-        self, monkeypatch, tmp_path
-    ):
-        def boom(system, trace):
-            raise RuntimeError("synthetic batched-path failure")
+        monkeypatch.setitem(ENGINES, "batched", boom)
+        monkeypatch.setitem(ENGINES, "reference", counted)
+        return reference_calls
 
-        monkeypatch.setattr(batched, "_FAIL_HOOK", boom)
-        store_path = str(tmp_path / "history.db")
-        result = run_strategies(
-            ["table2"], seed=SEED, scale=SCALE,
-            workloads=["swaptions", "kmeans"], jobs=2,
-            store_path=store_path, record_history=True,
-        )
-        assert len(_events_of(result.ctx, EVENT_ENGINE_FALLBACK)) == 2
-        with RunStore(store_path) as store:
-            (run,) = store.list_runs()
-            rows = store.events_for(run["id"], kind=EVENT_ENGINE_FALLBACK)
-        assert {row["workload"] for row in rows} == {"swaptions", "kmeans"}
-        assert all("synthetic" in row["error"] for row in rows)
+    def test_batched_failure_raises(self, swaptions_ctx, monkeypatch):
+        reference_calls = self._fail_batched(monkeypatch)
+        ctx = _fork_ctx(swaptions_ctx, engine="batched")
+        with pytest.raises(SimulationFault) as excinfo:
+            ctx.run("swaptions", baseline_spec())
+        assert excinfo.value.exit_code == 4
+        msg = str(excinfo.value)
+        assert f"batched engine failed on swaptions/{baseline_spec().label()}" in msg
+        assert "synthetic batched-path failure" in msg
+        assert "--engine reference" in msg
+        assert reference_calls == []
+        assert not ctx._runs
+
+    def test_batched_failure_under_jobs_names_both_pairs(self, monkeypatch):
+        self._fail_batched(monkeypatch)
+        with pytest.raises(SimulationFault) as excinfo:
+            run_strategies(
+                ["table2"], seed=SEED, scale=SCALE, engine="batched",
+                workloads=["swaptions", "kmeans"], jobs=2,
+            )
+        assert excinfo.value.exit_code == 4
+        msg = str(excinfo.value)
+        for name in ("swaptions", "kmeans"):
+            assert f"batched engine failed on {name}/{baseline_spec().label()}" in msg
 
     @pytest.mark.parametrize(
         "engine, env",
@@ -376,25 +360,8 @@ class TestEngineFallback:
         assert excinfo.value.exit_code == 4
         assert "reference engine failed" in str(excinfo.value)
         assert "swaptions" in str(excinfo.value)
-        # The reference engine was the one asked for: one attempt, and
-        # no fallback to itself.
+        # The reference engine was the one asked for: one attempt.
         assert len(attempts) == 1
-        assert not _events_of(ctx, EVENT_ENGINE_FALLBACK)
-
-    def test_both_engines_failing_raises(self, swaptions_ctx, monkeypatch):
-        def hook(system, trace):
-            raise RuntimeError("batched down")
-
-        def boom_engine(system, trace, limit=None):
-            raise RuntimeError("reference down")
-
-        monkeypatch.setattr(batched, "_FAIL_HOOK", hook)
-        monkeypatch.setitem(ENGINES, "reference", boom_engine)
-        ctx = _fork_ctx(swaptions_ctx)
-        with pytest.raises(SimulationFault) as excinfo:
-            ctx.run("swaptions", baseline_spec())
-        assert "both engines" in str(excinfo.value)
-        assert excinfo.value.exit_code == 4
 
 
 # ---------------------------------------------------------------- parallel
@@ -650,7 +617,7 @@ class TestCheckpoint:
         self._attach(fresh, path)
         assert fresh.resume() == (1, 2)
         # The memo hit means run() never simulates again.
-        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
+        monkeypatch.setattr(runner, "run_trace", _no_simulation)
         loaded = fresh.run("swaptions", spec)
         assert loaded.system == rec.system
         assert loaded.energy == rec.energy
@@ -805,7 +772,7 @@ class TestSequentialCheckpoint:
         first = json.loads((tmp_path / "json" / "table2.json").read_text())
         capsys.readouterr()
 
-        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
+        monkeypatch.setattr(runner, "run_trace", _no_simulation)
         assert main(self._cli(tmp_path, store, "--resume")) == 0
         assert "[resumed 1 runs and 0 errors" in capsys.readouterr().out
         resumed = json.loads((tmp_path / "json" / "table2.json").read_text())
@@ -817,7 +784,7 @@ class TestSequentialCheckpoint:
         """``--resume`` against a store path that cannot be opened."""
         from repro.cli import main
 
-        monkeypatch.setattr(ExperimentContext, "_simulate", _no_simulation)
+        monkeypatch.setattr(runner, "run_trace", _no_simulation)
         store = tmp_path / "not-a-database"
         store.mkdir()
         assert main(self._cli(tmp_path, store, "--resume")) == 2
