@@ -144,8 +144,9 @@ class MTagDataArray:
 
         row = self._ways[set_idx]
         victim = None
-        way = next((w for w in range(self.ways) if row[w] is None), None)
-        if way is None:
+        if len(lookup) < self.ways:
+            way = row.index(None)
+        else:
             way = self._policies[set_idx].victim()
             victim = row[way]
             del lookup[self._key(victim.map_value, victim.precise)]

@@ -272,11 +272,9 @@ class DoppelgangerCache:
         Computes the block's map (off the critical path in hardware),
         then either links the new tag onto an existing similar block's
         list or allocates a data entry, evicting a victim entry and its
-        whole tag list.
+        whole tag list. Raises ``ValueError`` (from the tag array) if
+        ``addr`` is already resident.
         """
-        if self.tags.probe(addr) is not None:
-            raise ValueError(f"insert of resident address {addr:#x}")
-
         writebacks: List[int] = []
         back_invals: List[int] = []
 

@@ -147,16 +147,16 @@ class TagArray:
             raise ValueError(f"address {addr:#x} already resident in tag array")
 
         victim = None
+        base = set_idx * self.ways
         if len(lookup) < self.ways:
-            used = {e.way for e in lookup.values()}
-            way = next(w for w in range(self.ways) if w not in used)
+            entry_id = self._entries.index(None, base, base + self.ways)
+            way = entry_id - base
         else:
             way = self._policies[set_idx].victim()
-            entry_id = set_idx * self.ways + way
+            entry_id = base + way
             victim = self._entries[entry_id]
             self._remove_resident(victim)
 
-        entry_id = set_idx * self.ways + way
         entry = TagEntry(addr, tag, set_idx, way, entry_id)
         self._entries[entry_id] = entry
         lookup[tag] = entry

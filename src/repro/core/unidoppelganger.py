@@ -58,8 +58,6 @@ class UniDoppelgangerCache(DoppelgangerCache):
         return self._insert_precise(addr, value_id, dirty, core)
 
     def _insert_precise(self, addr: int, value_id: int, dirty: bool, core: int) -> LLCOutcome:
-        if self.tags.probe(addr) is not None:
-            raise ValueError(f"insert of resident address {addr:#x}")
         writebacks: list = []
         back_invals: list = []
 

@@ -6,12 +6,13 @@ Two engines share one per-access slow path (:mod:`repro.engine.step`):
   walks the full coherence + hierarchy slow path, one at a time.
 * ``batched`` — the production engine: trace columns are converted and
   pre-masked in bulk, and nearly every access class retires on an
-  inline fast path — private hits, LLC hits, DRAM fills with eviction
-  and back-invalidation, adapter-protocol fills, store coherence —
-  with per-class tallies published as ``system.engine_stats`` (see
-  ``docs/engine.md``); only a handful of entangled cases fall through
-  to the shared slow path. Produces *bit-identical* results (stats,
-  cycle counts, stall breakdowns) — enforced by
+  inline fast path — private hits, LLC hits and DRAM fills of every
+  LLC organization with eviction and back-invalidation, store
+  coherence — with per-class tallies published as
+  ``system.engine_stats`` (see ``docs/engine.md``); only a handful of
+  entangled cases fall through to the shared slow path. Produces
+  *bit-identical* results (stats, the LLC's own counters, cycle
+  counts, stall breakdowns) — enforced by
   ``tests/test_engine_equivalence.py`` — and transparently falls back
   to ``reference`` for the one configuration whose arithmetic cannot
   be batched exactly (a non-power-of-two issue width).

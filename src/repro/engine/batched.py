@@ -18,16 +18,21 @@ inline:
   :func:`~repro.engine.step.process_access`: the L1 fill; a dirty L1
   victim written into the L2 (a write hit, or a write fill whose dirty
   L2 victim goes down the LLC writeback path); the demand L2 hit or
-  fill; and, on an L2 miss, the LLC. Against a conventional baseline
-  LLC the probe, fill, dirty-victim writeback (through the bounded
-  writeback buffer) and back-invalidation purge are raw dict
-  operations, which emit the ``wb_enqueue`` and ``back_invalidation``
-  events of ``System._apply_reply`` in its order when traced; against a
-  Doppelgänger organization the flow speaks the three-call adapter
-  protocol the reference uses (``read`` / ``fill`` / ``_apply_reply``),
-  so groups of approximate fills that share an MTag entry are resolved
-  by the precomputed map memo and each evicted data block's tag linked
-  list is walked once, inside the adapter, per eviction;
+  fill; and, on an L2 miss, the LLC. The LLC step retires every
+  organization without a per-access adapter call. A conventional LRU
+  array — the baseline LLC, or the split design's precise half — is
+  probed, filled and evicted with raw dict operations: its dirty victim
+  goes through the bounded writeback buffer, and its back-invalidation
+  purges the private copies. A Doppelgänger array pair — the split
+  design's approximate half, and every access of the unified design —
+  is probed as ``DoppelgangerCache.lookup`` does (the tag array, then
+  the MTag array at the tag's map, each touched through its set's
+  policy object, so any replacement policy takes this one path) and
+  filled by the core's own ``insert``. Its reply is applied in
+  ``System._apply_reply``'s order. Both emit the ``wb_enqueue`` and
+  ``back_invalidation`` events of ``_apply_reply`` when traced. Only a
+  FIFO or random precise half still speaks the adapter protocol
+  (``read`` / ``fill`` / ``_apply_reply``);
 * the few remaining cases — approximate fills with no tracked value, a
   predicted L2 hit whose victim fill could remove the demand block, and
   any L2 miss under fault injection — are recognised before anything is
@@ -49,9 +54,10 @@ The live probes are exact at every instant and cost two dict lookups.
 
 Every private cache and the baseline LLC replace by LRU, whose touch,
 fill and victim are operations on the policy's insertion-ordered dict.
-Per-core event counts and exact dyadic timing terms (gap sums, hit
-latencies) are accumulated in plain integers and flushed once at the
-end, which is what makes the fast path cheap *and* bit-identical: with
+Per-core event counts, each LLC structure's demand hits and misses,
+and exact dyadic timing terms (gap sums, hit latencies) are
+accumulated in plain integers and flushed once at the end, which is
+what makes the fast path cheap *and* bit-identical: with
 a power-of-two issue width every timing term is a dyadic rational far
 below 2^52, so regrouped float sums equal the reference's sequential
 sums exactly. A non-power-of-two issue width delegates the whole run to
@@ -63,10 +69,15 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.block import BlockState, CacheBlock
+from repro.core.data_array import map_set_index
 from repro.engine import reference
 from repro.engine.precompute import trace_columns
 from repro.engine.step import finalize, make_state, prepare, process_access
-from repro.hierarchy.llc import BaselineLLC
+from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
+
+#: The LLC step's routes (see ``run``).
+RAW, DOPP, ADAPTER = 0, 1, 2
+
 
 def _flush(stats, read_hits, write_hits, read_misses, write_misses,
            evictions, writebacks, invalidations):
@@ -133,26 +144,55 @@ def run(system, trace, limit: Optional[int] = None):
     l2_bits = l2s[0].num_sets.bit_length() - 1
     l2_assoc = l2s[0].ways
 
-    # The raw (dict-op) LLC path needs the conventional single-array,
-    # approx-oblivious LLC. Any other organization goes through the
-    # adapter calls, which speak the exact protocol of the reference.
     # Fault injection decides per LLC/DRAM read, so under it every L2
     # miss must reach the slow path's hooks — the private L1/L2 paths
     # never touch a fault site and stay eligible.
     faults_none = st.faults is None
-    llc_plain = (isinstance(system.llc, BaselineLLC) and faults_none
-                 and system.llc.cache.block_size == cfg.block_size)
-    if llc_plain:
-        lcache = system.llc.cache
-        llc_maps = lcache._tag_to_way
-        llc_ways = lcache._ways
-        llc_ord = [pol._order for pol in lcache._policies]
-        llc_assoc = lcache.ways
-        llc_mask = lcache.num_sets - 1
-        llc_sbits = lcache.num_sets.bit_length() - 1
+    # Each demand access that reaches the LLC takes one of three routes,
+    # picked by its approximate bit. RAW: dict ops on a conventional LRU
+    # array — the baseline LLC, or the split design's precise half.
+    # DOPP: the tag and MTag probes of DoppelgangerCache.lookup in place,
+    # and fills through the core's own insert — the split design's
+    # approximate half, and every access of the unified design. ADAPTER:
+    # the reference's read/fill calls, for a FIFO or random precise half
+    # and for an LLC whose blocks are not the hierarchy's.
+    llc = system.llc
+    raw = dopp = None
+    uni = False
+    if llc.block_size == cfg.block_size:
+        if isinstance(llc, BaselineLLC):
+            raw = llc.cache
+        elif isinstance(llc, SplitDoppelgangerLLC):
+            dopp = llc.dopp
+            if llc.precise.policy_name == "lru":
+                raw = llc.precise
+        elif isinstance(llc, UnifiedDoppelgangerLLC):
+            dopp = llc.uni
+            uni = True
+    route_precise = DOPP if uni else RAW if raw is not None else ADAPTER
+    routes = (route_precise, route_precise if dopp is None else DOPP)
+    # Only the baseline LLC's loads count as llc_read_hit / mem_fill;
+    # any other organization's are llc_adapter_hit / llc_adapter_fill.
+    plain = raw is not None and dopp is None
+    if raw is not None:
+        llc_maps = raw._tag_to_way
+        llc_ways = raw._ways
+        llc_ord = [pol._order for pol in raw._policies]
+        llc_assoc = raw.ways
+        llc_mask = raw.num_sets - 1
+        llc_sbits = raw.num_sets.bit_length() - 1
+    if dopp is not None:
+        tag_lookup = dopp.tags._lookup
+        tag_pols = dopp.tags._policies
+        tag_mask = dopp.tags.num_sets - 1
+        tag_sbits = dopp.tags.num_sets.bit_length() - 1
+        data_lookup = dopp.data._lookup
+        data_pols = dopp.data._policies
+        data_sets = dopp.data.num_sets
+        values_of = system._values
     # Only a Doppelgänger organization answers an L2 writeback with
     # evictions (a tag move can evict a data entry and all its tags).
-    wb_evicts = not isinstance(system.llc, BaselineLLC)
+    wb_evicts = not isinstance(llc, BaselineLLC)
 
     cycles = st.cycles
     sharers = system._sharers
@@ -165,8 +205,8 @@ def run(system, trace, limit: Optional[int] = None):
 
     tracer = system.tracer
     l2wb = system._l2_writeback
-    llc_read = system.llc.read
-    llc_fill = system.llc.fill
+    llc_read = llc.read
+    llc_fill = llc.fill
     apply_reply = system._apply_reply
     block_values = system._block_values
     wb_enqueue = system.wb_buffer.enqueue
@@ -190,10 +230,12 @@ def run(system, trace, limit: Optional[int] = None):
     vfill2 = per_core()  # ... write-filling the L2
     evict1, evict2, dirty2 = per_core(), per_core(), per_core()
     inval1, inval2 = per_core(), per_core()
-    llc_hit = [0, 0]  # LLC outcome of the demand L2 misses, (load, store)
-    llc_miss = [0, 0]
-    llc_evict = 0  # raw baseline-LLC evictions
+    # LLC outcome of the demand L2 misses, by route, then (load, store).
+    llc_hit = ([0, 0], [0, 0], [0, 0])
+    llc_miss = ([0, 0], [0, 0], [0, 0])
+    llc_evict = 0  # RAW-route evictions
     llc_dirty = 0  # ... of them dirty
+    n_binv = 0  # back-invalidations of DOPP-route fills
     n_coh_dir = 0  # inline store-coherence directory consults
     n_coh_inv = 0  # inline remote-sharer invalidations
     mem_wr = 0  # memory writes from purged dirty private copies
@@ -405,9 +447,9 @@ def run(system, trace, limit: Optional[int] = None):
             continue
         miss2[wr][c] += 1
         wb += fill_l2(c, s2, t2, wr, vid, now)
-        # 4. The LLC sees a demand read probe (a store's too): raw dict
-        # ops on a baseline array, else the adapter protocol.
-        if llc_plain:
+        # 4. The LLC sees a demand read probe (a store's too).
+        route = routes[ap]
+        if route == RAW:
             sl = b & llc_mask
             tl = b >> llc_sbits
             ol = llc_ord[sl]
@@ -416,14 +458,28 @@ def run(system, trace, limit: Optional[int] = None):
             if hit:
                 del ol[wl]
                 ol[wl] = None
+        elif route == DOPP:
+            # DoppelgangerCache.lookup: the tag probe, then the MTag
+            # probe by the tag's map; each touches its set's policy.
+            ts = b & tag_mask
+            te = tag_lookup[ts].get(b >> tag_sbits)
+            hit = te is not None
+            if hit:
+                tag_pols[ts].on_access(te.way)
+                mv = te.map_value
+                ds = map_set_index(mv, data_sets)
+                data_pols[ds].on_access(data_lookup[ds][(te.precise, mv)].way)
+                if te.state is not modified:
+                    te.state = shared
+                te.sharers |= core_bit[c]
         else:
             hit = llc_read(a, c, ap, rids_l[p]).hit
         if hit:
-            llc_hit[wr] += 1
+            llc_hit[route][wr] += 1
             cycles[c] = now + l1f if wr else now + lat123f + wb
             wb_bd += wb
             continue
-        llc_miss[wr] += 1
+        llc_miss[route][wr] += 1
         if not wr:
             # Overlap-aware miss timing, exactly as the slow path: the
             # stalls so far are part of the arrival latency, the fill's
@@ -438,7 +494,7 @@ def run(system, trace, limit: Optional[int] = None):
                 completion = arrival + mem_latency
             mem_ready_l[c] = completion
             mem_bd += completion - now - lat
-        if llc_plain:
+        if route == RAW:
             # The fill's eviction back-invalidates every private copy
             # (the inclusive hierarchy); a dirty victim also retires
             # through the bounded writeback buffer.
@@ -470,6 +526,30 @@ def run(system, trace, limit: Optional[int] = None):
             llc_maps[sl][tl] = wayl
             del ol[wayl]
             ol[wayl] = None
+        elif route == DOPP:
+            # The core's insert, then its reply applied as
+            # System._apply_reply does: the writebacks with the running
+            # stall, then each back-invalidation but the origin's.
+            fill_vid = cur_value.get(a, -1)
+            if ap:
+                out = dopp.insert(a, rids_l[p], values_of[fill_vid], fill_vid,
+                                  False, c)
+            else:
+                out = dopp.insert_block(a, False, rids_l[p], None, fill_vid,
+                                        False, c)
+            wbf = 0.0
+            for ea in out.writebacks:
+                stall = wb_enqueue(ea, int(now + wbf))
+                wbf += stall
+                mem_write(ea)
+                if tracer is not None:
+                    tracer.emit("wb_enqueue", addr=ea, stall=stall)
+            for ea in out.back_invalidations:
+                if ea != a:
+                    n_binv += 1
+                    mem_wr += drop_copies(ea >> bshift, sharers.pop(ea, 0))
+                    if tracer is not None:
+                        tracer.emit("back_invalidation", addr=ea, origin=a)
         else:
             values = None
             fill_vid = cur_value.get(a, -1)
@@ -489,12 +569,25 @@ def run(system, trace, limit: Optional[int] = None):
         _flush(l2s[c].stats, hit2[0][c], hit2[1][c] + vhit2[c],
                miss2[0][c], miss2[1][c] + vfill2[c],
                evict2[c], dirty2[c], inval2[c])
-    if llc_plain:
-        _flush(lcache.stats, sum(llc_hit), 0, sum(llc_miss), 0,
+    if raw is not None:
+        _flush(raw.stats, sum(llc_hit[RAW]), 0, sum(llc_miss[RAW]), 0,
                llc_evict, llc_dirty, 0)
-        lcache.stats.back_invalidations += llc_evict
-        system.back_invalidations += llc_evict
-    system.memory.reads += sum(llc_miss)
+        raw.stats.back_invalidations += llc_evict
+    if dopp is not None:
+        # The counters DoppelgangerCache.lookup bumps.
+        dh = sum(llc_hit[DOPP])
+        dm = sum(llc_miss[DOPP])
+        dstats = dopp.stats
+        dstats.accesses += dh + dm
+        dstats.tag_lookups += dh + dm
+        dstats.hits += dh
+        dstats.misses += dm
+        dstats.mtag_lookups += dh
+        dstats.data_reads += dh
+    system.back_invalidations += llc_evict + n_binv
+    load_hits = sum(h[0] for h in llc_hit)
+    load_misses = sum(m[0] for m in llc_miss)
+    system.memory.reads += sum(map(sum, llc_miss))
     system.memory.writes += mem_wr
     system.coherence_invalidations += n_coh_inv
     slow_total = sum(n_slow.values())
@@ -517,17 +610,17 @@ def run(system, trace, limit: Optional[int] = None):
             "l1_write_hit": sum(whit1),
             "l2_read_hit": sum(hit2[0]),
             "l2_write_hit": sum(hit2[1]),
-            "llc_read_hit": llc_hit[0] if llc_plain else 0,
-            "mem_fill": llc_miss[0] if llc_plain else 0,
-            "llc_adapter_hit": 0 if llc_plain else llc_hit[0],
-            "llc_adapter_fill": 0 if llc_plain else llc_miss[0],
+            "llc_read_hit": load_hits if plain else 0,
+            "mem_fill": load_misses if plain else 0,
+            "llc_adapter_hit": 0 if plain else load_hits,
+            "llc_adapter_fill": 0 if plain else load_misses,
             "write_fill": sum(miss2[1]),
         },
         "slow": n_slow,
         "aux": {
             "coherence_inlined": n_coh_dir,
             "remote_invalidations_inlined": n_coh_inv,
-            "llc_evictions_inlined": llc_evict,
+            "llc_evictions_inlined": llc_evict if plain else 0,
         },
         "slow_fraction": (slow_total / n) if n else 0.0,
     }

@@ -32,12 +32,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.harness.reporting import Table
-from repro.harness.runner import (
-    ConfigSpec,
-    ExperimentContext,
-    baseline_spec,
-    dopp_spec,
-)
+from repro.harness.runner import ConfigSpec, ExperimentContext, dopp_spec
 from repro.harness.strategy import Requirements, experiment
 from repro.resilience.controller import (
     ErrorBudgetController,
@@ -121,7 +116,7 @@ def _run_search(
     "frontier",
     "closed-loop max survivable fault rate per error budget",
     requires=Requirements(
-        run_specs=(baseline_spec(), frontier_base_spec()),
+        run_specs=(frontier_base_spec(),),
         error_specs=(frontier_base_spec(),),
     ),
 )

@@ -1,11 +1,13 @@
 """Batched vs reference engine: bit-identical results.
 
-The batched engine's contract (ISSUE 2) is exact equivalence — same
-CacheStats, cycle counts, stall breakdowns, coherence counters and
-approximation behavior as the reference interpreter on every workload
-and LLC organization. Floating-point fields are compared with ``==``,
-not approx: the fast path only regroups exact dyadic sums. With a
-tracer attached the batched engine must also emit the reference's event
+The batched engine's contract is exact equivalence — same CacheStats,
+cycle counts, stall breakdowns, coherence counters and approximation
+behavior as the reference interpreter on every workload and LLC
+organization, and the same counters inside the LLC: what the energy
+model prices (``energy_events``) and what a run record carries
+(``llc_stats``). Floating-point fields are compared with ``==``, not
+approx: the fast path only regroups exact dyadic sums. With a tracer
+attached the batched engine must also emit the reference's event
 stream, and take the same fast paths as an untraced run.
 """
 
@@ -15,8 +17,17 @@ import json
 
 import pytest
 
+from repro.core.config import DoppelgangerConfig
+from repro.core.maps import MapConfig
 from repro.engine import ENGINES, engine_names, get_engine
-from repro.harness.runner import ConfigSpec, baseline_spec, dopp_spec, uni_spec
+from repro.harness.runner import (
+    ConfigSpec,
+    _llc_stats,
+    baseline_spec,
+    dopp_spec,
+    uni_spec,
+)
+from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 from repro.obs.events import EventSink, Tracer
 from repro.workloads.registry import get_workload, workload_names
@@ -27,7 +38,14 @@ SCALE = 0.05
 
 def _run(trace, spec: ConfigSpec, engine: str):
     llc = spec.build_llc(trace.regions, 0.0625)
-    return System(llc).run(trace, engine=engine)
+    return System(llc).run(trace, engine=engine), llc
+
+
+def assert_llcs_equal(ref_llc, bat_llc, regions):
+    """The LLC's own counters: priced by the energy model, carried by
+    the run record."""
+    assert ref_llc.energy_events() == bat_llc.energy_events()
+    assert _llc_stats(ref_llc, regions) == _llc_stats(bat_llc, regions)
 
 
 def assert_results_equal(ref, bat):
@@ -59,9 +77,10 @@ def traces():
 @pytest.mark.parametrize("name", workload_names())
 def test_baseline_equivalence_all_workloads(traces, name):
     trace = traces[name]
-    ref = _run(trace, baseline_spec(), "reference")
-    bat = _run(trace, baseline_spec(), "batched")
+    ref, ref_llc = _run(trace, baseline_spec(), "reference")
+    bat, bat_llc = _run(trace, baseline_spec(), "batched")
     assert_results_equal(ref, bat)
+    assert_llcs_equal(ref_llc, bat_llc, trace.regions)
 
 
 @pytest.mark.parametrize("name", ["canneal", "jpeg"])
@@ -70,9 +89,33 @@ def test_baseline_equivalence_all_workloads(traces, name):
 )
 def test_approx_llc_equivalence(traces, name, spec):
     trace = traces[name]
-    ref = _run(trace, spec, "reference")
-    bat = _run(trace, spec, "batched")
+    ref, ref_llc = _run(trace, spec, "reference")
+    bat, bat_llc = _run(trace, spec, "batched")
     assert_results_equal(ref, bat)
+    assert_llcs_equal(ref_llc, bat_llc, trace.regions)
+
+
+def _fifo_precise_llc(trace):
+    """The split design at dopp-14bit-1/4 sizes (scale 0.05) over a
+    16 KB FIFO precise half, which the batched engine drives through the
+    adapter: small enough that canneal's precise blocks both hit and
+    get evicted, so the victim order matters."""
+    cfg = DoppelgangerConfig(tag_entries=1024, data_fraction=0.25,
+                             map=MapConfig(14))
+    return SplitDoppelgangerLLC(cfg, precise_bytes=16 * 1024, policy="fifo",
+                                regions=trace.regions)
+
+
+def test_fifo_precise_half_equivalence(traces):
+    trace = traces["canneal"]
+    ref_llc = _fifo_precise_llc(trace)
+    bat_llc = _fifo_precise_llc(trace)
+    ref = System(ref_llc).run(trace, engine="reference")
+    bat = System(bat_llc).run(trace, engine="batched")
+    assert_results_equal(ref, bat)
+    assert_llcs_equal(ref_llc, bat_llc, trace.regions)
+    precise = ref_llc.precise.stats
+    assert precise.hits > 0 and precise.evictions > 0
 
 
 class _EventLog(EventSink):
@@ -89,10 +132,10 @@ class _EventLog(EventSink):
 
 def _run_traced(trace, spec: ConfigSpec, engine: str):
     log = _EventLog()
-    system = System(spec.build_llc(trace.regions, 0.0625),
-                    tracer=Tracer([log]))
+    llc = spec.build_llc(trace.regions, 0.0625)
+    system = System(llc, tracer=Tracer([log]))
     result = system.run(trace, engine=engine)
-    return result, system.engine_stats, log.lines
+    return result, llc, system.engine_stats, log.lines
 
 
 TRACED_SPECS = {
@@ -111,9 +154,10 @@ TRACED_CASES = [(name, "baseline") for name in workload_names()] + [
 def test_traced_equivalence(traces, name, kind):
     trace = traces[name]
     spec = TRACED_SPECS[kind]
-    ref, _, ref_events = _run_traced(trace, spec, "reference")
-    bat, bat_stats, bat_events = _run_traced(trace, spec, "batched")
+    ref, ref_llc, _, ref_events = _run_traced(trace, spec, "reference")
+    bat, bat_llc, bat_stats, bat_events = _run_traced(trace, spec, "batched")
     assert_results_equal(ref, bat)
+    assert_llcs_equal(ref_llc, bat_llc, trace.regions)
     assert len(bat_events) == len(ref_events)
     assert bat_events == ref_events
     # A tracer never changes which path an access takes.
@@ -129,6 +173,7 @@ def test_limit_equivalence(traces):
     ref = System(llc_r).run(trace, limit=5000, engine="reference")
     bat = System(llc_b).run(trace, limit=5000, engine="batched")
     assert_results_equal(ref, bat)
+    assert_llcs_equal(llc_r, llc_b, trace.regions)
 
 
 def test_engine_registry():

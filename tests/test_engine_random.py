@@ -5,8 +5,11 @@ where a private cache rarely fills a set that the same access is about
 to hit. Here the L1 holds 4 blocks and the L2 8, so dirty victims,
 cascading L2 writebacks and LLC evictions that back-invalidate the very
 block being accessed happen within a few thousand accesses. Every case
-is seeded, and every case compares the ``SystemResult``, the traced
-event stream and the per-class tallies of the two engines.
+is seeded, and every case compares the ``SystemResult``, the LLC's own
+counters (``energy_events`` and the run record's ``llc_stats``), the
+traced event stream and the per-class tallies of the two engines. The
+Doppelgänger organizations also run with the replacement policies of
+the ablation bench in their arrays and precise half.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import pytest
 
 from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig
 from repro.core.maps import MapConfig
+from repro.harness.runner import _llc_stats
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 from repro.hierarchy.system import System, SystemConfig
 from repro.obs.events import EventSink, Tracer
@@ -69,16 +73,18 @@ def random_trace(seed: int, num_cores: int, n: int = 4000, write_frac: float = 0
     return builder.build()
 
 
-def tiny_llc(kind: str, regions):
+def tiny_llc(kind: str, regions, policy: str = "lru"):
+    """A tiny LLC; ``policy`` replaces in a Doppelgänger organization's
+    tag and data arrays and the split design's precise half."""
     if kind == "baseline":
         return BaselineLLC(size_bytes=1024, ways=4, regions=regions)
     if kind == "split":
         cfg = DoppelgangerConfig(tag_entries=32, tag_ways=4, data_fraction=0.25,
-                                 data_ways=4, map=MapConfig(6))
+                                 data_ways=4, map=MapConfig(6), policy=policy)
         return SplitDoppelgangerLLC(cfg, precise_bytes=1024, precise_ways=4,
-                                    regions=regions)
+                                    policy=policy, regions=regions)
     cfg = UniDoppelgangerConfig(tag_entries=128, tag_ways=4, data_fraction=0.25,
-                                data_ways=4, map=MapConfig(6))
+                                data_ways=4, map=MapConfig(6), policy=policy)
     return UnifiedDoppelgangerLLC(cfg, regions=regions)
 
 
@@ -97,19 +103,23 @@ class _EventLog(EventSink):
         self.lines.append(json.dumps(row, default=str))
 
 
-def _simulate(trace, kind, num_cores, engine):
+def _simulate(trace, kind, num_cores, engine, policy="lru"):
     log = _EventLog()
-    system = System(tiny_llc(kind, trace.regions), config=tiny_config(num_cores),
-                    tracer=Tracer([log]))
+    llc = tiny_llc(kind, trace.regions, policy)
+    system = System(llc, config=tiny_config(num_cores), tracer=Tracer([log]))
     result = system.run(trace, engine=engine)
-    return result, system.engine_stats, log.lines
+    return result, llc, system.engine_stats, log.lines
 
 
-def assert_engines_agree(seed, kind, num_cores):
+def assert_engines_agree(seed, kind, num_cores, policy="lru"):
     trace = random_trace(seed, num_cores)
-    ref, _, ref_events = _simulate(trace, kind, num_cores, "reference")
-    bat, stats, bat_events = _simulate(trace, kind, num_cores, "batched")
+    ref, ref_llc, _, ref_events = _simulate(trace, kind, num_cores,
+                                            "reference", policy)
+    bat, bat_llc, stats, bat_events = _simulate(trace, kind, num_cores,
+                                                "batched", policy)
     assert bat == ref
+    assert bat_llc.energy_events() == ref_llc.energy_events()
+    assert _llc_stats(bat_llc, trace.regions) == _llc_stats(ref_llc, trace.regions)
     assert bat_events == ref_events
     assert stats.get("delegated") is None
     assert sum(stats["fast"].values()) + sum(stats["slow"].values()) == len(trace)
@@ -123,6 +133,18 @@ CASES = [(kind, cores, seed) for kind in ("baseline", "split", "uni")
                          ids=[f"{k}-{c}core-s{s}" for k, c, s in CASES])
 def test_random_equivalence(kind, num_cores, seed):
     assert_engines_agree(seed, kind, num_cores)
+
+
+POLICY_CASES = [(kind, policy, cores, seed) for kind in ("split", "uni")
+                for policy in ("fifo", "random") for cores in (1, 4)
+                for seed in range(2)]
+
+
+@pytest.mark.parametrize(
+    "kind,policy,num_cores,seed", POLICY_CASES,
+    ids=[f"{k}-{p}-{c}core-s{s}" for k, p, c, s in POLICY_CASES])
+def test_random_equivalence_policies(kind, policy, num_cores, seed):
+    assert_engines_agree(seed, kind, num_cores, policy)
 
 
 def test_store_l2_hit_whose_victim_cascade_purges_the_demand_block():

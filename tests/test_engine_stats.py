@@ -115,3 +115,68 @@ def test_engine_stats_surface_in_records_and_summaries():
     (row,) = ctx.run_summaries()
     assert row["slow_path_fraction"] == rec.engine_stats["slow_fraction"]
     assert row["engine_stats"] == rec.engine_stats
+
+
+#: The parent engine's tallies for these runs, before the Doppelgänger
+#: LLC step moved inline; the inline step must not move them.
+DOPP_STEP_STATS = {
+    ("canneal", "dopp"): dict(
+        l1_read_hit=78227, l1_write_hit=6898, l2_read_hit=22591,
+        l2_write_hit=45, llc_adapter_fill=3820, llc_adapter_hit=80087,
+        write_fill=4940, coherence_inlined=10867,
+        remote_invalidations_inlined=23626),
+    ("canneal", "uni"): dict(
+        l1_read_hit=77864, l1_write_hit=6900, l2_read_hit=21279,
+        l2_write_hit=43, llc_adapter_fill=8189, llc_adapter_hit=77393,
+        write_fill=4940, coherence_inlined=10803,
+        remote_invalidations_inlined=23329),
+    ("fluidanimate", "dopp"): dict(
+        l1_read_hit=308, l1_write_hit=0, l2_read_hit=0, l2_write_hit=385,
+        llc_adapter_fill=51537, llc_adapter_hit=0, write_fill=1155,
+        coherence_inlined=0, remote_invalidations_inlined=0),
+    ("fluidanimate", "uni"): dict(
+        l1_read_hit=308, l1_write_hit=0, l2_read_hit=0, l2_write_hit=0,
+        llc_adapter_fill=51537, llc_adapter_hit=0, write_fill=1540,
+        coherence_inlined=0, remote_invalidations_inlined=0),
+}
+
+
+def _expected_stats(accesses, t):
+    """A full ``engine_stats`` dict from the tallies that vary."""
+    fast = ("l1_read_hit", "l1_write_hit", "l2_read_hit", "l2_write_hit",
+            "llc_read_hit", "mem_fill", "llc_adapter_hit",
+            "llc_adapter_fill", "write_fill")
+    return {
+        "engine": "batched",
+        "accesses": accesses,
+        "fast": {k: t.get(k, 0) for k in fast},
+        "slow": {"untracked_values": 0, "victim_entangled": 0, "faults": 0},
+        "aux": {
+            "coherence_inlined": t["coherence_inlined"],
+            "remote_invalidations_inlined": t["remote_invalidations_inlined"],
+            "llc_evictions_inlined": 0,
+        },
+        "slow_fraction": 0.0,
+    }
+
+
+@pytest.mark.parametrize("name,kind", sorted(DOPP_STEP_STATS),
+                         ids=[f"{n}-{k}" for n, k in sorted(DOPP_STEP_STATS)])
+def test_doppelganger_llc_step_runs_inline(traces, monkeypatch, name, kind):
+    """The batched engine retires every Doppelgänger LLC access without
+    the adapter's read/fill or the core's lookup, and keeps its tallies."""
+    from repro.core.doppelganger import DoppelgangerCache
+    from repro.hierarchy.llc import SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the batched LLC step called the adapter")
+
+    for cls in (SplitDoppelgangerLLC, UnifiedDoppelgangerLLC):
+        monkeypatch.setattr(cls, "read", forbidden)
+        monkeypatch.setattr(cls, "fill", forbidden)
+    monkeypatch.setattr(DoppelgangerCache, "lookup", forbidden)
+    spec = dopp_spec(14, 0.25) if kind == "dopp" else uni_spec(14, 0.5)
+    rec = run_trace(traces[name], spec, engine="batched",
+                    size_factor=snap_pow2(SCALE))
+    assert rec.engine_stats == _expected_stats(
+        len(traces[name]), DOPP_STEP_STATS[(name, kind)])

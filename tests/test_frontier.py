@@ -516,3 +516,18 @@ class TestFrontierEndToEnd:
         assert {r[0] for r in points.rows} == {"canneal"}
         # Step 0 (nominal) is always probed.
         assert 0 in {r[1] for r in points.rows}
+
+    def test_jobs_do_not_change_which_runs_simulate(self):
+        """The parallel prefetch simulates only the pairs the search reads."""
+        from repro.harness.strategy import run_strategies
+
+        rows = {}
+        for jobs in (1, 2):
+            results = run_strategies(
+                ["frontier"], workloads=["canneal"], seed=SEED, scale=SCALE,
+                jobs=jobs,
+                strategy_options={"error_budget": 0.25, "voltage_steps": 6},
+            )
+            rows[jobs] = [(r["workload"], r["config"])
+                          for r in results.ctx.run_summaries()]
+        assert rows[2] == rows[1]

@@ -261,7 +261,7 @@ fig14            uniDoppelganger error, runtime and dynamic energy  context, 4 s
 table3                per-structure size, area, latency and energy                              config-only
 headline                  the abstract's headline claims, measured                   context, 2 sim configs
 faultsweep          output quality and cost vs injected fault rate  context, 5 sim configs, 4 error configs
-frontier    closed-loop max survivable fault rate per error budget  context, 2 sim configs, 1 error configs
+frontier    closed-loop max survivable fault rate per error budget  context, 1 sim configs, 1 error configs
   note: built-ins in declaration (paper) order, then 'repro.experiments' entry points sorted by name
 """
 
