@@ -1,17 +1,17 @@
 """Generic set-associative cache substrate.
 
 This package provides the building blocks shared by every cache model in
-the reproduction: cache blocks and their coherence state, replacement
-policies, a conventional set-associative cache, a writeback buffer and a
-statistics container. The Doppelgänger structures in :mod:`repro.core`
-and the hierarchy in :mod:`repro.hierarchy` are built on top of these.
+the reproduction: cache blocks (whose dirty bit is their MSI state),
+LRU, FIFO and random replacement, a conventional set-associative cache,
+a writeback buffer and a statistics container. The Doppelgänger
+structures in :mod:`repro.core` and the hierarchy in
+:mod:`repro.hierarchy` are built on top of these.
 """
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import CacheBlock
 from repro.cache.replacement import (
     FIFOPolicy,
     LRUPolicy,
-    PLRUPolicy,
     RandomPolicy,
     ReplacementPolicy,
     make_policy,
@@ -22,12 +22,10 @@ from repro.cache.writeback import WritebackBuffer
 
 __all__ = [
     "AccessResult",
-    "BlockState",
     "CacheBlock",
     "CacheStats",
     "FIFOPolicy",
     "LRUPolicy",
-    "PLRUPolicy",
     "RandomPolicy",
     "ReplacementPolicy",
     "SetAssociativeCache",

@@ -1,34 +1,17 @@
-"""Cache block representation and coherence state.
+"""Cache block representation.
 
 A :class:`CacheBlock` is the unit stored by every cache model in the
 reproduction. Blocks are identified by their *block address* (the byte
-address with the offset bits stripped) and carry an MSI coherence state
-plus a dirty bit.
+address with the offset bits stripped) and carry a dirty bit. The
+dirty bit is also the block's MSI state: a resident block is MODIFIED
+when dirty and SHARED when clean, and the directory's sharer vectors
+live in :class:`~repro.hierarchy.system.System`, keyed by block
+address.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class BlockState(enum.Enum):
-    """MSI coherence state of a cache block.
-
-    The simulated system (Table 1 of the paper) maintains coherence with
-    an MSI protocol and a directory at the LLC; this enum is shared by the
-    private caches, the conventional LLC, and the per-tag state of the
-    Doppelgänger cache (Sec. 3.6: state is per *tag*, not per data entry).
-    """
-
-    INVALID = 0
-    SHARED = 1
-    MODIFIED = 2
-
-    @property
-    def is_valid(self) -> bool:
-        """Whether the block holds usable data."""
-        return self is not BlockState.INVALID
 
 
 @dataclass
@@ -37,39 +20,11 @@ class CacheBlock:
 
     Attributes:
         tag: the address tag (block address >> set-index bits).
-        state: MSI coherence state.
         dirty: whether the block must be written back on eviction.
-        sharers: directory full-map bit vector (used only at the LLC).
         value_id: index of the block's current data values in the trace's
             value table (``-1`` when the simulation is not tracking values).
     """
 
     tag: int
-    state: BlockState = BlockState.SHARED
     dirty: bool = False
-    sharers: int = 0
     value_id: int = -1
-
-    def add_sharer(self, core: int) -> None:
-        """Record ``core`` in the directory sharer vector."""
-        self.sharers |= 1 << core
-
-    def remove_sharer(self, core: int) -> None:
-        """Remove ``core`` from the directory sharer vector."""
-        self.sharers &= ~(1 << core)
-
-    def has_sharer(self, core: int) -> bool:
-        """Whether ``core`` currently holds a copy."""
-        return bool(self.sharers & (1 << core))
-
-    def sharer_list(self) -> list:
-        """All cores recorded in the sharer vector, ascending."""
-        cores = []
-        vec = self.sharers
-        core = 0
-        while vec:
-            if vec & 1:
-                cores.append(core)
-            vec >>= 1
-            core += 1
-        return cores

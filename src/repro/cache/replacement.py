@@ -119,62 +119,10 @@ class RandomPolicy(ReplacementPolicy):
         return self._rng.randrange(self.ways)
 
 
-class PLRUPolicy(ReplacementPolicy):
-    """Tree-based pseudo-LRU.
-
-    Classic binary-tree PLRU: each internal node holds one bit pointing
-    toward the pseudo-least-recently-used half. Requires a power-of-two
-    way count; for other counts callers should use :class:`LRUPolicy`.
-    """
-
-    name = "plru"
-
-    def __init__(self, ways: int):
-        super().__init__(ways)
-        if ways & (ways - 1):
-            raise ValueError(f"PLRU requires power-of-two ways, got {ways}")
-        self._bits = [0] * max(ways - 1, 1)
-
-    def _touch(self, way: int) -> None:
-        node = 0
-        lo, hi = 0, self.ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if way < mid:
-                self._bits[node] = 1  # point away: right half is colder
-                node = 2 * node + 1
-                hi = mid
-            else:
-                self._bits[node] = 0  # point away: left half is colder
-                node = 2 * node + 2
-                lo = mid
-        del node
-
-    def on_access(self, way: int) -> None:
-        self._touch(way)
-
-    def on_fill(self, way: int) -> None:
-        self._touch(way)
-
-    def victim(self) -> int:
-        node = 0
-        lo, hi = 0, self.ways
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._bits[node]:  # cold half is the right one
-                node = 2 * node + 2
-                lo = mid
-            else:
-                node = 2 * node + 1
-                hi = mid
-        return lo
-
-
 _POLICIES = {
     "lru": LRUPolicy,
     "fifo": FIFOPolicy,
     "random": RandomPolicy,
-    "plru": PLRUPolicy,
 }
 
 
@@ -182,7 +130,7 @@ def make_policy(name: str, ways: int, seed: Optional[int] = None) -> Replacement
     """Instantiate a replacement policy by name.
 
     Args:
-        name: one of ``lru``, ``fifo``, ``random``, ``plru``.
+        name: one of ``lru``, ``fifo``, ``random``.
         ways: set associativity.
         seed: RNG seed, honoured by the random policy only.
     """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import CacheBlock
 from repro.cache.replacement import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
 
@@ -22,14 +22,15 @@ class AccessResult(NamedTuple):
 
     Attributes:
         hit: whether the address was resident.
-        block: the resident block after the access completes.
+        block: the resident block after the access completes (None on a
+            miss without a fill).
         evicted_addr: block address of the victim, if a fill evicted one.
-        evicted_block: the victim block itself (carries dirty/state).
+        evicted_block: the victim block itself (carries its dirty bit).
         writeback: whether the victim required a writeback.
     """
 
     hit: bool
-    block: CacheBlock
+    block: Optional[CacheBlock]
     evicted_addr: Optional[int] = None
     evicted_block: Optional[CacheBlock] = None
     writeback: bool = False
@@ -115,7 +116,7 @@ class SetAssociativeCache:
         return self._ways[set_idx][way]
 
     def contains(self, addr: int) -> bool:
-        """Whether ``addr`` is resident (any valid state)."""
+        """Whether ``addr`` is resident."""
         return self.probe(addr) is not None
 
     def resident_addrs(self) -> Iterator[int]:
@@ -143,7 +144,8 @@ class SetAssociativeCache:
         (write-allocate), evicting the replacement victim if the set is
         full. The evicted block and whether it needs a writeback are
         reported in the result; the caller (hierarchy) is responsible for
-        actually propagating the writeback.
+        actually propagating the writeback. A miss without a fill
+        returns ``block=None``.
 
         Args:
             addr: byte address.
@@ -170,7 +172,6 @@ class SetAssociativeCache:
             stats.hits += 1
             if is_write:
                 block.dirty = True
-                block.state = BlockState.MODIFIED
                 stats.data_writes += 1
                 if value_id >= 0:
                     block.value_id = value_id
@@ -181,7 +182,7 @@ class SetAssociativeCache:
 
         stats.misses += 1
         if not fill_on_miss:
-            return AccessResult(hit=False, block=CacheBlock(tag, BlockState.INVALID))
+            return AccessResult(hit=False, block=None)
         return self._fill(addr, is_write, value_id)
 
     def _fill(self, addr: int, is_write: bool, value_id: int) -> AccessResult:
@@ -210,12 +211,7 @@ class SetAssociativeCache:
                 stats.writebacks += 1
             del self._tag_to_way[set_idx][evicted_block.tag]
 
-        block = CacheBlock(
-            tag,
-            state=BlockState.MODIFIED if is_write else BlockState.SHARED,
-            dirty=is_write,
-            value_id=value_id,
-        )
+        block = CacheBlock(tag, dirty=is_write, value_id=value_id)
         ways_map[way] = block
         self._tag_to_way[set_idx][tag] = way
         self._policies[set_idx].on_fill(way)

@@ -7,7 +7,7 @@ that harness code never divides by zero by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -34,7 +34,6 @@ class CacheStats:
     tag_lookups: int = 0
     data_reads: int = 0
     data_writes: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -50,23 +49,14 @@ class CacheStats:
         """Return a new stats object with counters summed element-wise."""
         merged = CacheStats()
         for f in fields(CacheStats):
-            if f.name == "extra":
-                continue
             setattr(merged, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for key in set(self.extra) | set(other.extra):
-            merged.extra[key] = self.extra.get(key, 0) + other.extra.get(key, 0)
         return merged
 
     def reset(self) -> None:
         """Zero every counter in place."""
         for f in fields(CacheStats):
-            if f.name == "extra":
-                continue
             setattr(self, f.name, 0)
-        self.extra.clear()
 
     def as_dict(self) -> dict:
         """Counters as a plain dict (for reporting)."""
-        out = {f.name: getattr(self, f.name) for f in fields(CacheStats) if f.name != "extra"}
-        out.update(self.extra)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(CacheStats)}

@@ -6,12 +6,14 @@ Modules:
   (Sec. 3.7): average+range hashes, linear binning into an M-bit map
   space, clamping to the declared value range.
 * :mod:`repro.core.tag_array` — decoupled, address-indexed tag array
-  whose entries carry prev/next tag pointers and a map value.
+  whose entries carry prev/next tag pointers, a map value, a dirty bit
+  and a precise bit.
 * :mod:`repro.core.data_array` — map-indexed MTag + data array whose
   entries point at the head of the tag linked list sharing them.
 * :mod:`repro.core.doppelganger` — the split-LLC Doppelgänger cache
-  (Secs. 3.1-3.6): lookups, insertions, writes, replacements,
-  per-tag coherence bookkeeping.
+  (Secs. 3.1-3.6): lookups, insertions, writes and replacements, with
+  a per-tag dirty bit that is also the tag's MSI state (the sharer
+  vectors live in :class:`~repro.hierarchy.system.System`).
 * :mod:`repro.core.unidoppelganger` — the unified design (Sec. 3.8)
   holding precise and approximate blocks in one array pair.
 * :mod:`repro.core.functional` — fast functional model used for

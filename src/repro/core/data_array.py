@@ -4,8 +4,9 @@ The approximate data array is "nearly identical to a conventional data
 cache (with separate tags and data subarrays), except it is indexed by
 the map value as opposed to the physical address" (Sec. 3.1). The
 lower portion of the map is the set index; the upper portion is the
-*map tag* stored in the separate MTag array. Each entry also holds a
-tag pointer to the head of the doubly-linked tag list sharing it.
+*map tag* stored in the separate MTag array. The model keys each set
+on the whole map value, which holds the map tag. Each entry also holds
+a tag pointer to the head of the doubly-linked tag list sharing it.
 
 For the unified design (Sec. 3.8), an entry carries a precise bit; a
 precise entry's key is derived from the physical block address instead
@@ -42,11 +43,10 @@ def map_set_index(map_value: int, num_sets: int) -> int:
 class DataEntry:
     """One MTag/data-array entry."""
 
-    __slots__ = ("map_value", "mtag", "set_idx", "way", "head", "value_id", "precise")
+    __slots__ = ("map_value", "set_idx", "way", "head", "value_id", "precise")
 
-    def __init__(self, map_value: int, mtag: int, set_idx: int, way: int):
+    def __init__(self, map_value: int, set_idx: int, way: int):
         self.map_value = map_value
-        self.mtag = mtag
         self.set_idx = set_idx
         self.way = way
         self.head = NULL_PTR  # tag pointer: head of the sharing tag list
@@ -109,10 +109,6 @@ class MTagDataArray:
         """Set index of ``map_value`` (see :func:`map_set_index`)."""
         return map_set_index(map_value, self.num_sets)
 
-    def map_tag(self, map_value: int) -> int:
-        """Map tag: upper portion of the map."""
-        return map_value // self.num_sets
-
     # ------------------------------------------------------------- queries
 
     def probe(self, map_value: int, precise: bool = False) -> Optional[DataEntry]:
@@ -153,7 +149,7 @@ class MTagDataArray:
             row[way] = None
             self.occupied -= 1
 
-        entry = DataEntry(map_value, self.map_tag(map_value), set_idx, way)
+        entry = DataEntry(map_value, set_idx, way)
         entry.precise = precise
         row[way] = entry
         lookup[key] = entry

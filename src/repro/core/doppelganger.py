@@ -20,20 +20,21 @@ This model implements the full protocol of the paper:
 * **Replacements** (Sec. 3.5): evicting a tag removes it from its list
   and frees the data entry if it was the last sharer; evicting a data
   entry invalidates every tag on its list. LRU in both arrays.
-* **Coherence** (Sec. 3.6): MSI state and the directory sharer vector
-  live per *tag*; the hierarchy drives protocol actions through the
+* **Coherence** (Sec. 3.6): state is per *tag*. A tag's dirty bit is
+  its MSI state (MODIFIED when set, SHARED when clear), and the
+  directory's sharer vectors live in the hierarchy
+  (:class:`~repro.hierarchy.system.System`), one per block address and
+  so one per tag; the hierarchy drives protocol actions through the
   returned outcome lists.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from dataclasses import fields as dataclasses_fields
+from dataclasses import dataclass, fields
 from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.cache.block import BlockState
 from repro.core.config import DoppelgangerConfig
 from repro.core.data_array import DataEntry, MTagDataArray
 from repro.core.maps import MapRegistry
@@ -79,7 +80,6 @@ class DoppelgangerStats:
     back_invalidations: int = 0
     write_same_map: int = 0
     write_moved: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def hit_rate(self) -> float:
@@ -101,13 +101,7 @@ class DoppelgangerStats:
 
     def as_dict(self) -> dict:
         """Counters as a plain dict (a run record's ``llc_stats``)."""
-        out = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses_fields(DoppelgangerStats)
-            if f.name != "extra"
-        }
-        out.update(self.extra)
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(DoppelgangerStats)}
 
 
 class DoppelgangerCache:
@@ -147,12 +141,11 @@ class DoppelgangerCache:
 
     # ------------------------------------------------------------- lookups
 
-    def lookup(self, addr: int, is_write: bool = False, core: int = 0) -> LLCOutcome:
+    def lookup(self, addr: int) -> LLCOutcome:
         """Step 1+2 of Sec. 3.2: probe tag array, then MTag/data.
 
-        A write lookup models a GetX: the tag's state moves to MODIFIED
-        and the requesting core becomes the owner. The *values* are not
-        changed here — value changes arrive via :meth:`writeback`.
+        A lookup changes no values; value changes arrive via
+        :meth:`writeback`.
         """
         self.stats.accesses += 1
         self.stats.tag_lookups += 1
@@ -174,13 +167,6 @@ class DoppelgangerCache:
         self.stats.mtag_lookups += 1
         self.stats.data_reads += 1
         self.data.touch(data_entry)
-        if is_write:
-            entry.state = BlockState.MODIFIED
-            entry.sharers = 1 << core
-        else:
-            if entry.state is not BlockState.MODIFIED:
-                entry.state = BlockState.SHARED
-            entry.sharers |= 1 << core
         return LLCOutcome(hit=True)
 
     def resident_value_id(self, addr: int) -> int:
@@ -265,7 +251,6 @@ class DoppelgangerCache:
         values: np.ndarray,
         value_id: int = -1,
         dirty: bool = False,
-        core: int = 0,
     ) -> LLCOutcome:
         """Sec. 3.3: install a block that arrived from memory.
 
@@ -277,25 +262,27 @@ class DoppelgangerCache:
         """
         writebacks: List[int] = []
         back_invals: List[int] = []
-
-        allocation = self.tags.allocate(addr)
-        if allocation.victim is not None:
-            self._retire_tag(allocation.victim, writebacks, back_invals)
-
-        entry = allocation.entry
-        entry.region_id = region_id
-        entry.dirty = dirty
-        entry.state = BlockState.MODIFIED if dirty else BlockState.SHARED
-        entry.sharers = 1 << core
-
+        entry = self._allocate_tag(addr, dirty, writebacks, back_invals)
         map_value = self._map_for(region_id, values, value_id)
         self.stats.map_generations += 1
-        self.stats.insertions += 1
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit("map_generation", addr=addr, region=region_id, map=map_value)
         self._attach(entry, map_value, value_id, writebacks, back_invals)
         return LLCOutcome(hit=False, writebacks=tuple(writebacks), back_invalidations=tuple(back_invals))
+
+    def _allocate_tag(
+        self, addr: int, dirty: bool, writebacks: List[int], back_invals: List[int]
+    ) -> TagEntry:
+        """Allocate the tag of an insertion: retire the set's victim,
+        set the dirty bit and count the insertion."""
+        allocation = self.tags.allocate(addr)
+        if allocation.victim is not None:
+            self._retire_tag(allocation.victim, writebacks, back_invals)
+        entry = allocation.entry
+        entry.dirty = dirty
+        self.stats.insertions += 1
+        return entry
 
     def _attach(
         self,
@@ -307,23 +294,27 @@ class DoppelgangerCache:
     ) -> None:
         """Link ``entry`` to the data entry for ``map_value``.
 
-        Reuses an existing similar block when one exists; otherwise
-        allocates a data entry (evicting a victim and its tag list).
+        An approximate entry reuses an existing similar block when one
+        exists. Otherwise, and always for a precise entry (whose map is
+        its own block address), a data entry is allocated under the
+        entry's precise bit, evicting a victim and its tag list.
         """
         entry.map_value = map_value
         self.stats.mtag_lookups += 1
         tr = self.tracer
-        data_entry = self.data.probe(map_value)
-        if data_entry is not None:
-            # Similar data block exists: insert at the head of its list.
-            self.stats.shared_insertions += 1
-            self._link_head(data_entry, entry)
-            self.data.touch(data_entry)
-            if tr is not None and tr.enabled:
-                tr.emit("tag_insert", addr=entry.addr, map=map_value, shared=True)
-            return
+        precise = entry.precise
+        if not precise:
+            data_entry = self.data.probe(map_value)
+            if data_entry is not None:
+                # Similar data block exists: insert at the head of its list.
+                self.stats.shared_insertions += 1
+                self._link_head(data_entry, entry)
+                self.data.touch(data_entry)
+                if tr is not None and tr.enabled:
+                    tr.emit("tag_insert", addr=entry.addr, map=map_value, shared=True)
+                return
 
-        allocation = self.data.allocate(map_value)
+        allocation = self.data.allocate(map_value, precise)
         if allocation.victim is not None:
             self._evict_data_entry(allocation.victim, writebacks, back_invals)
         data_entry = allocation.entry
@@ -332,13 +323,13 @@ class DoppelgangerCache:
         entry.prev = NULL_PTR
         entry.next = NULL_PTR
         self.stats.data_writes += 1
-        if tr is not None and tr.enabled:
+        if not precise and tr is not None and tr.enabled:
             tr.emit("tag_insert", addr=entry.addr, map=map_value, shared=False)
 
     # --------------------------------------------------------------- writes
 
     def writeback(
-        self, addr: int, region_id: int, values: np.ndarray, value_id: int = -1, core: int = 0
+        self, addr: int, region_id: int, values: np.ndarray, value_id: int = -1
     ) -> LLCOutcome:
         """Sec. 3.4: handle a dirty writeback from the L2.
 
@@ -353,7 +344,7 @@ class DoppelgangerCache:
             # The tag was evicted while the block sat dirty in the L2
             # (its back-invalidation generated this writeback); treat it
             # as a fresh dirty insertion.
-            return self.insert(addr, region_id, values, value_id, dirty=True, core=core)
+            return self.insert(addr, region_id, values, value_id, dirty=True)
 
         writebacks: List[int] = []
         back_invals: List[int] = []
@@ -363,7 +354,6 @@ class DoppelgangerCache:
         new_map = self._map_for(region_id, values, value_id)
         self.stats.map_generations += 1
         entry.dirty = True
-        entry.state = BlockState.MODIFIED
 
         tr = self.tracer
         if tr is not None and tr.enabled:
@@ -376,12 +366,7 @@ class DoppelgangerCache:
         self.stats.write_moved += 1
         if tr is not None and tr.enabled:
             tr.emit("tag_move", addr=addr, old_map=entry.map_value, new_map=new_map)
-        freed = self._unlink(entry)
-        if freed is not None:
-            # The tag was the data entry's only sharer; release it.
-            self.data.free(freed)
-            self.stats.data_evictions += 1
-            self.stats.tags_at_data_eviction += 1
+        self._unlink(entry)
         self._attach(entry, new_map, value_id, writebacks, back_invals)
         return LLCOutcome(hit=True, writebacks=tuple(writebacks), back_invalidations=tuple(back_invals))
 
@@ -402,14 +387,11 @@ class DoppelgangerCache:
         self._retire_tag(entry, writebacks, back_invals)
         return LLCOutcome(hit=True, writebacks=tuple(writebacks), back_invalidations=tuple(back_invals))
 
-    def _retire_tag(
-        self,
-        entry: TagEntry,
-        writebacks: List[int],
-        back_invals: List[int],
-        count_back_inval: bool = True,
+    def _count_tag_eviction(
+        self, entry: TagEntry, writebacks: List[int], back_invals: List[int]
     ) -> None:
-        """Finish evicting a tag already removed from the tag array."""
+        """Count one evicted tag: a writeback if it is dirty, and always
+        a back-invalidation (the LLC is inclusive)."""
         self.stats.tag_evictions += 1
         if entry.dirty:
             writebacks.append(entry.addr)
@@ -417,14 +399,15 @@ class DoppelgangerCache:
             self.stats.dirty_tags_evicted += 1
         else:
             self.stats.clean_tags_evicted += 1
-        if count_back_inval:
-            back_invals.append(entry.addr)
-            self.stats.back_invalidations += 1
-        freed = self._unlink(entry)
-        if freed is not None:
-            self.data.free(freed)
-            self.stats.data_evictions += 1
-            self.stats.tags_at_data_eviction += 1
+        back_invals.append(entry.addr)
+        self.stats.back_invalidations += 1
+
+    def _retire_tag(
+        self, entry: TagEntry, writebacks: List[int], back_invals: List[int]
+    ) -> None:
+        """Finish evicting a tag already removed from the tag array."""
+        self._count_tag_eviction(entry, writebacks, back_invals)
+        self._unlink(entry)
 
     def _evict_data_entry(
         self, victim: DataEntry, writebacks: List[int], back_invals: List[int]
@@ -442,15 +425,7 @@ class DoppelgangerCache:
                 dirty=sum(1 for t in tags if t.dirty),
             )
         for tag in tags:
-            self.stats.tag_evictions += 1
-            if tag.dirty:
-                writebacks.append(tag.addr)
-                self.stats.writebacks += 1
-                self.stats.dirty_tags_evicted += 1
-            else:
-                self.stats.clean_tags_evicted += 1
-            back_invals.append(tag.addr)
-            self.stats.back_invalidations += 1
+            self._count_tag_eviction(tag, writebacks, back_invals)
             self.tags.invalidate(tag)
         victim.head = NULL_PTR
 
@@ -465,11 +440,12 @@ class DoppelgangerCache:
             self.tags.entry(old_head).prev = entry.entry_id
         data_entry.head = entry.entry_id
 
-    def _unlink(self, entry: TagEntry) -> Optional[DataEntry]:
+    def _unlink(self, entry: TagEntry) -> None:
         """Remove ``entry`` from its tag list.
 
-        Returns the data entry when the list became empty (the caller
-        frees it), else None.
+        When the list becomes empty (the tag was the data entry's only
+        sharer), the data entry is freed and counted as a data eviction
+        of one tag.
         """
         data_entry = self.data.probe(entry.map_value, entry.precise)
         prev_entry = self.tags.entry(entry.prev)
@@ -483,8 +459,9 @@ class DoppelgangerCache:
         entry.prev = NULL_PTR
         entry.next = NULL_PTR
         if data_entry is not None and data_entry.head == NULL_PTR:
-            return data_entry
-        return None
+            self.data.free(data_entry)
+            self.stats.data_evictions += 1
+            self.stats.tags_at_data_eviction += 1
 
     # ------------------------------------------------------------ inspection
 

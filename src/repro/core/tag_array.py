@@ -6,9 +6,12 @@ conventional cache, but each entry additionally carries:
 * ``prev`` / ``next`` tag pointers forming the doubly-linked list of
   tags that share one data-array entry (Fig. 5),
 * the ``map`` value used to index the MTag/data array,
-* per-tag coherence state, dirty bit and directory sharer vector
-  (Sec. 3.6: coherence and dirtiness are per *tag*, never per data
-  entry).
+* a per-tag dirty bit (Sec. 3.6: coherence and dirtiness are per
+  *tag*, never per data entry). The dirty bit is also the tag's MSI
+  state (MODIFIED when set, SHARED when clear); the directory's sharer
+  vectors live in :class:`~repro.hierarchy.system.System`, one per
+  block address and so one per tag,
+* for the unified design (Sec. 3.8), a precise bit.
 
 Entries are addressed by a dense integer ``entry_id`` (set * ways +
 way) so that linked-list pointers are plain ints, mirroring the
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.cache.block import BlockState
 from repro.cache.replacement import make_policy
 
 NULL_PTR = -1
@@ -34,11 +36,8 @@ class TagEntry:
         "set_idx",
         "way",
         "entry_id",
-        "state",
         "dirty",
-        "sharers",
         "map_value",
-        "region_id",
         "prev",
         "next",
         "precise",
@@ -50,11 +49,8 @@ class TagEntry:
         self.set_idx = set_idx
         self.way = way
         self.entry_id = entry_id
-        self.state = BlockState.SHARED
         self.dirty = False
-        self.sharers = 0
         self.map_value = NULL_PTR
-        self.region_id = -1
         self.prev = NULL_PTR
         self.next = NULL_PTR
         self.precise = False
@@ -136,8 +132,8 @@ class TagArray:
     def allocate(self, addr: int) -> TagAllocation:
         """Allocate an entry for ``addr``, evicting an LRU victim if full.
 
-        The returned entry has default state (SHARED, clean, null
-        pointers, no map); the caller fills it in. Raises if the address
+        The returned entry is clean, with null pointers and no map;
+        the caller fills it in. Raises if the address
         is already resident — callers must probe first.
         """
         set_idx = self.set_index(addr)

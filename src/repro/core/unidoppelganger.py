@@ -14,10 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.cache.block import BlockState
 from repro.core.config import UniDoppelgangerConfig
 from repro.core.doppelganger import DoppelgangerCache, LLCOutcome
-from repro.core.tag_array import NULL_PTR
 
 
 class UniDoppelgangerCache(DoppelgangerCache):
@@ -48,42 +46,22 @@ class UniDoppelgangerCache(DoppelgangerCache):
         values: Optional[np.ndarray] = None,
         value_id: int = -1,
         dirty: bool = False,
-        core: int = 0,
     ) -> LLCOutcome:
-        """Install a block of either kind after a memory fetch."""
+        """Install a block of either kind after a memory fetch.
+
+        A precise block takes the approximate fill's tag allocation and
+        data attachment, minus the map generation: its map is its block
+        address, so it never shares a data entry.
+        """
         if approx:
             if values is None:
                 raise ValueError("approximate insertion requires block values")
-            return self.insert(addr, region_id, values, value_id, dirty, core)
-        return self._insert_precise(addr, value_id, dirty, core)
-
-    def _insert_precise(self, addr: int, value_id: int, dirty: bool, core: int) -> LLCOutcome:
+            return self.insert(addr, region_id, values, value_id, dirty)
         writebacks: list = []
         back_invals: list = []
-
-        allocation = self.tags.allocate(addr)
-        if allocation.victim is not None:
-            self._retire_tag(allocation.victim, writebacks, back_invals)
-
-        entry = allocation.entry
+        entry = self._allocate_tag(addr, dirty, writebacks, back_invals)
         entry.precise = True
-        entry.region_id = -1
-        entry.dirty = dirty
-        entry.state = BlockState.MODIFIED if dirty else BlockState.SHARED
-        entry.sharers = 1 << core
-        entry.map_value = self._precise_map(addr)
-        self.stats.insertions += 1
-
-        self.stats.mtag_lookups += 1
-        data_alloc = self.data.allocate(entry.map_value, precise=True)
-        if data_alloc.victim is not None:
-            self._evict_data_entry(data_alloc.victim, writebacks, back_invals)
-        data_entry = data_alloc.entry
-        data_entry.value_id = value_id
-        data_entry.head = entry.entry_id
-        entry.prev = NULL_PTR
-        entry.next = NULL_PTR
-        self.stats.data_writes += 1
+        self._attach(entry, self._precise_map(addr), value_id, writebacks, back_invals)
         return LLCOutcome(
             hit=False, writebacks=tuple(writebacks), back_invalidations=tuple(back_invals)
         )
@@ -95,7 +73,6 @@ class UniDoppelgangerCache(DoppelgangerCache):
         region_id: int = -1,
         values: Optional[np.ndarray] = None,
         value_id: int = -1,
-        core: int = 0,
     ) -> LLCOutcome:
         """Handle an L2 dirty writeback of either kind.
 
@@ -109,7 +86,7 @@ class UniDoppelgangerCache(DoppelgangerCache):
             stale = self.invalidate(addr)
             fresh = self.insert_block(
                 addr, approx, region_id=region_id, values=values,
-                value_id=value_id, dirty=True, core=core,
+                value_id=value_id, dirty=True,
             )
             return LLCOutcome(
                 hit=False,
@@ -120,14 +97,13 @@ class UniDoppelgangerCache(DoppelgangerCache):
         if approx:
             if values is None:
                 raise ValueError("approximate writeback requires block values")
-            return self.writeback(addr, region_id, values, value_id, core)
+            return self.writeback(addr, region_id, values, value_id)
         entry = self.tags.probe(addr)
         if entry is None:
-            return self._insert_precise(addr, value_id, dirty=True, core=core)
+            return self.insert_block(addr, False, value_id=value_id, dirty=True)
         self.stats.tag_lookups += 1
         self.tags.touch(entry)
         entry.dirty = True
-        entry.state = BlockState.MODIFIED
         data_entry = self.data.probe(entry.map_value, precise=True)
         if data_entry is not None:
             data_entry.value_id = value_id

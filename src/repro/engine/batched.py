@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import CacheBlock
 from repro.core.data_array import map_set_index
 from repro.engine import reference
 from repro.engine.precompute import trace_columns
@@ -154,21 +154,19 @@ def run(system, trace, limit: Optional[int] = None):
     # DOPP: the tag and MTag probes of DoppelgangerCache.lookup in place,
     # and fills through the core's own insert — the split design's
     # approximate half, and every access of the unified design. ADAPTER:
-    # the reference's read/fill calls, for a FIFO or random precise half
-    # and for an LLC whose blocks are not the hierarchy's.
+    # the reference's read/fill calls, for a FIFO or random precise half.
     llc = system.llc
     raw = dopp = None
     uni = False
-    if llc.block_size == cfg.block_size:
-        if isinstance(llc, BaselineLLC):
-            raw = llc.cache
-        elif isinstance(llc, SplitDoppelgangerLLC):
-            dopp = llc.dopp
-            if llc.precise.policy_name == "lru":
-                raw = llc.precise
-        elif isinstance(llc, UnifiedDoppelgangerLLC):
-            dopp = llc.uni
-            uni = True
+    if isinstance(llc, BaselineLLC):
+        raw = llc.cache
+    elif isinstance(llc, SplitDoppelgangerLLC):
+        dopp = llc.dopp
+        if llc.precise.policy_name == "lru":
+            raw = llc.precise
+    elif isinstance(llc, UnifiedDoppelgangerLLC):
+        dopp = llc.uni
+        uni = True
     route_precise = DOPP if uni else RAW if raw is not None else ADAPTER
     routes = (route_precise, route_precise if dopp is None else DOPP)
     # Only the baseline LLC's loads count as llc_read_hit / mem_fill;
@@ -211,9 +209,6 @@ def run(system, trace, limit: Optional[int] = None):
     block_values = system._block_values
     wb_enqueue = system.wb_buffer.enqueue
     mem_write = system.memory.write
-    shared = BlockState.SHARED
-    modified = BlockState.MODIFIED
-    state_of = (shared, modified)  # indexed by the dirty bit
     new_block = CacheBlock
     step = process_access
 
@@ -288,7 +283,7 @@ def run(system, trace, limit: Optional[int] = None):
             victim = ws[way]
             del l2_maps[c][s][victim.tag]
             evict2[c] += 1
-        ws[way] = new_block(t, state=state_of[dirty], dirty=dirty, value_id=vid)
+        ws[way] = new_block(t, dirty, vid)
         l2_maps[c][s][t] = way
         del o[way]
         o[way] = None
@@ -310,7 +305,6 @@ def run(system, trace, limit: Optional[int] = None):
         vhit2[c] += 1
         blk = l2_ways[c][s][w]
         blk.dirty = True
-        blk.state = modified
         if vb.value_id >= 0:
             blk.value_id = vb.value_id
         o = l2_ord[c][s]
@@ -347,7 +341,6 @@ def run(system, trace, limit: Optional[int] = None):
             if w1 is not None:
                 blk = l1_ways[c][s1][w1]
                 blk.dirty = True
-                blk.state = modified
                 if vid >= 0:
                     blk.value_id = vid
                 o = l1_ord[c][s1]
@@ -423,7 +416,7 @@ def run(system, trace, limit: Optional[int] = None):
         if vb is not None:
             del m1[vb.tag]
             evict1[c] += 1
-        ws1[way] = new_block(t1, state=state_of[wr], dirty=wr, value_id=vid)
+        ws1[way] = new_block(t1, wr, vid)
         m1[t1] = way
         o = l1_ord[c][s1]
         del o[way]
@@ -435,7 +428,6 @@ def run(system, trace, limit: Optional[int] = None):
             if wr:
                 blk = l2_ways[c][s2][w2]
                 blk.dirty = True
-                blk.state = modified
                 if vid >= 0:
                     blk.value_id = vid
             o = l2_ord[c][s2]
@@ -469,9 +461,6 @@ def run(system, trace, limit: Optional[int] = None):
                 mv = te.map_value
                 ds = map_set_index(mv, data_sets)
                 data_pols[ds].on_access(data_lookup[ds][(te.precise, mv)].way)
-                if te.state is not modified:
-                    te.state = shared
-                te.sharers |= core_bit[c]
         else:
             hit = llc_read(a, c, ap, rids_l[p]).hit
         if hit:
@@ -521,8 +510,7 @@ def run(system, trace, limit: Optional[int] = None):
                     tracer.emit("back_invalidation", addr=ea, origin=a)
                 del llc_maps[sl][vbl.tag]
                 llc_evict += 1
-            wsl[wayl] = new_block(tl, state=shared,
-                                  value_id=cur_value.get(a, -1))
+            wsl[wayl] = new_block(tl, False, cur_value.get(a, -1))
             llc_maps[sl][tl] = wayl
             del ol[wayl]
             ol[wayl] = None
@@ -532,11 +520,9 @@ def run(system, trace, limit: Optional[int] = None):
             # stall, then each back-invalidation but the origin's.
             fill_vid = cur_value.get(a, -1)
             if ap:
-                out = dopp.insert(a, rids_l[p], values_of[fill_vid], fill_vid,
-                                  False, c)
+                out = dopp.insert(a, rids_l[p], values_of[fill_vid], fill_vid)
             else:
-                out = dopp.insert_block(a, False, rids_l[p], None, fill_vid,
-                                        False, c)
+                out = dopp.insert_block(a, False, value_id=fill_vid)
             wbf = 0.0
             for ea in out.writebacks:
                 stall = wb_enqueue(ea, int(now + wbf))

@@ -13,8 +13,7 @@ description and simulation requirements and appends it to
 :data:`STRATEGIES` (paper order) — what the global strategy registry
 discovers from this module. The CLI, :func:`repro.run_experiment` and
 the ``--jobs`` prefetch planner all dispatch through that registry,
-while the benchmark suite and the seed-sweep harness call the driver
-functions directly.
+while the benchmark suite calls the driver functions directly.
 """
 
 from __future__ import annotations

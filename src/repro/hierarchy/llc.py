@@ -156,7 +156,7 @@ class SplitDoppelgangerLLC:
     def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCOutcome:
         """Route by the access's approximate bit (ISA support, Sec. 4.1)."""
         if approx:
-            return self.dopp.lookup(addr, is_write=False, core=core)
+            return self.dopp.lookup(addr)
         result = self.precise.access(addr, is_write=False, fill_on_miss=False)
         return _REPLY_HIT if result.hit else _REPLY_MISS
 
@@ -176,9 +176,7 @@ class SplitDoppelgangerLLC:
                 raise ValueError(
                     f"approximate fill of {addr:#x} (region {region_id}) needs block values"
                 )
-            return self.dopp.insert(
-                addr, region_id, values, value_id=value_id, dirty=dirty, core=core
-            )
+            return self.dopp.insert(addr, region_id, values, value_id=value_id, dirty=dirty)
         return _install(self.precise, addr, value_id, dirty)
 
     def handle_writeback(
@@ -196,7 +194,7 @@ class SplitDoppelgangerLLC:
                 raise ValueError(
                     f"approximate writeback of {addr:#x} (region {region_id}) needs values"
                 )
-            return self.dopp.writeback(addr, region_id, values, value_id=value_id, core=core)
+            return self.dopp.writeback(addr, region_id, values, value_id=value_id)
         return _absorb_writeback(self.precise, addr, value_id)
 
     def energy_events(self) -> dict:
@@ -241,7 +239,7 @@ class UnifiedDoppelgangerLLC:
 
     def read(self, addr: int, core: int, approx: bool, region_id: int) -> LLCOutcome:
         """Tag probe handles both kinds uniformly."""
-        return self.uni.lookup(addr, is_write=False, core=core)
+        return self.uni.lookup(addr)
 
     def fill(
         self,
@@ -256,7 +254,7 @@ class UnifiedDoppelgangerLLC:
         """Install a fetched block, precise or approximate."""
         return self.uni.insert_block(
             addr, approx, region_id=region_id, values=values, value_id=value_id,
-            dirty=dirty, core=core,
+            dirty=dirty,
         )
 
     def handle_writeback(
@@ -270,7 +268,7 @@ class UnifiedDoppelgangerLLC:
     ) -> LLCOutcome:
         """Dirty L2 eviction of either kind."""
         return self.uni.writeback_block(
-            addr, approx, region_id=region_id, values=values, value_id=value_id, core=core
+            addr, approx, region_id=region_id, values=values, value_id=value_id
         )
 
     def energy_events(self) -> dict:

@@ -161,6 +161,15 @@ class System:
     ):
         self.config = config or SystemConfig()
         cfg = self.config
+        if llc.block_size != cfg.block_size:
+            # An LLC eviction back-invalidates one private-cache block,
+            # so a larger LLC block would leave copies of its other
+            # parts behind and the hierarchy would lose inclusion.
+            raise ConfigError(
+                f"LLC block size {llc.block_size} B differs from the "
+                f"hierarchy's {cfg.block_size} B",
+                field="block_size",
+            )
         self.llc = llc
         self.fault_injector = faults
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None

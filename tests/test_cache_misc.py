@@ -2,38 +2,14 @@
 
 import pytest
 
-from repro.cache.block import BlockState, CacheBlock
+from repro.cache.block import CacheBlock
 from repro.cache.stats import CacheStats
 from repro.cache.writeback import WritebackBuffer
 
 
-class TestBlockState:
-    def test_invalid_not_valid(self):
-        assert not BlockState.INVALID.is_valid
-
-    def test_shared_and_modified_valid(self):
-        assert BlockState.SHARED.is_valid
-        assert BlockState.MODIFIED.is_valid
-
-
 class TestCacheBlock:
-    def test_sharer_add_remove(self):
-        block = CacheBlock(tag=1)
-        block.add_sharer(2)
-        block.add_sharer(0)
-        assert block.has_sharer(2)
-        assert block.sharer_list() == [0, 2]
-        block.remove_sharer(2)
-        assert not block.has_sharer(2)
-
-    def test_remove_absent_sharer_noop(self):
-        block = CacheBlock(tag=1)
-        block.remove_sharer(3)
-        assert block.sharers == 0
-
     def test_default_state(self):
         block = CacheBlock(tag=0)
-        assert block.state is BlockState.SHARED
         assert not block.dirty
         assert block.value_id == -1
 
@@ -51,28 +27,10 @@ class TestCacheStats:
         assert merged.accesses == 14
         assert merged.hits == 7
 
-    def test_merge_extra_keys(self):
-        a = CacheStats()
-        a.extra["x"] = 2
-        b = CacheStats()
-        b.extra["x"] = 3
-        b.extra["y"] = 1
-        merged = a.merge(b)
-        assert merged.extra == {"x": 5, "y": 1}
-
     def test_reset(self):
         stats = CacheStats(accesses=5)
-        stats.extra["z"] = 1
         stats.reset()
         assert stats.accesses == 0
-        assert stats.extra == {}
-
-    def test_as_dict_includes_extra(self):
-        stats = CacheStats(hits=2)
-        stats.extra["special"] = 9
-        d = stats.as_dict()
-        assert d["hits"] == 2
-        assert d["special"] == 9
 
 
 class TestWritebackBuffer:

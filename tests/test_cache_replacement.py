@@ -5,7 +5,6 @@ import pytest
 from repro.cache.replacement import (
     FIFOPolicy,
     LRUPolicy,
-    PLRUPolicy,
     RandomPolicy,
     make_policy,
     policy_names,
@@ -89,31 +88,6 @@ class TestRandom:
         policy = RandomPolicy(4, seed=9)
         seen = {policy.victim() for _ in range(200)}
         assert seen == {0, 1, 2, 3}
-
-
-class TestPLRU:
-    def test_requires_pow2(self):
-        with pytest.raises(ValueError):
-            PLRUPolicy(6)
-
-    def test_victim_in_range(self):
-        policy = PLRUPolicy(8)
-        assert 0 <= policy.victim() < 8
-
-    def test_recently_touched_not_victim(self):
-        policy = PLRUPolicy(4)
-        for way in range(4):
-            policy.on_fill(way)
-        victim = policy.victim()
-        policy.on_access(victim)
-        assert policy.victim() != victim
-
-    def test_two_way_behaves_like_lru(self):
-        policy = PLRUPolicy(2)
-        policy.on_access(0)
-        assert policy.victim() == 1
-        policy.on_access(1)
-        assert policy.victim() == 0
 
 
 class TestFactory:

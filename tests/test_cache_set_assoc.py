@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cache.block import BlockState
 from repro.cache.set_assoc import SetAssociativeCache
 
 KB = 1024
@@ -52,13 +51,11 @@ class TestAccess:
         cache = make_cache()
         result = cache.access(0x40, is_write=True)
         assert result.block.dirty
-        assert result.block.state is BlockState.MODIFIED
 
     def test_read_fill_is_clean_shared(self):
         cache = make_cache()
         result = cache.access(0x40)
         assert not result.block.dirty
-        assert result.block.state is BlockState.SHARED
 
     def test_no_fill_on_miss_option(self):
         cache = make_cache()

@@ -1,15 +1,14 @@
 """Coherence-behaviour tests for the simulated system (Sec. 3.6).
 
 MSI with a directory at the LLC: stores invalidate remote sharers,
-back-invalidations purge private copies, and Doppelgänger keeps
-coherence state per *tag* so tags sharing one data entry don't share
-state.
+back-invalidations purge private copies, and Doppelgänger keeps the
+dirty bit (a tag's MSI state) per *tag*, so tags sharing one data
+entry don't share it.
 """
 
 import numpy as np
 import pytest
 
-from repro.cache.block import BlockState
 from repro.core.config import DoppelgangerConfig
 from repro.core.doppelganger import DoppelgangerCache
 from repro.core.maps import MapConfig
@@ -90,24 +89,7 @@ class TestDirectoryProtocol:
             assert not system.l1s[core].contains(0)
 
 
-class TestPerTagCoherenceState:
-    def test_tags_sharing_data_have_independent_state(self):
-        cache = DoppelgangerCache(
-            DoppelgangerConfig(tag_entries=64, tag_ways=4, data_fraction=0.5,
-                               data_ways=4, map=MapConfig(14)),
-            regions=regions_small(),
-        )
-        values = np.full(16, 5.0)
-        cache.insert(0, RID, values, core=0)
-        cache.insert(64, RID, values, core=1)
-        assert cache.data.occupied == 1  # shared entry
-        cache.lookup(0, is_write=True, core=0)
-        a = cache.tags.probe(0)
-        b = cache.tags.probe(64)
-        assert a.state is BlockState.MODIFIED
-        assert b.state is not BlockState.MODIFIED
-        assert a.sharers != b.sharers
-
+class TestPerTagDirtyBit:
     def test_dirty_bit_is_per_tag(self):
         cache = DoppelgangerCache(
             DoppelgangerConfig(tag_entries=64, tag_ways=4, data_fraction=0.5,

@@ -49,13 +49,6 @@ class TestLookup:
         cache.lookup(0x40)
         assert cache.stats.mtag_lookups == before_mtag + 1
 
-    def test_write_lookup_sets_owner(self):
-        cache = make_cache()
-        cache.insert(0x40, RID, block(10), core=0)
-        cache.lookup(0x40, is_write=True, core=2)
-        entry = cache.tags.probe(0x40)
-        assert entry.sharers == 1 << 2
-
 
 class TestInsertSharing:
     def test_similar_blocks_share_data_entry(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig
+from repro.errors import ConfigError
 from repro.hierarchy.dram import MainMemory
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 from repro.hierarchy.system import System, SystemConfig
@@ -233,3 +234,17 @@ class TestSystem:
             SystemConfig(num_cores=0)
         with pytest.raises(ValueError):
             SystemConfig(issue_width=0)
+
+    @pytest.mark.parametrize(
+        "make_llc",
+        [
+            lambda: BaselineLLC(block_size=128),
+            lambda: SplitDoppelgangerLLC(DoppelgangerConfig(block_size=128)),
+        ],
+        ids=["baseline", "split"],
+    )
+    def test_llc_block_size_must_match_hierarchy(self, make_llc):
+        # A 128 B LLC block evicted under 64 B private caches would
+        # back-invalidate only its first half, losing inclusion.
+        with pytest.raises(ConfigError, match="128 B differs from the hierarchy's 64 B"):
+            System(make_llc())

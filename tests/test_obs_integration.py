@@ -1,5 +1,6 @@
 """End-to-end observability tests: system, harness and CLI wiring."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -26,44 +27,13 @@ from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig
 
 
-class TestCacheStatsExtraHandling:
-    """Satellite coverage: merge/reset/as_dict with the extra dict."""
-
-    def test_merge_does_not_alias_extra(self):
-        a, b = CacheStats(), CacheStats()
-        a.extra["x"] = 1
-        merged = a.merge(b)
-        merged.extra["x"] = 99
-        assert a.extra["x"] == 1
-
-    def test_merge_with_only_left_extra(self):
-        a, b = CacheStats(), CacheStats()
-        a.extra["left"] = 4
-        assert a.merge(b).extra == {"left": 4}
-
-    def test_as_dict_includes_extra_and_all_counters(self):
+class TestCacheStatsAsDict:
+    def test_as_dict_holds_every_counter(self):
         stats = CacheStats(accesses=3, hits=2)
-        stats.extra["custom"] = 7
         d = stats.as_dict()
+        assert set(d) == {f.name for f in dataclasses.fields(CacheStats)}
         assert d["accesses"] == 3
-        assert d["custom"] == 7
-        assert "extra" not in d
-
-    def test_as_dict_extra_shadows_nothing_after_reset(self):
-        stats = CacheStats(accesses=1)
-        stats.extra["accesses_like"] = 5
-        stats.reset()
-        d = stats.as_dict()
-        assert d["accesses"] == 0
-        assert "accesses_like" not in d
-
-    def test_reset_clears_extra_in_place(self):
-        stats = CacheStats()
-        extra = stats.extra
-        extra["x"] = 1
-        stats.reset()
-        assert stats.extra is extra
-        assert extra == {}
+        assert d["hits"] == 2
 
 
 def small_dopp_llc(regions):
