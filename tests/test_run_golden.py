@@ -45,7 +45,8 @@ def _plain(obj):
 
 
 def _runs(name: str) -> dict:
-    ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=[name])
+    ctx = ExperimentContext(seed=SEED, scale=SCALE, workloads=[name],
+                            engine="batched")
     out = {}
     for spec in SPECS:
         rec = ctx.run(name, spec)
@@ -53,6 +54,7 @@ def _runs(name: str) -> dict:
             "system": rec.system.to_dict(),
             "energy": rec.energy.to_dict(),
             "llc_stats": rec.llc_stats,
+            "engine_stats": rec.engine_stats,
         }
     return _plain(out)
 
@@ -98,7 +100,7 @@ def test_fixture_covers_the_grid(golden):
 def test_runs_match_golden(golden, name):
     got = _runs(name)
     for label, want in golden["runs"][name].items():
-        for part in ("system", "energy", "llc_stats"):
+        for part in ("system", "energy", "llc_stats", "engine_stats"):
             assert got[label][part] == want[part], f"{name}/{label}: {part}"
 
 
