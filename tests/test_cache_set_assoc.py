@@ -1,8 +1,13 @@
 """Unit tests for the conventional set-associative cache."""
 
+import random
+
 import pytest
 
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.block import CacheBlock
+from repro.cache.replacement import make_policy
+from repro.cache.set_assoc import AccessResult, SetAssociativeCache
+from repro.cache.stats import CacheStats
 
 KB = 1024
 
@@ -23,6 +28,10 @@ class TestGeometry:
     def test_non_pow2_block_raises(self):
         with pytest.raises(ValueError):
             SetAssociativeCache(16 * KB, 4, 48)
+
+    def test_unknown_policy_raises(self):
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            make_cache(policy="mru")
 
     def test_address_decomposition_roundtrip(self):
         cache = make_cache()
@@ -195,3 +204,157 @@ class TestStats:
         for addr in addrs:
             cache.access(addr)
         assert sorted(cache.resident_addrs()) == sorted(addrs)
+
+
+class _WayModel:
+    """A way-based reference for the cache's replacement order.
+
+    Each set keeps a ``way -> CacheBlock`` map, a ``tag -> way`` map and
+    a replacement policy object from :func:`make_policy` (so a random
+    set draws from the same seeded generator as the cache's). A fill
+    takes the lowest free way; a full set evicts the way the policy
+    names. Hits, fills and evictions count into a :class:`CacheStats`
+    exactly as :meth:`SetAssociativeCache.access` documents.
+    """
+
+    def __init__(self, size, ways, block, policy):
+        self.ways = ways
+        self.block = block
+        self.num_sets = size // (ways * block)
+        self.blocks = [{} for _ in range(self.num_sets)]
+        self.tag_way = [{} for _ in range(self.num_sets)]
+        self.policies = [make_policy(policy, ways) for _ in range(self.num_sets)]
+        self.stats = CacheStats()
+
+    def _locate(self, addr):
+        block_no = addr // self.block
+        return block_no % self.num_sets, block_no // self.num_sets
+
+    def access(self, addr, is_write, value_id, fill_on_miss):
+        stats = self.stats
+        stats.accesses += 1
+        stats.tag_lookups += 1
+        if is_write:
+            stats.write_accesses += 1
+        else:
+            stats.read_accesses += 1
+        set_idx, tag = self._locate(addr)
+        way = self.tag_way[set_idx].get(tag)
+        if way is not None:
+            block = self.blocks[set_idx][way]
+            stats.hits += 1
+            if is_write:
+                block.dirty = True
+                stats.data_writes += 1
+                if value_id >= 0:
+                    block.value_id = value_id
+            else:
+                stats.data_reads += 1
+            self.policies[set_idx].on_access(way)
+            return AccessResult(hit=True, block=block)
+        stats.misses += 1
+        if not fill_on_miss:
+            return AccessResult(hit=False, block=None)
+        return self.fill(addr, is_write, value_id)
+
+    def fill(self, addr, dirty, value_id):
+        stats = self.stats
+        set_idx, tag = self._locate(addr)
+        ways = self.blocks[set_idx]
+        free = [way for way in range(self.ways) if way not in ways]
+        victim = None
+        if free:
+            way = free[0]
+        else:
+            way = self.policies[set_idx].victim()
+            victim = ways[way]
+            del self.tag_way[set_idx][victim.tag]
+            stats.evictions += 1
+            stats.writebacks += victim.dirty
+        block = CacheBlock(tag, dirty=dirty, value_id=value_id)
+        ways[way] = block
+        self.tag_way[set_idx][tag] = way
+        self.policies[set_idx].on_fill(way)
+        stats.fills += 1
+        if dirty:
+            stats.data_writes += 1
+        else:
+            stats.data_reads += 1
+        if victim is None:
+            return AccessResult(hit=False, block=block)
+        victim_addr = (victim.tag * self.num_sets + set_idx) * self.block
+        return AccessResult(False, block, victim_addr, victim, victim.dirty)
+
+    def resident(self, addr):
+        set_idx, tag = self._locate(addr)
+        return tag in self.tag_way[set_idx]
+
+    def invalidate(self, addr):
+        set_idx, tag = self._locate(addr)
+        way = self.tag_way[set_idx].pop(tag, None)
+        if way is None:
+            return None
+        self.policies[set_idx].on_invalidate(way)
+        self.stats.invalidations += 1
+        return self.blocks[set_idx].pop(way)
+
+    def contents(self):
+        return {
+            (block.tag * self.num_sets + set_idx) * self.block: block
+            for set_idx, ways in enumerate(self.blocks)
+            for block in ways.values()
+        }
+
+
+#: (size, ways) of 64 B-block caches: 4 sets of 4 ways, 4 sets of 2
+#: ways, and one fully associative set of 8.
+GEOMETRIES = [(1024, 4), (512, 2), (512, 8)]
+
+
+def _run_against_model(policy, size, ways, seed, n_ops=3000):
+    rng = random.Random(seed)
+    cache = SetAssociativeCache(size, ways, 64, policy, name="t")
+    model = _WayModel(size, ways, 64, policy)
+    # Three times the capacity in distinct blocks, so sets keep evicting.
+    n_blocks = 3 * size // 64
+    for _ in range(n_ops):
+        addr = rng.randrange(n_blocks) * 64 + rng.randrange(64)
+        op = rng.random()
+        is_write = rng.random() < 0.5
+        value_id = rng.randrange(-1, 40)
+        if op < 0.7:  # a demand read or write that fills on a miss
+            fill = True
+        elif op < 0.8:  # a probe that does not fill
+            fill = False
+        elif op < 0.9:
+            if model.resident(addr):
+                with pytest.raises(ValueError):
+                    cache.install(addr, dirty=is_write, value_id=value_id)
+            else:
+                assert (cache.install(addr, dirty=is_write, value_id=value_id)
+                        == model.fill(addr, is_write, value_id))
+            continue
+        else:
+            assert cache.invalidate(addr) == model.invalidate(addr)
+            continue
+        assert (cache.access(addr, is_write, value_id, fill_on_miss=fill)
+                == model.access(addr, is_write, value_id, fill))
+    want = model.contents()
+    assert sorted(cache.resident_addrs()) == sorted(want)
+    assert {addr: cache.probe(addr) for addr in want} == want
+    assert cache.occupancy() == len(want)
+    assert cache.stats == model.stats
+    assert sorted(cache.flush()) == sorted(
+        (addr, block) for addr, block in want.items() if block.dirty
+    )
+
+
+@pytest.mark.parametrize("size,ways", GEOMETRIES,
+                         ids=[f"{s}B-{w}way" for s, w in GEOMETRIES])
+@pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+def test_replacement_order_matches_way_model(policy, size, ways):
+    """Every hit, victim, writeback and invalidated block of seeded mixed
+    sequences equals the way-based model's, and so do the resident
+    blocks and the counters at the end."""
+    for seed in range(10):
+        _run_against_model(policy, size, ways, seed)

@@ -17,6 +17,7 @@ from repro.hierarchy.system import System
 from repro.trace.record import Access, DType
 from repro.trace.region import Region, RegionMap
 from repro.trace.trace import TraceBuilder
+from test_engine_random import random_trace, tiny_config, tiny_llc
 
 RID = 0
 
@@ -102,3 +103,40 @@ class TestPerTagDirtyBit:
         cache.writeback(0, RID, values)
         assert cache.tags.probe(0).dirty
         assert not cache.tags.probe(64).dirty
+
+
+#: Runs cut after these many accesses; the random traces hold 4,000.
+LIMITS = (700, 1900, 4000)
+INVARIANT_CASES = [(kind, cores, engine)
+                   for kind in ("baseline", "split", "uni")
+                   for cores in (1, 4)
+                   for engine in ("reference", "batched")]
+
+
+@pytest.mark.parametrize(
+    "kind,num_cores,engine", INVARIANT_CASES,
+    ids=[f"{k}-{c}core-{e}" for k, c, e in INVARIANT_CASES])
+def test_l1_blocks_keep_their_sharer_bit(kind, num_cores, engine):
+    """Every block resident in core c's L1 has bit c set in the directory.
+
+    An L1 fill follows the access's own sharer update, and every event
+    that clears a bit (a remote store, a back-invalidation) removes the
+    copies of each core whose bit it clears. So an L1 load hit finds
+    its bit already set, and the batched engine retires it without
+    writing the directory. The L2 has no such guarantee: when a dirty
+    victim's writeback makes the LLC back-invalidate the accessing
+    block itself, the access then refills its L2 after the purge
+    dropped the block's sharer entry.
+    """
+    for seed in range(4):
+        trace = random_trace(seed, num_cores)
+        for limit in LIMITS:
+            system = System(tiny_llc(kind, trace.regions),
+                            config=tiny_config(num_cores))
+            system.run(trace, limit=limit, engine=engine)
+            sharers = system._sharers
+            for core, l1 in enumerate(system.l1s):
+                for addr in l1.resident_addrs():
+                    assert sharers.get(addr, 0) >> core & 1, (
+                        f"seed {seed}, limit {limit}: L1-{core} holds "
+                        f"{addr:#x} without its sharer bit")
