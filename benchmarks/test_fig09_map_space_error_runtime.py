@@ -7,7 +7,6 @@ floats). Runtime moves by <1% on average between 12- and 14-bit maps.
 """
 
 from repro.harness.experiments import fig09_map_space
-from repro.harness.reporting import geometric_mean
 
 
 def test_fig09_map_space(once, ctx, emit):

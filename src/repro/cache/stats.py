@@ -14,11 +14,12 @@ from dataclasses import dataclass, fields
 class CacheStats:
     """Event counters for a single cache structure.
 
-    Attributes follow conventional simulator naming. ``tag_lookups`` and
-    ``data_accesses`` are tracked separately because the energy model
-    (Table 3) charges tag-array and data-array accesses differently, and
-    the Doppelgänger lookup performs *two* tag lookups (tag array then
-    MTag array) per hit.
+    Attributes follow conventional simulator naming. ``tag_lookups`` is
+    tracked apart from the data-array counters ``data_reads`` and
+    ``data_writes`` because the energy model (Table 3) charges a tag
+    lookup and a data access (``data_reads + data_writes``) differently,
+    and the Doppelgänger lookup performs *two* tag lookups (tag array
+    then MTag array) per hit.
     """
 
     accesses: int = 0

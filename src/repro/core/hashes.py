@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.maps import MapConfig
 from repro.trace.record import DTYPE_INFO, DType
 
 #: hash name -> (fn(blocks, vmin, vmax) -> values, (lo, hi) output interval

@@ -23,7 +23,6 @@ from typing import Dict, Optional
 from repro.energy.cacti import CactiModel
 from repro.energy.structures import (
     CacheStructure,
-    baseline_llc_structure,
     doppelganger_structures,
     l1_structure,
     l2_structure,

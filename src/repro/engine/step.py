@@ -15,8 +15,6 @@ run() preamble and postamble so both engines share those too.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class RunState:
     """Mutable per-run timing state shared across the access stream."""

@@ -39,7 +39,6 @@ from repro.energy.structures import (
 )
 from repro.harness.reporting import Table, arithmetic_mean, geometric_mean
 from repro.harness.runner import (
-    ConfigSpec,
     ExperimentContext,
     baseline_spec,
     dopp_spec,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.characterize import (
-    Characterization,
     characterize_snapshot,
     characterize_workload,
 )

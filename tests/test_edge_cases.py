@@ -9,7 +9,7 @@ from repro.core.doppelganger import DoppelgangerCache
 from repro.core.maps import MapConfig, MapGenerator
 from repro.core.tag_array import NULL_PTR
 from repro.hierarchy.llc import SplitDoppelgangerLLC
-from repro.hierarchy.system import System, SystemConfig
+from repro.hierarchy.system import System
 from repro.trace.record import DType
 from repro.trace.region import Region, RegionMap
 from repro.trace.trace import TraceBuilder

@@ -5,7 +5,6 @@ Doppelgänger and uniDoppelgänger systems, checking structural
 invariants, conservation properties and cross-organization sanity.
 """
 
-import numpy as np
 import pytest
 
 from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig

@@ -1,6 +1,5 @@
 """Tests for multiprogrammed trace merging (Sec. 4.1)."""
 
-import numpy as np
 import pytest
 
 from repro.hierarchy.llc import SplitDoppelgangerLLC

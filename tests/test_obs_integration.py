@@ -21,7 +21,7 @@ from repro.harness.runner import (
 )
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
-from repro.obs import Observability, RingBufferSink
+from repro.obs import Observability
 from repro.obs.events import read_jsonl
 from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig

@@ -7,7 +7,6 @@ operation sequences, and cache occupancy bounds.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.replacement import LRUPolicy

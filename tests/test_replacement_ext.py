@@ -1,7 +1,6 @@
 """Tests for the sharing-aware replacement extension (future work)."""
 
 import numpy as np
-import pytest
 
 from repro.core.config import DoppelgangerConfig
 from repro.core.doppelganger import DoppelgangerCache

@@ -1,6 +1,5 @@
 """Tests for the analytical timing model and its simulator cross-check."""
 
-import numpy as np
 import pytest
 
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC
