@@ -7,7 +7,11 @@ ships several policies; the ablation bench
 
 A policy instance manages a single cache *set* of ``ways`` ways. The
 cache tells the policy when a way is touched, filled or invalidated, and
-asks it for a victim way when the set is full.
+asks it for a victim way when the set is full. The Doppelgänger tag and
+data arrays keep one policy per set. A
+:class:`~repro.cache.set_assoc.SetAssociativeCache` keeps LRU and FIFO
+order in its per-set dicts instead, and asks a :class:`RandomPolicy`
+per set for random victims.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.cache.block import CacheBlock
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import make_policy
 from repro.cache.stats import CacheStats
 
 
@@ -76,16 +76,23 @@ class SetAssociativeCache:
             raise ValueError(
                 f"derived set count {self.num_sets} is not a power of two"
             )
+        make_policy(policy, ways)  # raises ValueError for an unknown name
         self.name = name
         self.level = level
         self.policy_name = policy
         self.stats = CacheStats()
-        # Per set: way -> CacheBlock, plus a tag -> way map for O(1) probes.
-        self._ways: List[Dict[int, CacheBlock]] = [dict() for _ in range(self.num_sets)]
-        self._tag_to_way: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways) for _ in range(self.num_sets)
-        ]
+        # Per set: one tag -> CacheBlock dict in replacement order, the
+        # next victim first. A fill appends; an LRU hit moves its tag to
+        # the back; a FIFO or random hit leaves it in place.
+        self._sets: List[Dict[int, CacheBlock]] = [{} for _ in range(self.num_sets)]
+        self._lru = policy == "lru"
+        # Random replacement draws a victim *way* from each set's seeded
+        # policy, so those sets also keep a way -> tag list (None: free);
+        # a fill takes the lowest free way.
+        self._random = self._slots = None
+        if policy == "random":
+            self._random = [make_policy(policy, ways) for _ in range(self.num_sets)]
+            self._slots = [[None] * ways for _ in range(self.num_sets)]
 
     # ---------------------------------------------------------------- addressing
 
@@ -109,11 +116,7 @@ class SetAssociativeCache:
 
     def probe(self, addr: int) -> Optional[CacheBlock]:
         """Look up ``addr`` without touching replacement state or stats."""
-        set_idx = self.set_index(addr)
-        way = self._tag_to_way[set_idx].get(self.addr_tag(addr))
-        if way is None:
-            return None
-        return self._ways[set_idx][way]
+        return self._sets[self.set_index(addr)].get(self.addr_tag(addr))
 
     def contains(self, addr: int) -> bool:
         """Whether ``addr`` is resident."""
@@ -121,13 +124,13 @@ class SetAssociativeCache:
 
     def resident_addrs(self) -> Iterator[int]:
         """Iterate over the byte addresses of every resident block."""
-        for set_idx, tag_map in enumerate(self._tag_to_way):
-            for tag in tag_map:
+        for set_idx, blocks in enumerate(self._sets):
+            for tag in blocks:
                 yield self._compose_addr(set_idx, tag)
 
     def occupancy(self) -> int:
         """Number of resident blocks."""
-        return sum(len(m) for m in self._tag_to_way)
+        return sum(map(len, self._sets))
 
     # ---------------------------------------------------------------- access
 
@@ -166,9 +169,9 @@ class SetAssociativeCache:
         block_no = addr // self.block_size
         set_idx = block_no % self.num_sets
         tag = block_no // self.num_sets
-        way = self._tag_to_way[set_idx].get(tag)
-        if way is not None:
-            block = self._ways[set_idx][way]
+        blocks = self._sets[set_idx]
+        block = blocks.get(tag)
+        if block is not None:
             stats.hits += 1
             if is_write:
                 block.dirty = True
@@ -177,7 +180,9 @@ class SetAssociativeCache:
                     block.value_id = value_id
             else:
                 stats.data_reads += 1
-            self._policies[set_idx].on_access(way)
+            if self._lru:
+                del blocks[tag]
+                blocks[tag] = block
             return AccessResult(hit=True, block=block)
 
         stats.misses += 1
@@ -196,25 +201,26 @@ class SetAssociativeCache:
         evicted_block = None
         writeback = False
 
-        ways_map = self._ways[set_idx]
-        if len(ways_map) < self.ways:
-            for way in range(self.ways):
-                if way not in ways_map:
-                    break
+        blocks = self._sets[set_idx]
+        slots = None if self._slots is None else self._slots[set_idx]
+        if len(blocks) < self.ways:
+            if slots is not None:
+                slots[slots.index(None)] = tag
         else:
-            way = self._policies[set_idx].victim()
-            evicted_block = ways_map[way]
+            if slots is None:
+                evicted_block = blocks.pop(next(iter(blocks)))
+            else:
+                way = self._random[set_idx].victim()
+                evicted_block = blocks.pop(slots[way])
+                slots[way] = tag
             evicted_addr = (evicted_block.tag * num_sets + set_idx) * self.block_size
             writeback = evicted_block.dirty
             stats.evictions += 1
             if writeback:
                 stats.writebacks += 1
-            del self._tag_to_way[set_idx][evicted_block.tag]
 
         block = CacheBlock(tag, dirty=is_write, value_id=value_id)
-        ways_map[way] = block
-        self._tag_to_way[set_idx][tag] = way
-        self._policies[set_idx].on_fill(way)
+        blocks[tag] = block
         stats.fills += 1
         if is_write:
             stats.data_writes += 1
@@ -236,7 +242,7 @@ class SetAssociativeCache:
         recorded. Raises if the address is already resident.
         """
         block_no = addr // self.block_size
-        if block_no // self.num_sets in self._tag_to_way[block_no % self.num_sets]:
+        if block_no // self.num_sets in self._sets[block_no % self.num_sets]:
             raise ValueError(f"install of resident address {addr:#x}")
         return self._fill(addr, dirty, value_id)
 
@@ -250,11 +256,12 @@ class SetAssociativeCache:
         """
         block_no = addr // self.block_size
         set_idx = block_no % self.num_sets
-        way = self._tag_to_way[set_idx].pop(block_no // self.num_sets, None)
-        if way is None:
+        block = self._sets[set_idx].pop(block_no // self.num_sets, None)
+        if block is None:
             return None
-        block = self._ways[set_idx].pop(way)
-        self._policies[set_idx].on_invalidate(way)
+        if self._slots is not None:
+            slots = self._slots[set_idx]
+            slots[slots.index(block.tag)] = None
         self.stats.invalidations += 1
         return block
 

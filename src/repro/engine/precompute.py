@@ -4,8 +4,8 @@ Two kinds of work are hoisted out of the per-access loop:
 
 * **Column conversion** — the trace's numpy columns are converted to
   plain Python lists (scalar indexing into numpy arrays allocates a
-  numpy scalar per touch and dominated the seed profile) and block
-  addresses are pre-masked once for the whole trace.
+  numpy scalar per touch and dominated the seed profile), with the
+  offset bits of every address cleared in one numpy pass.
 * **Map seeding** — every (region, value-id) pair the run can possibly
   feed to the Doppelgänger map-generation path is enumerated from the
   trace (initial memory image + write records) and its avg/range map is
@@ -23,7 +23,12 @@ import numpy as np
 
 
 class TraceColumns(NamedTuple):
-    """Per-run plain-Python views of a trace, block-aligned."""
+    """Per-run plain-Python views of a trace, block-aligned.
+
+    The fields follow the argument order of
+    :func:`~repro.engine.step.process_access`, so ``zip(*columns)``
+    yields its per-access arguments.
+    """
 
     cores: List[int]
     baddrs: List[int]  # byte addresses with offset bits stripped
@@ -32,21 +37,18 @@ class TraceColumns(NamedTuple):
     region_ids: List[int]
     value_ids: List[int]
     gaps: List[int]
-    baddr_np: np.ndarray  # int64 block-aligned byte addresses
 
 
 def trace_columns(trace, block_size: int) -> TraceColumns:
     """Convert a trace's columns for fast per-access iteration."""
-    baddr_np = trace.addrs & np.int64(~(block_size - 1))
     return TraceColumns(
         cores=trace.cores.tolist(),
-        baddrs=baddr_np.tolist(),
+        baddrs=(trace.addrs & np.int64(~(block_size - 1))).tolist(),
         writes=trace.is_write.tolist(),
         approx=trace.approx.tolist(),
         region_ids=trace.region_ids.tolist(),
         value_ids=trace.value_ids.tolist(),
         gaps=trace.gaps.tolist(),
-        baddr_np=baddr_np,
     )
 
 

@@ -8,6 +8,7 @@ those are behavior-preserving.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from repro.engine.precompute import trace_columns
@@ -19,22 +20,11 @@ def run(system, trace, limit: Optional[int] = None):
     st = make_state(system)
     prepare(system, trace)
     cols = trace_columns(trace, system.config.block_size)
-
-    cores = cols.cores
-    baddrs = cols.baddrs
-    writes = cols.writes
-    approxes = cols.approx
-    region_ids = cols.region_ids
-    value_ids = cols.value_ids
-    gaps = cols.gaps
-    n = len(baddrs) if limit is None else min(limit, len(baddrs))
+    n = len(cols.baddrs) if limit is None else min(limit, len(cols.baddrs))
 
     step = process_access
-    for i in range(n):
-        step(
-            system, st, cores[i], baddrs[i], writes[i], approxes[i],
-            region_ids[i], value_ids[i], gaps[i],
-        )
+    for row in islice(zip(*cols), n):
+        step(system, st, *row)
     system.engine_stats = {
         "engine": "reference",
         "accesses": n,
