@@ -1,14 +1,13 @@
 """Generic set-associative cache substrate.
 
 This package provides the building blocks shared by every cache model in
-the reproduction: cache blocks (whose dirty bit is their MSI state),
-LRU, FIFO and random replacement, a conventional set-associative cache,
-a writeback buffer and a statistics container. The Doppelgänger
-structures in :mod:`repro.core` and the hierarchy in
-:mod:`repro.hierarchy` are built on top of these.
+the reproduction: LRU, FIFO and random replacement, a conventional
+set-associative cache (each resident block one integer state, whose
+dirty bit is its MSI state), a writeback buffer and a statistics
+container. The Doppelgänger structures in :mod:`repro.core` and the
+hierarchy in :mod:`repro.hierarchy` are built on top of these.
 """
 
-from repro.cache.block import CacheBlock
 from repro.cache.replacement import (
     FIFOPolicy,
     LRUPolicy,
@@ -22,7 +21,6 @@ from repro.cache.writeback import WritebackBuffer
 
 __all__ = [
     "AccessResult",
-    "CacheBlock",
     "CacheStats",
     "FIFOPolicy",
     "LRUPolicy",

@@ -6,13 +6,22 @@ split Doppelgänger LLC. It is a *functional + event* model: it tracks
 resident blocks, replacement state and statistics, and reports evictions
 and writebacks to the caller; timing and energy are accounted separately
 from the recorded events.
+
+A resident block is one integer, its *state*: ``(value_id << 1) |
+dirty``, where ``value_id`` indexes the trace's value table (``-1``
+when the simulation tracks no value) and ``dirty`` is the block's
+write-back bit, which is also its MSI state (MODIFIED when set, SHARED
+when clear; the sharer vectors live in
+:class:`~repro.hierarchy.system.System`). ``state & 1`` is the dirty
+bit and ``state >> 1`` the value id, so ``-2`` is an untracked clean
+block and ``-1`` an untracked dirty one. The paper's hardware likewise
+keeps a block's state as a few bits next to its tag (Sec. 3.1).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.cache.block import CacheBlock
 from repro.cache.replacement import make_policy
 from repro.cache.stats import CacheStats
 
@@ -22,18 +31,21 @@ class AccessResult(NamedTuple):
 
     Attributes:
         hit: whether the address was resident.
-        block: the resident block after the access completes (None on a
-            miss without a fill).
         evicted_addr: block address of the victim, if a fill evicted one.
-        evicted_block: the victim block itself (carries its dirty bit).
-        writeback: whether the victim required a writeback.
+        evicted_value_id: the victim's value id (``-1`` without a victim
+            or a tracked value).
+        writeback: whether the victim was dirty and needs a writeback.
     """
 
     hit: bool
-    block: Optional[CacheBlock]
     evicted_addr: Optional[int] = None
-    evicted_block: Optional[CacheBlock] = None
+    evicted_value_id: int = -1
     writeback: bool = False
+
+
+#: Shared results of a hit and of a miss that evicted nothing.
+_HIT = AccessResult(True)
+_MISS = AccessResult(False)
 
 
 def _is_pow2(n: int) -> bool:
@@ -81,10 +93,10 @@ class SetAssociativeCache:
         self.level = level
         self.policy_name = policy
         self.stats = CacheStats()
-        # Per set: one tag -> CacheBlock dict in replacement order, the
-        # next victim first. A fill appends; an LRU hit moves its tag to
-        # the back; a FIFO or random hit leaves it in place.
-        self._sets: List[Dict[int, CacheBlock]] = [{} for _ in range(self.num_sets)]
+        # Per set: one tag -> state dict in replacement order, the next
+        # victim first. A fill appends; an LRU hit moves its tag to the
+        # back; a FIFO or random hit leaves it in place.
+        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
         self._lru = policy == "lru"
         # Random replacement draws a victim *way* from each set's seeded
         # policy, so those sets also keep a way -> tag list (None: free);
@@ -114,8 +126,9 @@ class SetAssociativeCache:
 
     # ---------------------------------------------------------------- queries
 
-    def probe(self, addr: int) -> Optional[CacheBlock]:
-        """Look up ``addr`` without touching replacement state or stats."""
+    def probe(self, addr: int) -> Optional[int]:
+        """State of ``addr`` (None if absent), without touching
+        replacement order or stats."""
         return self._sets[self.set_index(addr)].get(self.addr_tag(addr))
 
     def contains(self, addr: int) -> bool:
@@ -145,10 +158,9 @@ class SetAssociativeCache:
 
         On a miss with ``fill_on_miss`` the block is installed
         (write-allocate), evicting the replacement victim if the set is
-        full. The evicted block and whether it needs a writeback are
-        reported in the result; the caller (hierarchy) is responsible for
-        actually propagating the writeback. A miss without a fill
-        returns ``block=None``.
+        full. The victim's address and value id, and whether it needs a
+        writeback, are reported in the result; the caller (hierarchy) is
+        responsible for actually propagating the writeback.
 
         Args:
             addr: byte address.
@@ -170,24 +182,22 @@ class SetAssociativeCache:
         set_idx = block_no % self.num_sets
         tag = block_no // self.num_sets
         blocks = self._sets[set_idx]
-        block = blocks.get(tag)
-        if block is not None:
+        state = blocks.get(tag)
+        if state is not None:
             stats.hits += 1
             if is_write:
-                block.dirty = True
+                state = (value_id << 1) | 1 if value_id >= 0 else state | 1
                 stats.data_writes += 1
-                if value_id >= 0:
-                    block.value_id = value_id
             else:
                 stats.data_reads += 1
             if self._lru:
                 del blocks[tag]
-                blocks[tag] = block
-            return AccessResult(hit=True, block=block)
+            blocks[tag] = state
+            return _HIT
 
         stats.misses += 1
         if not fill_on_miss:
-            return AccessResult(hit=False, block=None)
+            return _MISS
         return self._fill(addr, is_write, value_id)
 
     def _fill(self, addr: int, is_write: bool, value_id: int) -> AccessResult:
@@ -197,9 +207,7 @@ class SetAssociativeCache:
         block_no = addr // self.block_size
         set_idx = block_no % num_sets
         tag = block_no // num_sets
-        evicted_addr = None
-        evicted_block = None
-        writeback = False
+        result = _MISS
 
         blocks = self._sets[set_idx]
         slots = None if self._slots is None else self._slots[set_idx]
@@ -208,31 +216,27 @@ class SetAssociativeCache:
                 slots[slots.index(None)] = tag
         else:
             if slots is None:
-                evicted_block = blocks.pop(next(iter(blocks)))
+                victim = next(iter(blocks))
             else:
                 way = self._random[set_idx].victim()
-                evicted_block = blocks.pop(slots[way])
+                victim = slots[way]
                 slots[way] = tag
-            evicted_addr = (evicted_block.tag * num_sets + set_idx) * self.block_size
-            writeback = evicted_block.dirty
+            state = blocks.pop(victim)
+            writeback = bool(state & 1)
             stats.evictions += 1
-            if writeback:
-                stats.writebacks += 1
+            stats.writebacks += writeback
+            result = AccessResult(
+                False, (victim * num_sets + set_idx) * self.block_size,
+                state >> 1, writeback,
+            )
 
-        block = CacheBlock(tag, dirty=is_write, value_id=value_id)
-        blocks[tag] = block
+        blocks[tag] = (value_id << 1) | is_write
         stats.fills += 1
         if is_write:
             stats.data_writes += 1
         else:
             stats.data_reads += 1
-        return AccessResult(
-            hit=False,
-            block=block,
-            evicted_addr=evicted_addr,
-            evicted_block=evicted_block,
-            writeback=writeback,
-        )
+        return result
 
     def install(self, addr: int, dirty: bool = False, value_id: int = -1) -> AccessResult:
         """Install a block without counting a demand access.
@@ -248,30 +252,31 @@ class SetAssociativeCache:
 
     # ---------------------------------------------------------------- maintenance
 
-    def invalidate(self, addr: int) -> Optional[CacheBlock]:
-        """Remove ``addr`` if resident; return the removed block.
+    def invalidate(self, addr: int) -> Optional[int]:
+        """Remove ``addr`` if resident; return its state (None if absent).
 
         The caller decides what to do with a dirty victim (the private
         caches write it back toward the LLC; the LLC writes to memory).
         """
         block_no = addr // self.block_size
         set_idx = block_no % self.num_sets
-        block = self._sets[set_idx].pop(block_no // self.num_sets, None)
-        if block is None:
+        tag = block_no // self.num_sets
+        state = self._sets[set_idx].pop(tag, None)
+        if state is None:
             return None
         if self._slots is not None:
             slots = self._slots[set_idx]
-            slots[slots.index(block.tag)] = None
+            slots[slots.index(tag)] = None
         self.stats.invalidations += 1
-        return block
+        return state
 
-    def flush(self) -> List[Tuple[int, CacheBlock]]:
-        """Invalidate everything; return ``(addr, block)`` for dirty blocks."""
+    def flush(self) -> List[Tuple[int, int]]:
+        """Invalidate everything; return ``(addr, state)`` for dirty blocks."""
         dirty = []
         for addr in list(self.resident_addrs()):
-            block = self.invalidate(addr)
-            if block is not None and block.dirty:
-                dirty.append((addr, block))
+            state = self.invalidate(addr)
+            if state & 1:
+                dirty.append((addr, state))
         return dirty
 
     def __repr__(self) -> str:

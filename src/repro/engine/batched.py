@@ -6,8 +6,10 @@ computed in bulk before the scan, and the scan itself retires accesses
 inline:
 
 * a load or store that hits the issuing core's L1 is retired with an
-  LRU touch and a timing update — no cache-model calls. A store also
-  sets the block's dirty bit and value and writes the directory; a load
+  LRU touch of its set dict and one integer add to the core's
+  issue-slot clock (see *Timing* below) — no cache-model calls and no
+  counter: the L1 hits are derived after the scan. A store also sets
+  the block's dirty bit and value and writes the directory; a load
   leaves the directory alone, because an L1-resident block always has
   its core's sharer bit set already;
 * a store with remote sharer bits set first replays the directory
@@ -55,17 +57,28 @@ many times per chunk, collapsing fast-path coverage to the L1 hits.
 The live probes are exact at every instant and cost two dict lookups.
 
 Every private cache and the baseline LLC replace by LRU. Each set of a
-``SetAssociativeCache`` is one ``tag → CacheBlock`` dict in LRU order,
-so a probe-and-touch is a ``pop`` and a store, a fill appends, and the
-victim is the first key. Per-core event counts, each LLC structure's
-demand hits and misses,
-and exact dyadic timing terms (gap sums, hit latencies) are
-accumulated in plain integers and flushed once at the end, which is
-what makes the fast path cheap *and* bit-identical: with
-a power-of-two issue width every timing term is a dyadic rational far
-below 2^52, so regrouped float sums equal the reference's sequential
-sums exactly. A non-power-of-two issue width delegates the whole run to
-the reference engine.
+``SetAssociativeCache`` is one ``tag → state`` dict in LRU order, the
+state an integer ``(value_id << 1) | dirty``, so a probe-and-touch is a
+``pop`` and a store, a fill appends one integer, and the victim is the
+first key. Per-core event counts and each LLC structure's demand hits
+and misses are accumulated in plain integers and flushed once at the
+end.
+
+*Timing.* Each core keeps two numbers: an integer count of issue slots
+and a float stall offset, and its cycle count is ``slots / width +
+offset``. Every access adds ``gap + l1_latency × issue_width`` slots
+(the gap column arrives converted), which is all a load or store that
+the L1 hits, or any store, costs: ``gap / width + l1_latency`` cycles.
+The offset moves only on a load that misses the L1, by its extra
+latency. A slow-path access is handed the exact cycle count, and the
+offset is re-derived from what it leaves. The L1 hits, the compute-gap
+sum and ``instructions`` are derived after the scan from per-core load
+and store counts minus the misses and slow accesses. All of this is
+what makes the fast path cheap *and* bit-identical: with a power-of-two
+issue width every timing term is a dyadic rational far below 2^52, so
+regrouped float sums equal the reference's sequential sums exactly. A
+non-power-of-two issue width delegates the whole run to the reference
+engine.
 """
 
 from __future__ import annotations
@@ -73,7 +86,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Optional
 
-from repro.cache.block import CacheBlock
+import numpy as np
+
 from repro.core.data_array import map_set_index
 from repro.engine import reference
 from repro.engine.precompute import trace_columns
@@ -119,13 +133,22 @@ def run(system, trace, limit: Optional[int] = None):
 
     st = make_state(system)
     prepare(system, trace)
-    cols = trace_columns(trace, cfg.block_size)
-    n = len(cols.baddrs) if limit is None else min(limit, len(cols.baddrs))
+    num_cores = cfg.num_cores
+    n = len(trace) if limit is None else min(limit, len(trace))
+    # Per-core load and store counts, from which the L1 hits are derived
+    # after the scan. Counted before the column lists exist, so that
+    # numpy's temporary copies do not add to the run's peak memory.
+    cores = trace.cores[:n]
+    stores = np.bincount(cores[trace.is_write[:n]], minlength=num_cores).tolist()
+    loads = [x - s for x, s in
+             zip(np.bincount(cores, minlength=num_cores).tolist(), stores)]
+    # Issue slots of one access on top of its gap: its L1 latency.
+    l1w = st.l1_lat * width_i
+    cols = trace_columns(trace, cfg.block_size, slot_base=l1w)
     bshift = cfg.block_size.bit_length() - 1
 
-    num_cores = cfg.num_cores
     l1s, l2s = system.l1s, system.l2s
-    # Each cache set is one tag -> CacheBlock dict in LRU order (see
+    # Each cache set is one tag -> state dict in LRU order (see
     # SetAssociativeCache): the private caches replace by LRU only.
     l1_sets = [c._sets for c in l1s]
     l2_sets = [c._sets for c in l2s]
@@ -183,12 +206,15 @@ def run(system, trace, limit: Optional[int] = None):
     # evictions (a tag move can evict a data entry and all its tags).
     wb_evicts = not isinstance(llc, BaselineLLC)
 
-    cycles = st.cycles
     sharers = system._sharers
     cur_value = system._cur_value
     width = st.width
-    l1f = float(st.l1_lat)
-    lat12f = float(st.l1_lat) + st.l2_lat  # matches the reference's += order
+    # Core c's cycle count is slots[c] / width + off[c] (see Timing).
+    cycles = st.cycles
+    slots = [0] * num_cores
+    off = list(cycles)
+    lat2f = float(st.l2_lat)  # a load's latency past the L1, by level
+    lat23f = float(st.l2_lat + st.llc_lat)
     lat123f = float(st.l1_lat) + st.l2_lat + st.llc_lat
     core_bit = [1 << c for c in range(num_cores)]
 
@@ -200,7 +226,6 @@ def run(system, trace, limit: Optional[int] = None):
     block_values = system._block_values
     wb_enqueue = system.wb_buffer.enqueue
     mem_write = system.memory.write
-    new_block = CacheBlock
     step = process_access
 
     # Per-core event counts, flushed into each cache's CacheStats after
@@ -208,7 +233,7 @@ def run(system, trace, limit: Optional[int] = None):
     def per_core():
         return [0] * num_cores
 
-    rhit1, whit1 = per_core(), per_core()  # L1 load and store hits
+    slow1 = (per_core(), per_core())  # slow-path accesses
     miss1 = (per_core(), per_core())  # L1 misses
     hit2 = (per_core(), per_core())  # demand L2 hits
     miss2 = (per_core(), per_core())  # demand L2 misses (fill, then LLC)
@@ -227,7 +252,7 @@ def run(system, trace, limit: Optional[int] = None):
     mem_wr = 0  # memory writes from purged dirty private copies
     mem_bd = 0.0  # exact dyadic sum of per-miss memory-stall terms
     wb_bd = 0.0  # exact sum of writeback-buffer stalls
-    comp_gaps = 0  # gap sum over fast-path accesses
+    slow_slots = 0  # issue slots of the slow-path accesses
     mem_ready_l = st.mem_ready
     runahead = st.runahead
     mem_interval = st.mem_interval
@@ -242,59 +267,58 @@ def run(system, trace, limit: Optional[int] = None):
         c2 = 0
         while vec:
             if vec & 1:
-                blk = l1_sets[c2][bn & l1_mask].pop(bn >> l1_bits, None)
-                if blk is not None:
-                    dirty += blk.dirty
+                state = l1_sets[c2][bn & l1_mask].pop(bn >> l1_bits, None)
+                if state is not None:
+                    dirty += state & 1
                     inval1[c2] += 1
-                blk = l2_sets[c2][bn & l2_mask].pop(bn >> l2_bits, None)
-                if blk is not None:
-                    dirty += blk.dirty
+                state = l2_sets[c2][bn & l2_mask].pop(bn >> l2_bits, None)
+                if state is not None:
+                    dirty += state & 1
                     inval2[c2] += 1
             vec >>= 1
             c2 += 1
         return dirty
 
-    def fill_l2(c, m, s, t, dirty, vid, now):
-        """Install tag ``t`` in set ``s`` (the dict ``m``) of core
-        ``c``'s L2, as ``_fill``.
+    def fill_l2(c, m, s, t, state, now):
+        """Install tag ``t`` with ``state`` in set ``s`` (the dict
+        ``m``) of core ``c``'s L2, as ``_fill``.
 
         A dirty victim goes down the LLC writeback path; returns that
         path's writeback-buffer stall.
         """
-        victim = m.pop(next(iter(m))) if len(m) == l2_assoc else None
-        m[t] = new_block(t, dirty, vid)
-        if victim is None:
+        if len(m) < l2_assoc:
+            m[t] = state
             return 0.0
+        vt = next(iter(m))
+        vs = m.pop(vt)
+        m[t] = state
         evict2[c] += 1
-        if not victim.dirty:
+        if not vs & 1:
             return 0.0
         dirty2[c] += 1
-        return l2wb(c, ((victim.tag << l2_bits) | s) << bshift,
-                    victim.value_id, now)
+        return l2wb(c, ((vt << l2_bits) | s) << bshift, vs >> 1, now)
 
-    def victim_to_l2(c, vb, s1, now):
-        """``System._install_l1_victim``: write a dirty L1 victim into
-        the L2; returns the writeback-buffer stall of its cascade."""
-        vbn = (vb.tag << l1_bits) | s1
+    def victim_to_l2(c, vbn, vs, now):
+        """``System._install_l1_victim``: write the dirty L1 victim
+        ``vbn`` (block number) with state ``vs`` into the L2; returns
+        the writeback-buffer stall of its cascade."""
         s = vbn & l2_mask
         t = vbn >> l2_bits
         m = l2_sets[c][s]
-        blk = m.pop(t, None)
-        if blk is None:
+        state = m.pop(t, None)
+        if state is None:
             vfill2[c] += 1
-            return fill_l2(c, m, s, t, True, vb.value_id, now)
-        m[t] = blk
+            return fill_l2(c, m, s, t, vs, now)
+        # A write hit: the victim's value if it has one, else the block's.
+        m[t] = vs if vs >= 0 else state | 1
         vhit2[c] += 1
-        blk.dirty = True
-        if vb.value_id >= 0:
-            blk.value_id = vb.value_id
         return 0.0
 
+    # g is the access's issue slots: its gap plus l1w.
     for c, a, wr, ap, rid, vid, g in islice(zip(*cols), n):
         b = a >> bshift
-        s1 = b & l1_mask
         t1 = b >> l1_bits
-        m1 = l1_sets[c][s1]
+        m1 = l1_sets[c][b & l1_mask]
         if wr:
             rem = sharers.get(a, 0) & ~core_bit[c]
             if rem:
@@ -311,29 +335,22 @@ def run(system, trace, limit: Optional[int] = None):
             sharers[a] = core_bit[c]
             if vid >= 0:
                 cur_value[a] = vid
-            blk = m1.pop(t1, None)
-            if blk is not None:
-                m1[t1] = blk
-                blk.dirty = True
-                if vid >= 0:
-                    blk.value_id = vid
-                comp_gaps += g
-                cycles[c] = cycles[c] + g / width + l1f
-                whit1[c] += 1
+            state = m1.pop(t1, None)
+            if state is not None:
+                m1[t1] = (vid << 1) | 1 if vid >= 0 else state | 1
+                slots[c] += g
                 continue
         else:
-            blk = m1.pop(t1, None)
-            if blk is not None:
+            state = m1.pop(t1, None)
+            if state is not None:
                 # No directory write: a block in core c's L1 always has
                 # bit c set in the sharer vector. The access that filled
                 # it set the bit first, and an event that clears a bit
                 # (a remote store, a back-invalidation) also pops the
                 # copies of each core whose bit it clears
                 # (tests/test_coherence.py checks the rule).
-                m1[t1] = blk
-                comp_gaps += g
-                cycles[c] = cycles[c] + g / width + l1f
-                rhit1[c] += 1
+                m1[t1] = state
+                slots[c] += g
                 continue
             sharers[a] = sharers.get(a, 0) | core_bit[c]
 
@@ -344,10 +361,14 @@ def run(system, trace, limit: Optional[int] = None):
         s2 = b & l2_mask
         t2 = b >> l2_bits
         m2 = l2_sets[c][s2]
-        blk2 = m2.get(t2)
-        vb = next(iter(m1.values())) if len(m1) == l1_assoc else None
+        in_l2 = t2 in m2
+        # The L1 victim (None while the set has a free way) and its
+        # state; 0 stands for "no dirty victim".
+        vt = next(iter(m1)) if len(m1) == l1_assoc else None
+        vs = 0 if vt is None else m1[vt]
+        vbn = ((vt << l1_bits) | (b & l1_mask)) if vs & 1 else None
         slow = None
-        if blk2 is None:
+        if not in_l2:
             # The access reaches the LLC, where faults strike and where
             # an approximate fill needs a tracked value (the reference
             # raises without one).
@@ -355,56 +376,59 @@ def run(system, trace, limit: Optional[int] = None):
                 slow = "faults"
             elif ap and cur_value.get(a, -1) < 0:
                 slow = "untracked_values"
-        elif vb is not None and vb.dirty:
+        elif vbn is not None:
             # The reference probes the L2 after the victim's write. The
             # predicted hit stands unless that write fills the L2 and
             # evicts the demand block itself, or cascades a dirty L2
             # victim into an LLC whose answer can back-invalidate it.
-            vbn = (vb.tag << l1_bits) | s1
             m2v = l2_sets[c][vbn & l2_mask]
             if len(m2v) == l2_assoc and (vbn >> l2_bits) not in m2v:
-                v2 = next(iter(m2v.values()))
-                if v2 is blk2 or (wb_evicts and v2.dirty):
+                v2t = next(iter(m2v))
+                if (m2v is m2 and v2t == t2) or (wb_evicts and m2v[v2t] & 1):
                     slow = "victim_entangled"
         if slow is not None:
+            # The slow path reads and writes the exact cycle count.
             n_slow[slow] += 1
-            step(system, st, c, a, wr, ap, rid, vid, g)
+            slow1[wr][c] += 1
+            slow_slots += g
+            cycles[c] = slots[c] / width + off[c]
+            step(system, st, c, a, wr, ap, rid, vid, g - l1w)
+            slots[c] = sc = slots[c] + g
+            off[c] = cycles[c] - sc / width
             continue
 
-        comp_gaps += g
-        now = cycles[c] + g / width
+        slots[c] = sc = slots[c] + g
+        now = (sc - l1w) / width + off[c]  # the cycle the access issues
         miss1[wr][c] += 1
         # 1. The L1 fill.
-        if vb is not None:
-            del m1[vb.tag]
+        if vt is not None:
+            del m1[vt]
             evict1[c] += 1
-        m1[t1] = new_block(t1, wr, vid)
+        m1[t1] = (vid << 1) | wr
         # 2. A dirty L1 victim is written into the L2.
-        wb = victim_to_l2(c, vb, s1, now) if vb is not None and vb.dirty else 0.0
+        wb = 0.0 if vbn is None else victim_to_l2(c, vbn, vs, now)
         # 3. The demand L2 hit, or the L2 fill and on to the LLC.
-        if blk2 is not None:
-            del m2[t2]
-            m2[t2] = blk2
-            if wr:
-                blk2.dirty = True
-                if vid >= 0:
-                    blk2.value_id = vid
+        if in_l2:
+            state = m2.pop(t2)
+            m2[t2] = (((vid << 1) | 1 if vid >= 0 else state | 1) if wr
+                      else state)
             hit2[wr][c] += 1
-            cycles[c] = now + l1f if wr else now + lat12f + wb
+            if not wr:
+                off[c] += lat2f + wb
             wb_bd += wb
             continue
         miss2[wr][c] += 1
-        wb += fill_l2(c, m2, s2, t2, wr, vid, now)
+        wb += fill_l2(c, m2, s2, t2, (vid << 1) | wr, now)
         # 4. The LLC sees a demand read probe (a store's too).
         route = routes[ap]
         if route == RAW:
             sl = b & llc_mask
             tl = b >> llc_sbits
             ml = llc_sets[sl]
-            blkl = ml.pop(tl, None)
-            hit = blkl is not None
+            state = ml.pop(tl, None)
+            hit = state is not None
             if hit:
-                ml[tl] = blkl
+                ml[tl] = state
         elif route == DOPP:
             # DoppelgangerCache.lookup: the tag probe, then the MTag
             # probe by the tag's map; each touches its set's policy.
@@ -420,7 +444,8 @@ def run(system, trace, limit: Optional[int] = None):
             hit = llc_read(a, c, ap, rid).hit
         if hit:
             llc_hit[route][wr] += 1
-            cycles[c] = now + l1f if wr else now + lat123f + wb
+            if not wr:
+                off[c] += lat23f + wb
             wb_bd += wb
             continue
         llc_miss[route][wr] += 1
@@ -444,10 +469,10 @@ def run(system, trace, limit: Optional[int] = None):
             # through the bounded writeback buffer.
             wbf = 0.0
             if len(ml) == llc_assoc:
-                vbl = ml.pop(next(iter(ml)))
-                ebn = (vbl.tag << llc_sbits) | sl
+                vtl = next(iter(ml))
+                ebn = (vtl << llc_sbits) | sl
                 ea = ebn << bshift
-                if vbl.dirty:
+                if ml.pop(vtl) & 1:
                     llc_dirty += 1
                     wbf = wb_enqueue(ea, int(now))
                     mem_write(ea)
@@ -458,7 +483,7 @@ def run(system, trace, limit: Optional[int] = None):
                 if tracer is not None:
                     tracer.emit("back_invalidation", addr=ea, origin=a)
                 llc_evict += 1
-            ml[tl] = new_block(tl, False, cur_value.get(a, -1))
+            ml[tl] = cur_value.get(a, -1) << 1  # a clean fill
         elif route == DOPP:
             # The core's insert, then its reply applied as
             # System._apply_reply does: the writebacks with the running
@@ -489,9 +514,15 @@ def run(system, trace, limit: Optional[int] = None):
             fr = llc_fill(a, c, ap, rid, value_id=fill_vid,
                           values=values, dirty=False)
             wbf = apply_reply(fr, now, a)
-        cycles[c] = now + l1f if wr else completion + wbf
+        if not wr:
+            off[c] = completion + wbf - sc / width
         wb_bd += wb + wbf
 
+    for c in range(num_cores):
+        cycles[c] = slots[c] / width + off[c]
+    # Every access not counted above hit the L1 on the fast path.
+    rhit1 = [x - m - s for x, m, s in zip(loads, miss1[0], slow1[0])]
+    whit1 = [x - m - s for x, m, s in zip(stores, miss1[1], slow1[1])]
     # Flush the bulk counters. Every term is an integer (or a dyadic
     # rational for the gap sum), so regrouping is exact.
     for c in range(num_cores):
@@ -523,6 +554,7 @@ def run(system, trace, limit: Optional[int] = None):
     system.coherence_invalidations += n_coh_inv
     slow_total = sum(n_slow.values())
     fast_total = n - slow_total
+    comp_gaps = sum(slots) - slow_slots - fast_total * l1w
     bd = st.bd
     bd["compute"] += comp_gaps / width
     bd["l1"] += fast_total * st.l1_lat

@@ -5,7 +5,9 @@ Two kinds of work are hoisted out of the per-access loop:
 * **Column conversion** — the trace's numpy columns are converted to
   plain Python lists (scalar indexing into numpy arrays allocates a
   numpy scalar per touch and dominated the seed profile), with the
-  offset bits of every address cleared in one numpy pass.
+  offset bits of every address cleared in one numpy pass. The batched
+  engine also asks for its gap column as issue slots per access
+  (``gap + l1_latency × issue_width``), added in the same pass.
 * **Map seeding** — every (region, value-id) pair the run can possibly
   feed to the Doppelgänger map-generation path is enumerated from the
   trace (initial memory image + write records) and its avg/range map is
@@ -27,7 +29,7 @@ class TraceColumns(NamedTuple):
 
     The fields follow the argument order of
     :func:`~repro.engine.step.process_access`, so ``zip(*columns)``
-    yields its per-access arguments.
+    yields its per-access arguments (the gaps offset by ``slot_base``).
     """
 
     cores: List[int]
@@ -36,11 +38,17 @@ class TraceColumns(NamedTuple):
     approx: List[bool]
     region_ids: List[int]
     value_ids: List[int]
-    gaps: List[int]
+    gaps: List[int]  # instruction gaps, plus the caller's slot_base
 
 
-def trace_columns(trace, block_size: int) -> TraceColumns:
-    """Convert a trace's columns for fast per-access iteration."""
+def trace_columns(trace, block_size: int, slot_base: int = 0) -> TraceColumns:
+    """Convert a trace's columns for fast per-access iteration.
+
+    ``slot_base`` is added to every gap.
+    """
+    gaps = trace.gaps
+    if slot_base:
+        gaps = np.add(gaps, slot_base, dtype=np.int64)
     return TraceColumns(
         cores=trace.cores.tolist(),
         baddrs=(trace.addrs & np.int64(~(block_size - 1))).tolist(),
@@ -48,7 +56,7 @@ def trace_columns(trace, block_size: int) -> TraceColumns:
         approx=trace.approx.tolist(),
         region_ids=trace.region_ids.tolist(),
         value_ids=trace.value_ids.tolist(),
-        gaps=trace.gaps.tolist(),
+        gaps=gaps.tolist(),
     )
 
 

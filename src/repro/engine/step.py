@@ -106,9 +106,9 @@ def process_access(
 
     res1 = system.l1s[core].access(addr, is_write, value_id)
     if not res1.hit:
-        if res1.evicted_block is not None and res1.writeback:
+        if res1.writeback:
             wb_cost = system._install_l1_victim(
-                core, res1.evicted_addr, res1.evicted_block.value_id, now
+                core, res1.evicted_addr, res1.evicted_value_id, now
             )
             latency += wb_cost
             bd["writeback"] += wb_cost
@@ -119,9 +119,9 @@ def process_access(
             if not is_write:
                 latency += l2_lat
                 bd["l2"] += l2_lat
-            if res2.evicted_block is not None and res2.writeback:
+            if res2.writeback:
                 wb_cost = system._l2_writeback(
-                    core, res2.evicted_addr, res2.evicted_block.value_id, now
+                    core, res2.evicted_addr, res2.evicted_value_id, now
                 )
                 latency += wb_cost
                 bd["writeback"] += wb_cost

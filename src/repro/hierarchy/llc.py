@@ -52,14 +52,17 @@ def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) 
 
 
 def _absorb_writeback(cache: SetAssociativeCache, addr: int, value_id: int) -> LLCOutcome:
-    """Absorb a dirty L2 eviction; forward to memory if not resident."""
-    block = cache.probe(addr)
-    if block is None:
+    """Absorb a dirty L2 eviction; forward to memory if not resident.
+
+    The block keeps its place in the replacement order.
+    """
+    blocks = cache._sets[cache.set_index(addr)]
+    tag = cache.addr_tag(addr)
+    state = blocks.get(tag)
+    if state is None:
         # Raced with an LLC eviction: the writeback goes to memory.
         return LLCOutcome(hit=False, writebacks=(addr,))
-    block.dirty = True
-    if value_id >= 0:
-        block.value_id = value_id
+    blocks[tag] = (value_id << 1) | 1 if value_id >= 0 else state | 1
     cache.stats.write_accesses += 1
     cache.stats.tag_lookups += 1
     cache.stats.data_writes += 1

@@ -253,22 +253,25 @@ class System:
         return stall
 
     def _purge_private(self, addr: int) -> None:
-        """Invalidate every private copy; dirty copies go to memory.
+        """Invalidate the private copies of every core whose sharer bit
+        is set; dirty copies go to memory.
 
-        Only cores whose sharer bit is set can hold a copy: private
-        caches gain blocks solely through their own core's accesses
-        (which set the bit), and every event that removes the bit — a
-        back-invalidation or a remote store — also removes the copies.
+        A core's L1 copy always has its bit (``tests/test_coherence.py``
+        checks the rule). Its L2 copy may not: when a dirty L2 victim's
+        writeback makes the LLC back-invalidate the accessing block
+        itself, the access refills its L2 after the purge dropped the
+        block's sharer entry, and a later purge leaves that copy behind
+        (pinned as a strict xfail in ``tests/test_coherence.py``).
         """
         vec = self._sharers.get(addr, 0)
         c = 0
         while vec:
             if vec & 1:
-                block = self.l1s[c].invalidate(addr)
-                if block is not None and block.dirty:
+                state = self.l1s[c].invalidate(addr)
+                if state is not None and state & 1:
                     self.memory.write(addr)
-                block = self.l2s[c].invalidate(addr)
-                if block is not None and block.dirty:
+                state = self.l2s[c].invalidate(addr)
+                if state is not None and state & 1:
                     self.memory.write(addr)
             vec >>= 1
             c += 1
@@ -294,12 +297,11 @@ class System:
     def _install_l1_victim(self, core: int, victim_addr: int, value_id: int, now: float) -> float:
         """Write a dirty L1 victim into the L2 (possibly cascading)."""
         result = self.l2s[core].access(victim_addr, is_write=True, value_id=value_id)
-        stall = 0.0
-        if result.evicted_block is not None and result.writeback:
-            stall += self._l2_writeback(
-                core, result.evicted_addr, result.evicted_block.value_id, now
+        if result.writeback:
+            return self._l2_writeback(
+                core, result.evicted_addr, result.evicted_value_id, now
             )
-        return stall
+        return 0.0
 
     def _handle_store_coherence(self, core: int, addr: int) -> float:
         """Invalidate remote sharers on a store; returns extra latency.

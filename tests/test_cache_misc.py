@@ -1,17 +1,9 @@
-"""Unit tests for cache blocks, stats and the writeback buffer."""
+"""Unit tests for cache stats and the writeback buffer."""
 
 import pytest
 
-from repro.cache.block import CacheBlock
 from repro.cache.stats import CacheStats
 from repro.cache.writeback import WritebackBuffer
-
-
-class TestCacheBlock:
-    def test_default_state(self):
-        block = CacheBlock(tag=0)
-        assert not block.dirty
-        assert block.value_id == -1
 
 
 class TestCacheStats:

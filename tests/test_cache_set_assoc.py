@@ -1,10 +1,13 @@
-"""Unit tests for the conventional set-associative cache."""
+"""Unit tests for the conventional set-associative cache.
+
+A resident block's state is one integer, ``(value_id << 1) | dirty``.
+"""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
-from repro.cache.block import CacheBlock
 from repro.cache.replacement import make_policy
 from repro.cache.set_assoc import AccessResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
@@ -58,13 +61,13 @@ class TestAccess:
 
     def test_write_sets_dirty_and_modified(self):
         cache = make_cache()
-        result = cache.access(0x40, is_write=True)
-        assert result.block.dirty
+        cache.access(0x40, is_write=True)
+        assert cache.probe(0x40) & 1
 
     def test_read_fill_is_clean_shared(self):
         cache = make_cache()
-        result = cache.access(0x40)
-        assert not result.block.dirty
+        cache.access(0x40)
+        assert not cache.probe(0x40) & 1
 
     def test_no_fill_on_miss_option(self):
         cache = make_cache()
@@ -74,13 +77,33 @@ class TestAccess:
     def test_value_id_tracked_on_write(self):
         cache = make_cache()
         cache.access(0x40, is_write=True, value_id=7)
-        assert cache.probe(0x40).value_id == 7
+        assert cache.probe(0x40) >> 1 == 7
 
     def test_value_id_updated_on_write_hit(self):
         cache = make_cache()
         cache.access(0x40, is_write=True, value_id=7)
         cache.access(0x40, is_write=True, value_id=9)
-        assert cache.probe(0x40).value_id == 9
+        assert cache.probe(0x40) >> 1 == 9
+
+    def test_untracked_value_id_round_trips(self):
+        """Value id -1 packs to -2 clean and -1 dirty, and a store
+        without a value keeps the block's own."""
+        cache = make_cache(size=4 * 64 * 2, ways=2)
+        stride = cache.num_sets * cache.block_size
+        a, b = 0x40, 0x40 + stride  # one set
+        cache.access(a)  # an untracked clean fill
+        assert cache.probe(a) == -2
+        assert cache.probe(a) >> 1 == -1
+        assert not cache.probe(a) & 1
+        cache.access(a, is_write=True)  # an untracked store hit
+        assert cache.probe(a) == -1
+        cache.access(b, value_id=5)  # a tracked clean fill
+        cache.access(b, is_write=True, value_id=-1)
+        assert cache.probe(b) >> 1 == 5
+        assert cache.probe(b) & 1
+        # a is the LRU block: it leaves as a writeback with value -1.
+        result = cache.access(a + 2 * stride)
+        assert result == AccessResult(False, a, -1, True)
 
 
 class TestEviction:
@@ -142,15 +165,15 @@ class TestInstall:
     def test_install_dirty(self):
         cache = make_cache()
         cache.install(0x40, dirty=True)
-        assert cache.probe(0x40).dirty
+        assert cache.probe(0x40) & 1
 
 
 class TestInvalidateFlush:
     def test_invalidate_removes_block(self):
         cache = make_cache()
         cache.access(0x40)
-        block = cache.invalidate(0x40)
-        assert block is not None
+        state = cache.invalidate(0x40)
+        assert state is not None
         assert not cache.contains(0x40)
 
     def test_invalidate_missing_returns_none(self):
@@ -206,10 +229,24 @@ class TestStats:
         assert sorted(cache.resident_addrs()) == sorted(addrs)
 
 
+@dataclass
+class _Block:
+    """The way model's own record of one resident block."""
+
+    tag: int
+    dirty: bool
+    value_id: int
+
+    @property
+    def state(self):
+        """The cache's packed form, ``(value_id << 1) | dirty``."""
+        return (self.value_id << 1) | self.dirty
+
+
 class _WayModel:
     """A way-based reference for the cache's replacement order.
 
-    Each set keeps a ``way -> CacheBlock`` map, a ``tag -> way`` map and
+    Each set keeps a ``way -> _Block`` map, a ``tag -> way`` map and
     a replacement policy object from :func:`make_policy` (so a random
     set draws from the same seeded generator as the cache's). A fill
     takes the lowest free way; a full set evicts the way the policy
@@ -251,10 +288,10 @@ class _WayModel:
             else:
                 stats.data_reads += 1
             self.policies[set_idx].on_access(way)
-            return AccessResult(hit=True, block=block)
+            return AccessResult(hit=True)
         stats.misses += 1
         if not fill_on_miss:
-            return AccessResult(hit=False, block=None)
+            return AccessResult(hit=False)
         return self.fill(addr, is_write, value_id)
 
     def fill(self, addr, dirty, value_id):
@@ -271,7 +308,7 @@ class _WayModel:
             del self.tag_way[set_idx][victim.tag]
             stats.evictions += 1
             stats.writebacks += victim.dirty
-        block = CacheBlock(tag, dirty=dirty, value_id=value_id)
+        block = _Block(tag, dirty=dirty, value_id=value_id)
         ways[way] = block
         self.tag_way[set_idx][tag] = way
         self.policies[set_idx].on_fill(way)
@@ -281,9 +318,9 @@ class _WayModel:
         else:
             stats.data_reads += 1
         if victim is None:
-            return AccessResult(hit=False, block=block)
+            return AccessResult(hit=False)
         victim_addr = (victim.tag * self.num_sets + set_idx) * self.block
-        return AccessResult(False, block, victim_addr, victim, victim.dirty)
+        return AccessResult(False, victim_addr, victim.value_id, victim.dirty)
 
     def resident(self, addr):
         set_idx, tag = self._locate(addr)
@@ -296,11 +333,12 @@ class _WayModel:
             return None
         self.policies[set_idx].on_invalidate(way)
         self.stats.invalidations += 1
-        return self.blocks[set_idx].pop(way)
+        return self.blocks[set_idx].pop(way).state
 
     def contents(self):
+        """``addr -> state`` of every resident block."""
         return {
-            (block.tag * self.num_sets + set_idx) * self.block: block
+            (block.tag * self.num_sets + set_idx) * self.block: block.state
             for set_idx, ways in enumerate(self.blocks)
             for block in ways.values()
         }
@@ -345,7 +383,7 @@ def _run_against_model(policy, size, ways, seed, n_ops=3000):
     assert cache.occupancy() == len(want)
     assert cache.stats == model.stats
     assert sorted(cache.flush()) == sorted(
-        (addr, block) for addr, block in want.items() if block.dirty
+        (addr, state) for addr, state in want.items() if state & 1
     )
 
 
@@ -353,8 +391,9 @@ def _run_against_model(policy, size, ways, seed, n_ops=3000):
                          ids=[f"{s}B-{w}way" for s, w in GEOMETRIES])
 @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
 def test_replacement_order_matches_way_model(policy, size, ways):
-    """Every hit, victim, writeback and invalidated block of seeded mixed
-    sequences equals the way-based model's, and so do the resident
-    blocks and the counters at the end."""
+    """Every hit, victim address, victim value id, writeback and
+    invalidated state of seeded mixed sequences equals the way-based
+    model's, and so do the resident states and the counters at the
+    end."""
     for seed in range(10):
         _run_against_model(policy, size, ways, seed)

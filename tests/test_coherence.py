@@ -140,3 +140,29 @@ def test_l1_blocks_keep_their_sharer_bit(kind, num_cores, engine):
                     assert sharers.get(addr, 0) >> core & 1, (
                         f"seed {seed}, limit {limit}: L1-{core} holds "
                         f"{addr:#x} without its sharer bit")
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "an access whose own dirty L2 victim makes the LLC back-invalidate "
+    "it refills the L2 after the purge dropped its sharer entry"))
+@pytest.mark.parametrize("engine", ["reference", "batched"])
+def test_l2_blocks_keep_their_sharer_bit(engine):
+    """Every block resident in core c's L2 has bit c set in the directory.
+
+    It does not hold yet. An access sets its bit and fills its L1; its
+    dirty L1 victim write-fills the L2, and the dirty L2 victim's
+    writeback makes the split LLC back-invalidate the accessing block
+    itself. ``System._apply_reply`` purges the block and pops its
+    sharer entry, and the access then refills the L2 with no bit. After
+    371 accesses of this trace, block 0x103c0 sits in the L2 without
+    its bit (after 370 every L2 block has it), so a later purge would
+    leave that copy behind.
+    """
+    trace = random_trace(6, 1)
+    system = System(tiny_llc("split", trace.regions), config=tiny_config(1))
+    system.run(trace, limit=371, engine=engine)
+    sharers = system._sharers
+    for core, l2 in enumerate(system.l2s):
+        for addr in l2.resident_addrs():
+            assert sharers.get(addr, 0) >> core & 1, (
+                f"L2-{core} holds {addr:#x} without its sharer bit")

@@ -9,7 +9,8 @@ is seeded, and every case compares the ``SystemResult``, the LLC's own
 counters (``energy_events`` and the run record's ``llc_stats``), the
 traced event stream and the per-class tallies of the two engines. The
 Doppelgänger organizations also run with the replacement policies of
-the ablation bench in their arrays and precise half.
+the ablation bench in their arrays and precise half, and every
+organization also runs with a fault injector attached.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.harness.runner import _llc_stats
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 from repro.hierarchy.system import System, SystemConfig
 from repro.obs.events import EventSink, Tracer
+from repro.resilience.faults import FAULT_TARGETS, FaultConfig, FaultInjector
 from repro.trace.record import DType
 from repro.trace.region import Region, RegionMap
 from repro.trace.trace import TraceBuilder
@@ -103,26 +105,31 @@ class _EventLog(EventSink):
         self.lines.append(json.dumps(row, default=str))
 
 
-def _simulate(trace, kind, num_cores, engine, policy="lru"):
+def _simulate(trace, kind, num_cores, engine, policy="lru", faults=None):
     log = _EventLog()
     llc = tiny_llc(kind, trace.regions, policy)
-    system = System(llc, config=tiny_config(num_cores), tracer=Tracer([log]))
+    system = System(llc, config=tiny_config(num_cores), tracer=Tracer([log]),
+                    faults=None if faults is None else FaultInjector(faults))
     result = system.run(trace, engine=engine)
-    return result, llc, system.engine_stats, log.lines
+    return result, llc, system, log.lines
 
 
-def assert_engines_agree(seed, kind, num_cores, policy="lru"):
+def assert_engines_agree(seed, kind, num_cores, policy="lru", faults=None):
+    """Compare the two engines; returns the batched run's tallies."""
     trace = random_trace(seed, num_cores)
-    ref, ref_llc, _, ref_events = _simulate(trace, kind, num_cores,
-                                            "reference", policy)
-    bat, bat_llc, stats, bat_events = _simulate(trace, kind, num_cores,
-                                                "batched", policy)
+    ref, ref_llc, ref_sys, ref_events = _simulate(trace, kind, num_cores,
+                                                  "reference", policy, faults)
+    bat, bat_llc, bat_sys, bat_events = _simulate(trace, kind, num_cores,
+                                                  "batched", policy, faults)
+    stats = bat_sys.engine_stats
     assert bat == ref
     assert bat_llc.energy_events() == ref_llc.energy_events()
     assert _llc_stats(bat_llc, trace.regions) == _llc_stats(ref_llc, trace.regions)
     assert bat_events == ref_events
+    assert bat_sys.fault_summary() == ref_sys.fault_summary()
     assert stats.get("delegated") is None
     assert sum(stats["fast"].values()) + sum(stats["slow"].values()) == len(trace)
+    return stats
 
 
 CASES = [(kind, cores, seed) for kind in ("baseline", "split", "uni")
@@ -145,6 +152,28 @@ POLICY_CASES = [(kind, policy, cores, seed) for kind in ("split", "uni")
     ids=[f"{k}-{p}-{c}core-s{s}" for k, p, c, s in POLICY_CASES])
 def test_random_equivalence_policies(kind, policy, num_cores, seed):
     assert_engines_agree(seed, kind, num_cores, policy)
+
+
+FAULT_CASES = [(kind, cores) for kind in ("baseline", "split", "uni")
+               for cores in (1, 4)]
+#: Faults at every site, often enough that many reads take one.
+FAULTS = FaultConfig(seed=3, read_rate=0.05, targets=FAULT_TARGETS)
+
+
+@pytest.mark.parametrize("kind,num_cores", FAULT_CASES,
+                         ids=[f"{k}-{c}core" for k, c in FAULT_CASES])
+def test_random_equivalence_under_faults(kind, num_cores):
+    """With an injector attached, every L2 miss falls through to the
+    slow path as ``faults`` while L1 and L2 hits stay inline, so the
+    batched engine hands its per-core clock to the slow path and takes
+    it back on every L2 miss: the cycles, instructions and stall
+    breakdown must still be the reference's."""
+    stats = assert_engines_agree(0, kind, num_cores, faults=FAULTS)
+    fast = stats["fast"]
+    assert stats["slow"]["faults"] > 0
+    assert fast["l1_read_hit"] > 0 and fast["l2_read_hit"] > 0
+    assert (fast["llc_read_hit"] + fast["mem_fill"] + fast["llc_adapter_hit"]
+            + fast["llc_adapter_fill"] + fast["write_fill"]) == 0
 
 
 def test_store_l2_hit_whose_victim_cascade_purges_the_demand_block():

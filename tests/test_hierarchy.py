@@ -73,7 +73,8 @@ class TestBaselineLLC:
         llc.fill(0, 0, False, -1)
         reply = llc.handle_writeback(0, 0, False, -1, value_id=5)
         assert reply.hit
-        assert llc.cache.probe(0).dirty
+        assert llc.cache.probe(0) & 1
+        assert llc.cache.probe(0) >> 1 == 5
 
     def test_writeback_to_absent_goes_to_memory(self):
         llc = BaselineLLC()
