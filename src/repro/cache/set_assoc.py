@@ -15,14 +15,17 @@ when clear; the sharer vectors live in
 :class:`~repro.hierarchy.system.System`). ``state & 1`` is the dirty
 bit and ``state >> 1`` the value id, so ``-2`` is an untracked clean
 block and ``-1`` an untracked dirty one. The paper's hardware likewise
-keeps a block's state as a few bits next to its tag (Sec. 3.1).
+keeps a block's state as a few bits next to its tag (Sec. 3.1). Each
+set is one ``tag -> state`` dict in replacement order, kept by a
+:class:`~repro.cache.replacement.ReplacementSets` like every other
+array's.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import ReplacementSets
 from repro.cache.stats import CacheStats
 
 
@@ -88,23 +91,14 @@ class SetAssociativeCache:
             raise ValueError(
                 f"derived set count {self.num_sets} is not a power of two"
             )
-        make_policy(policy, ways)  # raises ValueError for an unknown name
         self.name = name
         self.level = level
         self.policy_name = policy
         self.stats = CacheStats()
         # Per set: one tag -> state dict in replacement order, the next
-        # victim first. A fill appends; an LRU hit moves its tag to the
-        # back; a FIFO or random hit leaves it in place.
-        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._lru = policy == "lru"
-        # Random replacement draws a victim *way* from each set's seeded
-        # policy, so those sets also keep a way -> tag list (None: free);
-        # a fill takes the lowest free way.
-        self._random = self._slots = None
-        if policy == "random":
-            self._random = [make_policy(policy, ways) for _ in range(self.num_sets)]
-            self._slots = [[None] * ways for _ in range(self.num_sets)]
+        # victim first (raises ValueError for an unknown policy name).
+        self._repl = ReplacementSets(self.num_sets, ways, policy)
+        self._sets: List[Dict[int, int]] = self._repl.sets
 
     # ---------------------------------------------------------------- addressing
 
@@ -190,7 +184,7 @@ class SetAssociativeCache:
                 stats.data_writes += 1
             else:
                 stats.data_reads += 1
-            if self._lru:
+            if self._repl.lru:
                 del blocks[tag]
             blocks[tag] = state
             return _HIT
@@ -209,19 +203,9 @@ class SetAssociativeCache:
         tag = block_no // num_sets
         result = _MISS
 
-        blocks = self._sets[set_idx]
-        slots = None if self._slots is None else self._slots[set_idx]
-        if len(blocks) < self.ways:
-            if slots is not None:
-                slots[slots.index(None)] = tag
-        else:
-            if slots is None:
-                victim = next(iter(blocks))
-            else:
-                way = self._random[set_idx].victim()
-                victim = slots[way]
-                slots[way] = tag
-            state = blocks.pop(victim)
+        evicted = self._repl.insert(set_idx, tag, (value_id << 1) | is_write)
+        if evicted is not None:
+            victim, state = evicted
             writeback = bool(state & 1)
             stats.evictions += 1
             stats.writebacks += writeback
@@ -229,8 +213,6 @@ class SetAssociativeCache:
                 False, (victim * num_sets + set_idx) * self.block_size,
                 state >> 1, writeback,
             )
-
-        blocks[tag] = (value_id << 1) | is_write
         stats.fills += 1
         if is_write:
             stats.data_writes += 1
@@ -259,15 +241,9 @@ class SetAssociativeCache:
         caches write it back toward the LLC; the LLC writes to memory).
         """
         block_no = addr // self.block_size
-        set_idx = block_no % self.num_sets
-        tag = block_no // self.num_sets
-        state = self._sets[set_idx].pop(tag, None)
-        if state is None:
-            return None
-        if self._slots is not None:
-            slots = self._slots[set_idx]
-            slots[slots.index(tag)] = None
-        self.stats.invalidations += 1
+        state = self._repl.remove(block_no % self.num_sets, block_no // self.num_sets)
+        if state is not None:
+            self.stats.invalidations += 1
         return state
 
     def flush(self) -> List[Tuple[int, int]]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.cache.replacement import make_policy
-from repro.core.tag_array import NULL_PTR
+from repro.cache.replacement import ReplacementSets
+from repro.core.tag_array import TagEntry
 
 
 def map_set_index(map_value: int, num_sets: int) -> int:
@@ -43,20 +43,21 @@ def map_set_index(map_value: int, num_sets: int) -> int:
 class DataEntry:
     """One MTag/data-array entry."""
 
-    __slots__ = ("map_value", "set_idx", "way", "head", "value_id", "precise")
+    __slots__ = ("map_value", "set_idx", "head", "value_id", "precise")
 
-    def __init__(self, map_value: int, set_idx: int, way: int):
+    def __init__(self, map_value: int, set_idx: int, precise: bool = False):
         self.map_value = map_value
         self.set_idx = set_idx
-        self.way = way
-        self.head = NULL_PTR  # tag pointer: head of the sharing tag list
+        #: Tag pointer: head of the sharing tag list (None: empty).
+        self.head: Optional[TagEntry] = None
         self.value_id = -1  # canonical block contents (value-table index)
-        self.precise = False
+        self.precise = precise
 
     def __repr__(self) -> str:
+        head = None if self.head is None else hex(self.head.addr)
         return (
             f"DataEntry(map={self.map_value}, set={self.set_idx}, "
-            f"way={self.way}, head={self.head}, precise={self.precise})"
+            f"head={head}, precise={self.precise})"
         )
 
 
@@ -65,9 +66,8 @@ class DataAllocation(NamedTuple):
 
     ``victim`` is the evicted entry (with its tag list still intact via
     ``head``) when the set was full; the caller must invalidate every
-    tag on that list before reusing the slot — which has already been
-    re-purposed for the new entry by the time this returns, so the
-    victim object is detached.
+    tag on that list. The victim has already left the array by the
+    time this returns.
     """
 
     entry: DataEntry
@@ -79,7 +79,9 @@ class MTagDataArray:
 
     Keys are map values for approximate entries; the unified design
     additionally stores precise entries keyed by block address with a
-    distinguishing precise bit (modelled here as separate key spaces).
+    distinguishing precise bit, so each set is one ``(precise, map)
+    -> DataEntry`` dict in replacement order
+    (:class:`~repro.cache.replacement.ReplacementSets`).
 
     Args:
         entries: number of data blocks (4 K in the base 1/4 design).
@@ -93,17 +95,10 @@ class MTagDataArray:
         self.num_entries = entries
         self.ways = ways
         self.num_sets = entries // ways
-        self._ways: List[List[Optional[DataEntry]]] = [
-            [None] * ways for _ in range(self.num_sets)
-        ]
-        self._lookup: List[dict] = [dict() for _ in range(self.num_sets)]
-        self._policies = [make_policy(policy, ways) for _ in range(self.num_sets)]
-        self.occupied = 0
+        self._repl = ReplacementSets(self.num_sets, ways, policy)
+        self._sets = self._repl.sets
 
     # ---------------------------------------------------------- addressing
-
-    def _key(self, map_value: int, precise: bool) -> tuple:
-        return (precise, map_value)
 
     def set_index(self, map_value: int) -> int:
         """Set index of ``map_value`` (see :func:`map_set_index`)."""
@@ -111,58 +106,42 @@ class MTagDataArray:
 
     # ------------------------------------------------------------- queries
 
+    @property
+    def occupied(self) -> int:
+        """Resident entries."""
+        return sum(map(len, self._sets))
+
     def probe(self, map_value: int, precise: bool = False) -> Optional[DataEntry]:
         """Look up a map value without touching replacement state."""
-        set_idx = map_set_index(map_value, self.num_sets)
-        return self._lookup[set_idx].get(self._key(map_value, precise))
+        return self._sets[map_set_index(map_value, self.num_sets)].get((precise, map_value))
 
     def touch(self, entry: DataEntry) -> None:
         """Mark ``entry`` most-recently used."""
-        self._policies[entry.set_idx].on_access(entry.way)
+        self._repl.touch(entry.set_idx, (entry.precise, entry.map_value))
 
     def resident(self) -> List[DataEntry]:
         """All valid entries (test/diagnostic helper)."""
-        return [e for row in self._ways for e in row if e is not None]
+        return [e for entries in self._sets for e in entries.values()]
 
     # ----------------------------------------------------------- allocation
 
     def allocate(self, map_value: int, precise: bool = False) -> DataAllocation:
-        """Allocate an entry for ``map_value``; evict LRU victim if full.
+        """Allocate an entry for ``map_value``; evict a victim if full.
 
         Raises if the map value is already resident — callers must probe
         first (Sec. 3.3 reuses an existing similar block instead).
         """
         set_idx = map_set_index(map_value, self.num_sets)
-        lookup = self._lookup[set_idx]
-        key = self._key(map_value, precise)
-        if key in lookup:
+        key = (precise, map_value)
+        if key in self._sets[set_idx]:
             raise ValueError(f"map {map_value} already resident in data array")
-
-        row = self._ways[set_idx]
-        victim = None
-        if len(lookup) < self.ways:
-            way = row.index(None)
-        else:
-            way = self._policies[set_idx].victim()
-            victim = row[way]
-            del lookup[self._key(victim.map_value, victim.precise)]
-            row[way] = None
-            self.occupied -= 1
-
-        entry = DataEntry(map_value, set_idx, way)
-        entry.precise = precise
-        row[way] = entry
-        lookup[key] = entry
-        self._policies[set_idx].on_fill(way)
-        self.occupied += 1
-        return DataAllocation(entry=entry, victim=victim)
+        entry = DataEntry(map_value, set_idx, precise)
+        evicted = self._repl.insert(set_idx, key, entry)
+        return DataAllocation(entry=entry, victim=None if evicted is None else evicted[1])
 
     def free(self, entry: DataEntry) -> None:
         """Release an entry (its last tag was evicted)."""
-        row = self._ways[entry.set_idx]
-        if row[entry.way] is not entry:
+        key = (entry.precise, entry.map_value)
+        if self._sets[entry.set_idx].get(key) is not entry:
             raise ValueError(f"entry {entry!r} is not resident")
-        row[entry.way] = None
-        del self._lookup[entry.set_idx][self._key(entry.map_value, entry.precise)]
-        self._policies[entry.set_idx].on_invalidate(entry.way)
-        self.occupied -= 1
+        self._repl.remove(entry.set_idx, key)

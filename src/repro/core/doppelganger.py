@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.config import DoppelgangerConfig
 from repro.core.data_array import DataEntry, MTagDataArray
 from repro.core.maps import MapRegistry
-from repro.core.tag_array import NULL_PTR, TagArray, TagEntry
+from repro.core.tag_array import TagArray, TagEntry
 
 
 class LLCOutcome(NamedTuple):
@@ -319,9 +319,9 @@ class DoppelgangerCache:
             self._evict_data_entry(allocation.victim, writebacks, back_invals)
         data_entry = allocation.entry
         data_entry.value_id = value_id
-        data_entry.head = entry.entry_id
-        entry.prev = NULL_PTR
-        entry.next = NULL_PTR
+        data_entry.head = entry
+        entry.prev = None
+        entry.next = None
         self.stats.data_writes += 1
         if not precise and tr is not None and tr.enabled:
             tr.emit("tag_insert", addr=entry.addr, map=map_value, shared=False)
@@ -427,18 +427,19 @@ class DoppelgangerCache:
         for tag in tags:
             self._count_tag_eviction(tag, writebacks, back_invals)
             self.tags.invalidate(tag)
-        victim.head = NULL_PTR
+            tag.prev = tag.next = None
+        victim.head = None
 
     # ------------------------------------------------------------- list ops
 
     def _link_head(self, data_entry: DataEntry, entry: TagEntry) -> None:
         """Insert ``entry`` as the new head of ``data_entry``'s list."""
         old_head = data_entry.head
-        entry.prev = NULL_PTR
+        entry.prev = None
         entry.next = old_head
-        if old_head != NULL_PTR:
-            self.tags.entry(old_head).prev = entry.entry_id
-        data_entry.head = entry.entry_id
+        if old_head is not None:
+            old_head.prev = entry
+        data_entry.head = entry
 
     def _unlink(self, entry: TagEntry) -> None:
         """Remove ``entry`` from its tag list.
@@ -448,17 +449,16 @@ class DoppelgangerCache:
         of one tag.
         """
         data_entry = self.data.probe(entry.map_value, entry.precise)
-        prev_entry = self.tags.entry(entry.prev)
-        next_entry = self.tags.entry(entry.next)
+        prev_entry = entry.prev
+        next_entry = entry.next
         if prev_entry is not None:
-            prev_entry.next = entry.next
-        elif data_entry is not None and data_entry.head == entry.entry_id:
-            data_entry.head = entry.next
+            prev_entry.next = next_entry
+        elif data_entry is not None and data_entry.head is entry:
+            data_entry.head = next_entry
         if next_entry is not None:
-            next_entry.prev = entry.prev
-        entry.prev = NULL_PTR
-        entry.next = NULL_PTR
-        if data_entry is not None and data_entry.head == NULL_PTR:
+            next_entry.prev = prev_entry
+        entry.prev = entry.next = None
+        if data_entry is not None and data_entry.head is None:
             self.data.free(data_entry)
             self.stats.data_evictions += 1
             self.stats.tags_at_data_eviction += 1
@@ -490,15 +490,15 @@ class DoppelgangerCache:
         """
         seen = set()
         for data_entry in self.data.resident():
-            prev_id = NULL_PTR
+            prev = None
             for tag in self.tags.iter_list(data_entry.head):
-                assert tag.entry_id not in seen, "tag on two lists"
-                seen.add(tag.entry_id)
+                assert tag not in seen, "tag on two lists"
+                seen.add(tag)
                 assert tag.map_value == data_entry.map_value, "map mismatch on list"
-                assert tag.prev == prev_id, "broken prev pointer"
-                prev_id = tag.entry_id
+                assert tag.prev is prev, "broken prev pointer"
+                prev = tag
                 assert self.tags.probe(tag.addr) is tag, "list tag not resident"
-        resident_tags = {t.entry_id for t in self.tags.resident()}
+        resident_tags = set(self.tags.resident())
         assert seen == resident_tags, (
             f"orphan tags: {resident_tags - seen}; ghosts: {seen - resident_tags}"
         )

@@ -16,11 +16,11 @@ structural behaviour.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
+from repro.cache.replacement import ReplacementSets
 from repro.core.data_array import map_set_index
 from repro.core.maps import MapConfig, MapGenerator
 from repro.trace.record import DType
@@ -47,7 +47,8 @@ class FunctionalDoppelganger:
         self.data_entries = data_entries
         self.ways = ways
         self.num_sets = data_entries // ways
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._repl = ReplacementSets(self.num_sets, ways)
+        self._sets = self._repl.sets
         self.lookups = 0
         self.shared_hits = 0
         self.insertions = 0
@@ -66,16 +67,13 @@ class FunctionalDoppelganger:
         # Block length is part of the key so a trailing partial block
         # can never alias (and shape-mismatch) a full block.
         key = (int(dtype), len(block), map_value)
-        entries = self._sets[set_idx]
-        canonical = entries.get(key)
+        canonical = self._sets[set_idx].get(key)
         if canonical is not None:
-            entries.move_to_end(key)
+            self._repl.touch(set_idx, key)
             self.shared_hits += 1
             return canonical
-        if len(entries) >= self.ways:
-            entries.popitem(last=False)
+        if self._repl.insert(set_idx, key, block.copy()) is not None:
             self.evictions += 1
-        entries[key] = block.copy()
         self.insertions += 1
         return block
 

@@ -5,73 +5,35 @@ account additional aspects of the Doppelgänger cache (e.g., the number
 of tags associated to a data entry), but the study of such variants of
 the replacement policy is left for future work."
 
-This module implements that variant: :class:`TagCountAwarePolicy`
-orders victims by (tag-list length, recency) — an entry shared by many
-tags is worth more (evicting it invalidates the whole list and may
-trigger a burst of writebacks/back-invalidations), so the policy evicts
-the least-shared, least-recent entry first.
+This module implements that variant: a data entry shared by many tags
+is worth more (evicting it invalidates the whole list and may trigger a
+burst of writebacks/back-invalidations), so the data array evicts the
+least-shared entry of a full set, the least recent among equals.
 
-Wire-up: :func:`make_sharing_aware` converts a built
-:class:`~repro.core.doppelganger.DoppelgangerCache` so its data array
-consults live tag-list lengths on every victim choice. The ablation
-bench ``benchmarks/test_ablation_sharing_aware.py`` measures the
-effect.
+Wire-up: :func:`make_sharing_aware` ranks a built
+:class:`~repro.core.doppelganger.DoppelgangerCache`'s data array by
+live tag-list length. The ablation bench
+``benchmarks/test_ablation_sharing_aware.py`` measures the effect.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.cache.replacement import ReplacementPolicy
 from repro.core.doppelganger import DoppelgangerCache
 
 
-class TagCountAwarePolicy(ReplacementPolicy):
-    """Victim = fewest sharing tags, ties broken by LRU.
-
-    The policy cannot see tag lists itself; the owning data array gives
-    it a ``tag_count(way)`` callback at construction.
-    """
-
-    name = "tag-count-aware"
-
-    def __init__(self, ways: int, tag_count: Callable[[int], int]):
-        super().__init__(ways)
-        self._tag_count = tag_count
-        self._order = list(range(ways))  # LRU order, least-recent first
-
-    def on_access(self, way: int) -> None:
-        self._order.remove(way)
-        self._order.append(way)
-
-    def on_fill(self, way: int) -> None:
-        self.on_access(way)
-
-    def victim(self) -> int:
-        # Least shared wins; among equals, least recently used.
-        return min(self._order, key=lambda way: (self._tag_count(way), self._order.index(way)))
-
-
 def make_sharing_aware(cache: DoppelgangerCache) -> DoppelgangerCache:
-    """Swap the data array's per-set policies for tag-count-aware ones.
+    """Rank the data array's entries by their tag-list length.
 
-    Returns the same cache instance (mutated) for chaining. Must be
-    called before any insertion.
+    A full set then evicts its least-shared entry; its LRU order breaks
+    ties. Returns the same cache instance (mutated) for chaining. Raises
+    ``ValueError`` unless the data array replaces by LRU.
     """
-    data = cache.data
-    tags = cache.tags
-
-    def counter_for(set_idx: int) -> Callable[[int], int]:
-        def tag_count(way: int) -> int:
-            entry = data._ways[set_idx][way]
-            if entry is None:
-                return 0
-            return tags.list_length(entry.head)
-
-        return tag_count
-
-    data._policies = [
-        TagCountAwarePolicy(data.ways, counter_for(set_idx))
-        for set_idx in range(data.num_sets)
-    ]
+    repl = cache.data._repl
+    if not repl.lru:
+        raise ValueError(
+            f"sharing-aware replacement needs an LRU data array, "
+            f"not {cache.config.policy!r}"
+        )
+    list_length = cache.tags.list_length
+    repl.rank = lambda entry: list_length(entry.head)
     return cache

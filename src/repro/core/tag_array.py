@@ -13,52 +13,40 @@ conventional cache, but each entry additionally carries:
   block address and so one per tag,
 * for the unified design (Sec. 3.8), a precise bit.
 
-Entries are addressed by a dense integer ``entry_id`` (set * ways +
-way) so that linked-list pointers are plain ints, mirroring the
-hardware's 14-bit tag pointers (Table 3).
+The hardware's 14-bit tag pointers (Table 3) are entry references here,
+None for a null pointer. Each set is one ``address tag -> TagEntry``
+dict in replacement order (:class:`~repro.cache.replacement.ReplacementSets`).
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional
 
-from repro.cache.replacement import make_policy
-
-NULL_PTR = -1
+from repro.cache.replacement import ReplacementSets
 
 
 class TagEntry:
     """One Doppelgänger tag-array entry."""
 
-    __slots__ = (
-        "addr",
-        "tag",
-        "set_idx",
-        "way",
-        "entry_id",
-        "dirty",
-        "map_value",
-        "prev",
-        "next",
-        "precise",
-    )
+    __slots__ = ("addr", "tag", "set_idx", "dirty", "map_value", "prev", "next", "precise")
 
-    def __init__(self, addr: int, tag: int, set_idx: int, way: int, entry_id: int):
+    def __init__(self, addr: int, tag: int, set_idx: int):
         self.addr = addr
         self.tag = tag
         self.set_idx = set_idx
-        self.way = way
-        self.entry_id = entry_id
         self.dirty = False
-        self.map_value = NULL_PTR
-        self.prev = NULL_PTR
-        self.next = NULL_PTR
+        self.map_value = -1
+        self.prev: Optional[TagEntry] = None
+        self.next: Optional[TagEntry] = None
         self.precise = False
 
     def __repr__(self) -> str:
+        def addr(entry):
+            return None if entry is None else hex(entry.addr)
+
         return (
             f"TagEntry(addr={self.addr:#x}, map={self.map_value}, "
-            f"dirty={self.dirty}, prev={self.prev}, next={self.next})"
+            f"dirty={self.dirty}, prev={addr(self.prev)}, next={addr(self.next)})"
         )
 
 
@@ -91,10 +79,8 @@ class TagArray:
         self.ways = ways
         self.num_sets = entries // ways
         self.block_size = block_size
-        self._entries: List[Optional[TagEntry]] = [None] * entries
-        self._lookup: List[dict] = [dict() for _ in range(self.num_sets)]
-        self._policies = [make_policy(policy, ways) for _ in range(self.num_sets)]
-        self.occupied = 0
+        self._repl = ReplacementSets(self.num_sets, ways, policy)
+        self._sets = self._repl.sets
 
     # ---------------------------------------------------------- addressing
 
@@ -108,29 +94,27 @@ class TagArray:
 
     # ------------------------------------------------------------- queries
 
-    def entry(self, entry_id: int) -> Optional[TagEntry]:
-        """Entry by dense id (linked-list pointer dereference)."""
-        if entry_id == NULL_PTR:
-            return None
-        return self._entries[entry_id]
+    @property
+    def occupied(self) -> int:
+        """Resident entries."""
+        return sum(map(len, self._sets))
 
     def probe(self, addr: int) -> Optional[TagEntry]:
         """Look up an address without touching replacement state."""
-        set_idx = self.set_index(addr)
-        return self._lookup[set_idx].get(self.addr_tag(addr))
+        return self._sets[self.set_index(addr)].get(self.addr_tag(addr))
 
     def touch(self, entry: TagEntry) -> None:
         """Mark ``entry`` most-recently used."""
-        self._policies[entry.set_idx].on_access(entry.way)
+        self._repl.touch(entry.set_idx, entry.tag)
 
     def resident(self) -> List[TagEntry]:
         """All valid entries (test/diagnostic helper)."""
-        return [e for e in self._entries if e is not None]
+        return [e for entries in self._sets for e in entries.values()]
 
     # ----------------------------------------------------------- allocation
 
     def allocate(self, addr: int) -> TagAllocation:
-        """Allocate an entry for ``addr``, evicting an LRU victim if full.
+        """Allocate an entry for ``addr``, evicting a victim if full.
 
         The returned entry is clean, with null pointers and no map;
         the caller fills it in. Raises if the address
@@ -138,56 +122,31 @@ class TagArray:
         """
         set_idx = self.set_index(addr)
         tag = self.addr_tag(addr)
-        lookup = self._lookup[set_idx]
-        if tag in lookup:
+        if tag in self._sets[set_idx]:
             raise ValueError(f"address {addr:#x} already resident in tag array")
-
-        victim = None
-        base = set_idx * self.ways
-        if len(lookup) < self.ways:
-            entry_id = self._entries.index(None, base, base + self.ways)
-            way = entry_id - base
-        else:
-            way = self._policies[set_idx].victim()
-            entry_id = base + way
-            victim = self._entries[entry_id]
-            self._remove_resident(victim)
-
-        entry = TagEntry(addr, tag, set_idx, way, entry_id)
-        self._entries[entry_id] = entry
-        lookup[tag] = entry
-        self._policies[set_idx].on_fill(way)
-        self.occupied += 1
-        return TagAllocation(entry=entry, victim=victim)
-
-    def _remove_resident(self, entry: TagEntry) -> None:
-        """Drop ``entry`` from the array bookkeeping."""
-        del self._lookup[entry.set_idx][entry.tag]
-        self._entries[entry.entry_id] = None
-        self.occupied -= 1
+        entry = TagEntry(addr, tag, set_idx)
+        evicted = self._repl.insert(set_idx, tag, entry)
+        return TagAllocation(entry=entry, victim=None if evicted is None else evicted[1])
 
     def invalidate(self, entry: TagEntry) -> None:
-        """Invalidate a resident entry (replacement state freed too)."""
-        if self._entries[entry.entry_id] is not entry:
+        """Invalidate a resident entry."""
+        if self._sets[entry.set_idx].get(entry.tag) is not entry:
             raise ValueError(f"entry {entry!r} is not resident")
-        self._remove_resident(entry)
-        self._policies[entry.set_idx].on_invalidate(entry.way)
+        self._repl.remove(entry.set_idx, entry.tag)
 
     # ------------------------------------------------------------ list ops
 
-    def list_length(self, head_id: int) -> int:
-        """Length of the linked list starting at ``head_id``."""
+    def list_length(self, head: Optional[TagEntry]) -> int:
+        """Length of the linked list starting at ``head``."""
         count = 0
-        cur = head_id
-        while cur != NULL_PTR:
+        while head is not None:
             count += 1
-            cur = self._entries[cur].next
+            head = head.next
         return count
 
-    def iter_list(self, head_id: int):
+    def iter_list(self, head: Optional[TagEntry]):
         """Iterate the tag entries of a linked list."""
-        cur = head_id
-        while cur != NULL_PTR:
-            entry = self._entries[cur]
-            cur = entry.next
+        while head is not None:
+            entry = head
+            head = entry.next
             yield entry

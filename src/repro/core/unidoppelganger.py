@@ -98,7 +98,6 @@ class UniDoppelgangerCache(DoppelgangerCache):
             if values is None:
                 raise ValueError("approximate writeback requires block values")
             return self.writeback(addr, region_id, values, value_id)
-        entry = self.tags.probe(addr)
         if entry is None:
             return self.insert_block(addr, False, value_id=value_id, dirty=True)
         self.stats.tag_lookups += 1

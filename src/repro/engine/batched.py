@@ -23,20 +23,20 @@ inline:
   victim written into the L2 (a write hit, or a write fill whose dirty
   L2 victim goes down the LLC writeback path); the demand L2 hit or
   fill; and, on an L2 miss, the LLC. The LLC step retires every
-  organization without a per-access adapter call. A conventional LRU
-  array — the baseline LLC, or the split design's precise half — is
-  probed, filled and evicted with raw operations on its set dicts: its
-  dirty victim goes through the bounded writeback buffer, and its
-  back-invalidation purges the private copies. A Doppelgänger array
+  organization, under any replacement policy, without an adapter call,
+  by one of two routes. A conventional array — the baseline LLC, or
+  the split design's precise half — is probed with raw operations on
+  its set dicts and filled through its
+  :class:`~repro.cache.replacement.ReplacementSets`, which picks the
+  victim: a dirty victim goes through the bounded writeback buffer, and
+  its back-invalidation purges the private copies. A Doppelgänger array
   pair — the split design's approximate half, and every access of the
   unified design — is probed as ``DoppelgangerCache.lookup`` does (the
-  tag array, then the MTag array at the tag's map, each touched through
-  its set's policy object, so any replacement policy takes this one
-  path) and filled by the core's own ``insert``. Its reply is applied in
-  ``System._apply_reply``'s order. Both emit the ``wb_enqueue`` and
-  ``back_invalidation`` events of ``_apply_reply`` when traced. Only a
-  FIFO or random precise half still speaks the adapter protocol
-  (``read`` / ``fill`` / ``_apply_reply``);
+  tag array, then the MTag array at the tag's map; under LRU each hit
+  entry is popped and re-stored at the back of its set dict) and filled
+  by the core's own ``insert``. Its reply is applied in
+  ``System._apply_reply``'s order. Both routes emit the ``wb_enqueue``
+  and ``back_invalidation`` events of ``_apply_reply`` when traced;
 * the few remaining cases — approximate fills with no tracked value, a
   predicted L2 hit whose victim fill could remove the demand block, and
   any L2 miss under fault injection — are recognised before anything is
@@ -95,7 +95,7 @@ from repro.engine.step import finalize, make_state, prepare, process_access
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 
 #: The LLC step's routes (see ``run``).
-RAW, DOPP, ADAPTER = 0, 1, 2
+RAW, DOPP = 0, 1
 
 
 def _flush(stats, read_hits, write_hits, read_misses, write_misses,
@@ -164,43 +164,41 @@ def run(system, trace, limit: Optional[int] = None):
     # miss must reach the slow path's hooks — the private L1/L2 paths
     # never touch a fault site and stay eligible.
     faults_none = st.faults is None
-    # Each demand access that reaches the LLC takes one of three routes,
-    # picked by its approximate bit. RAW: dict ops on a conventional LRU
-    # array — the baseline LLC, or the split design's precise half.
-    # DOPP: the tag and MTag probes of DoppelgangerCache.lookup in place,
-    # and fills through the core's own insert — the split design's
-    # approximate half, and every access of the unified design. ADAPTER:
-    # the reference's read/fill calls, for a FIFO or random precise half.
+    # Each demand access that reaches the LLC takes one of two routes,
+    # picked by its approximate bit. RAW: dict ops on a conventional
+    # array — the baseline LLC, or the split design's precise half —
+    # whose fill picks its victim. DOPP: the tag and MTag probes of
+    # DoppelgangerCache.lookup in place, and fills through the core's
+    # own insert — the split design's approximate half, and every
+    # access of the unified design.
     llc = system.llc
     raw = dopp = None
-    uni = False
     if isinstance(llc, BaselineLLC):
         raw = llc.cache
     elif isinstance(llc, SplitDoppelgangerLLC):
+        raw = llc.precise
         dopp = llc.dopp
-        if llc.precise.policy_name == "lru":
-            raw = llc.precise
     elif isinstance(llc, UnifiedDoppelgangerLLC):
         dopp = llc.uni
-        uni = True
-    route_precise = DOPP if uni else RAW if raw is not None else ADAPTER
-    routes = (route_precise, route_precise if dopp is None else DOPP)
+    routes = (RAW if raw is not None else DOPP, RAW if dopp is None else DOPP)
     # Only the baseline LLC's loads count as llc_read_hit / mem_fill;
     # any other organization's are llc_adapter_hit / llc_adapter_fill.
-    plain = raw is not None and dopp is None
+    plain = dopp is None
     if raw is not None:
         llc_sets = raw._sets
-        llc_assoc = raw.ways
+        llc_lru = raw._repl.lru
+        llc_insert = raw._repl.insert
         llc_mask = raw.num_sets - 1
         llc_sbits = raw.num_sets.bit_length() - 1
     if dopp is not None:
-        tag_lookup = dopp.tags._lookup
-        tag_pols = dopp.tags._policies
+        # Both arrays replace by the configured policy; only LRU moves
+        # an entry on a hit.
+        dopp_lru = dopp.config.policy == "lru"
+        tag_sets = dopp.tags._sets
         tag_mask = dopp.tags.num_sets - 1
         tag_sbits = dopp.tags.num_sets.bit_length() - 1
-        data_lookup = dopp.data._lookup
-        data_pols = dopp.data._policies
-        data_sets = dopp.data.num_sets
+        data_sets = dopp.data._sets
+        data_nsets = dopp.data.num_sets
         values_of = system._values
     # Only a Doppelgänger organization answers an L2 writeback with
     # evictions (a tag move can evict a data entry and all its tags).
@@ -220,10 +218,6 @@ def run(system, trace, limit: Optional[int] = None):
 
     tracer = system.tracer
     l2wb = system._l2_writeback
-    llc_read = llc.read
-    llc_fill = llc.fill
-    apply_reply = system._apply_reply
-    block_values = system._block_values
     wb_enqueue = system.wb_buffer.enqueue
     mem_write = system.memory.write
     step = process_access
@@ -242,8 +236,8 @@ def run(system, trace, limit: Optional[int] = None):
     evict1, evict2, dirty2 = per_core(), per_core(), per_core()
     inval1, inval2 = per_core(), per_core()
     # LLC outcome of the demand L2 misses, by route, then (load, store).
-    llc_hit = ([0, 0], [0, 0], [0, 0])
-    llc_miss = ([0, 0], [0, 0], [0, 0])
+    llc_hit = ([0, 0], [0, 0])
+    llc_miss = ([0, 0], [0, 0])
     llc_evict = 0  # RAW-route evictions
     llc_dirty = 0  # ... of them dirty
     n_binv = 0  # back-invalidations of DOPP-route fills
@@ -425,23 +419,27 @@ def run(system, trace, limit: Optional[int] = None):
             sl = b & llc_mask
             tl = b >> llc_sbits
             ml = llc_sets[sl]
-            state = ml.pop(tl, None)
-            hit = state is not None
-            if hit:
-                ml[tl] = state
-        elif route == DOPP:
-            # DoppelgangerCache.lookup: the tag probe, then the MTag
-            # probe by the tag's map; each touches its set's policy.
-            ts = b & tag_mask
-            te = tag_lookup[ts].get(b >> tag_sbits)
-            hit = te is not None
-            if hit:
-                tag_pols[ts].on_access(te.way)
-                mv = te.map_value
-                ds = map_set_index(mv, data_sets)
-                data_pols[ds].on_access(data_lookup[ds][(te.precise, mv)].way)
+            if llc_lru:
+                state = ml.pop(tl, None)
+                hit = state is not None
+                if hit:
+                    ml[tl] = state
+            else:
+                hit = tl in ml
         else:
-            hit = llc_read(a, c, ap, rid).hit
+            # DoppelgangerCache.lookup: the tag probe, then the MTag
+            # probe by the tag's map; under LRU each hit entry moves to
+            # the back of its set.
+            tm = tag_sets[b & tag_mask]
+            tt = b >> tag_sbits
+            te = tm.get(tt)
+            hit = te is not None
+            if hit and dopp_lru:
+                tm[tt] = tm.pop(tt)
+                mv = te.map_value
+                dm = data_sets[map_set_index(mv, data_nsets)]
+                dk = (te.precise, mv)
+                dm[dk] = dm.pop(dk)
         if hit:
             llc_hit[route][wr] += 1
             if not wr:
@@ -464,15 +462,16 @@ def run(system, trace, limit: Optional[int] = None):
             mem_ready_l[c] = completion
             mem_bd += completion - now - lat
         if route == RAW:
-            # The fill's eviction back-invalidates every private copy
-            # (the inclusive hierarchy); a dirty victim also retires
-            # through the bounded writeback buffer.
+            # A clean fill. Its eviction back-invalidates every private
+            # copy (the inclusive hierarchy); a dirty victim also
+            # retires through the bounded writeback buffer.
             wbf = 0.0
-            if len(ml) == llc_assoc:
-                vtl = next(iter(ml))
+            evicted = llc_insert(sl, tl, cur_value.get(a, -1) << 1)
+            if evicted is not None:
+                vtl, vstate = evicted
                 ebn = (vtl << llc_sbits) | sl
                 ea = ebn << bshift
-                if ml.pop(vtl) & 1:
+                if vstate & 1:
                     llc_dirty += 1
                     wbf = wb_enqueue(ea, int(now))
                     mem_write(ea)
@@ -483,8 +482,7 @@ def run(system, trace, limit: Optional[int] = None):
                 if tracer is not None:
                     tracer.emit("back_invalidation", addr=ea, origin=a)
                 llc_evict += 1
-            ml[tl] = cur_value.get(a, -1) << 1  # a clean fill
-        elif route == DOPP:
+        else:
             # The core's insert, then its reply applied as
             # System._apply_reply does: the writebacks with the running
             # stall, then each back-invalidation but the origin's.
@@ -506,14 +504,6 @@ def run(system, trace, limit: Optional[int] = None):
                     mem_wr += drop_copies(ea >> bshift, sharers.pop(ea, 0))
                     if tracer is not None:
                         tracer.emit("back_invalidation", addr=ea, origin=a)
-        else:
-            values = None
-            fill_vid = cur_value.get(a, -1)
-            if ap:
-                values, fill_vid = block_values(a)
-            fr = llc_fill(a, c, ap, rid, value_id=fill_vid,
-                          values=values, dirty=False)
-            wbf = apply_reply(fr, now, a)
         if not wr:
             off[c] = completion + wbf - sc / width
         wb_bd += wb + wbf

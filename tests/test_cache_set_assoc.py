@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.cache.replacement import make_policy
 from repro.cache.set_assoc import AccessResult, SetAssociativeCache
 from repro.cache.stats import CacheStats
+
+from way_policies import make_policy
 
 KB = 1024
 

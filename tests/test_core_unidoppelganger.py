@@ -47,7 +47,7 @@ class TestPrecisePath:
         cache.insert_block(0x40, approx=False)
         entry = cache.tags.probe(0x40)
         assert entry.precise
-        assert entry.prev == -1 and entry.next == -1
+        assert entry.prev is None and entry.next is None
 
     def test_precise_writeback_updates_value(self):
         cache = make_cache()

@@ -7,7 +7,6 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.core.config import DoppelgangerConfig, UniDoppelgangerConfig
 from repro.core.doppelganger import DoppelgangerCache
 from repro.core.maps import MapConfig, MapGenerator
-from repro.core.tag_array import NULL_PTR
 from repro.hierarchy.llc import SplitDoppelgangerLLC
 from repro.hierarchy.system import System
 from repro.trace.record import DType
@@ -98,7 +97,7 @@ class TestDoppelgangerCorners:
         assert cache.data.occupied == 0
         assert cache.tags.occupied == 0
         for entry in cache.tags.resident():
-            assert entry.prev == NULL_PTR
+            assert entry.prev is None
 
     def test_memoized_map_matches_fresh(self):
         cache = small_dopp()

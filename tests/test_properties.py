@@ -9,7 +9,7 @@ operation sequences, and cache occupancy bounds.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.replacement import LRUPolicy
+from repro.cache.replacement import ReplacementSets
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.compression.bdi import BLOCK_BYTES, bdi_compressed_size
 from repro.core.config import DoppelgangerConfig
@@ -21,29 +21,36 @@ from repro.trace.region import Region, RegionMap
 # ------------------------------------------------------------------ LRU
 
 
+def _lru_set(keys, accesses):
+    """One LRU set filled with ``keys`` in order, then touched at
+    each of ``accesses``."""
+    repl = ReplacementSets(1, len(keys))
+    for key in keys:
+        repl.insert(0, key, key)
+    for key in accesses:
+        repl.touch(0, key)
+    return repl
+
+
 @given(st.lists(st.integers(0, 7), min_size=1, max_size=100))
 def test_lru_victim_is_least_recently_used(accesses):
-    policy = LRUPolicy(8)
-    for way in accesses:
-        policy.on_access(way)
-    victim = policy.victim()
-    # The victim must not be among the ways touched after every other
-    # way's last touch; concretely: victim's last touch (or never)
-    # precedes the last touch of every other touched way.
+    repl = _lru_set(range(8), accesses)
+    victim = repl.insert(0, 8, 8)[0]
+    # The victim must not be among the keys touched after every other
+    # key's last touch; concretely: victim's last touch (or never)
+    # precedes the last touch of every other touched key.
     last = {w: i for i, w in enumerate(accesses)}
     untouched = [w for w in range(8) if w not in last]
     if untouched:
-        assert victim in untouched
+        assert victim == untouched[0]
     else:
         assert last[victim] == min(last.values())
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=60))
 def test_lru_order_is_permutation(accesses):
-    policy = LRUPolicy(4)
-    for way in accesses:
-        policy.on_access(way)
-    assert sorted(policy.recency_order()) == [0, 1, 2, 3]
+    repl = _lru_set(range(4), accesses)
+    assert sorted(repl.sets[0]) == [0, 1, 2, 3]
 
 
 # ------------------------------------------------------------- map maker

@@ -1,24 +1,26 @@
 """Tests for the sharing-aware replacement extension (future work)."""
 
 import numpy as np
+import pytest
 
 from repro.core.config import DoppelgangerConfig
 from repro.core.doppelganger import DoppelgangerCache
 from repro.core.maps import MapConfig
-from repro.core.replacement_ext import TagCountAwarePolicy, make_sharing_aware
+from repro.core.replacement_ext import make_sharing_aware
 from repro.trace.record import DType
 from repro.trace.region import Region, RegionMap
 
 RID = 0
 
 
-def make_cache(sharing_aware=True):
+def make_cache(sharing_aware=True, policy="lru"):
+    """64 tags in 16 sets and a data array of one 4-way set."""
     regions = RegionMap(
         [Region("r", 0, 1 << 20, DType.F32, approx=True, vmin=0.0, vmax=100.0)]
     )
     cfg = DoppelgangerConfig(
         tag_entries=64, tag_ways=4, data_fraction=1 / 16, data_ways=4,
-        map=MapConfig(14),
+        map=MapConfig(14), policy=policy,
     )
     cache = DoppelgangerCache(cfg, regions=regions)
     if sharing_aware:
@@ -32,18 +34,31 @@ def block(value):
 
 class TestPolicyUnit:
     def test_least_shared_is_victim(self):
-        counts = {0: 3, 1: 1, 2: 5, 3: 2}
-        policy = TagCountAwarePolicy(4, lambda w: counts[w])
-        for way in range(4):
-            policy.on_fill(way)
-        assert policy.victim() == 1
+        cache = make_cache()
+        addr = 0
+        sharers = {}
+        for value, count in ((10.0, 3), (20.0, 1), (30.0, 5), (40.0, 2)):
+            sharers[value] = [addr + 64 * i for i in range(count)]
+            for a in sharers[value]:
+                cache.insert(a, RID, block(value))
+            addr += 64 * count
+        # The 10.0 entry is least recent; the single-tag 20.0 entry goes.
+        outcome = cache.insert(addr, RID, block(90.0))
+        assert outcome.back_invalidations == tuple(sharers[20.0])
+        cache.check_invariants()
 
     def test_lru_breaks_ties(self):
-        policy = TagCountAwarePolicy(4, lambda w: 1)
-        for way in (0, 1, 2, 3):
-            policy.on_fill(way)
-        policy.on_access(0)
-        assert policy.victim() == 1
+        cache = make_cache()
+        for i, value in enumerate((10.0, 20.0, 30.0, 40.0)):
+            cache.insert(i * 64, RID, block(value))
+        cache.lookup(0)  # the 10.0 entry becomes most recent
+        outcome = cache.insert(4 * 64, RID, block(90.0))
+        assert outcome.back_invalidations == (64,)
+
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    def test_non_lru_data_array_raises(self, policy):
+        with pytest.raises(ValueError, match="LRU data array"):
+            make_cache(policy=policy)
 
 
 class TestIntegration:
