@@ -26,8 +26,8 @@ def _evaluate(ctx, map_config):
 def test_ablation_hash_functions(once, ctx, emit):
     configs = {
         "average+range (paper)": MapConfig(14),
-        "average only": MapConfig(14, use_range=False),
-        "range only": MapConfig(14, use_average=False),
+        "average only": MapConfig(14, ("average",)),
+        "range only": MapConfig(14, ("range",)),
     }
 
     def run():
@@ -57,8 +57,7 @@ def test_ablation_hash_functions(once, ctx, emit):
 
 def test_ablation_alternative_hashes(once, ctx, emit):
     """Future-work hash exploration: storage savings per hash combo."""
-    from repro.analysis.storage import snapshot_from_workload
-    from repro.core.hashes import savings_for_hashes
+    from repro.analysis.storage import doppelganger_savings, snapshot_from_workload
 
     combos = {
         "average+range (paper)": ("average", "range"),
@@ -75,17 +74,10 @@ def test_ablation_alternative_hashes(once, ctx, emit):
         )
         for name in ctx.names:
             snapshot = snapshot_from_workload(ctx.workload(name))
-            row = [name]
-            for hashes in combos.values():
-                total, saved = 0, 0.0
-                for region, blocks in snapshot.groups():
-                    s = savings_for_hashes(
-                        blocks, hashes, 14, region.vmin, region.vmax, region.dtype
-                    )
-                    total += len(blocks)
-                    saved += s * len(blocks)
-                row.append(saved / total if total else 0.0)
-            table.add_row(*row)
+            table.add_row(name, *[
+                doppelganger_savings(snapshot, MapConfig(14, hashes))
+                for hashes in combos.values()
+            ])
         means = [
             arithmetic_mean([row[i] for row in table.rows])
             for i in range(1, len(combos) + 1)

@@ -3,8 +3,9 @@
 Modules:
 
 * :mod:`repro.core.maps` — approximate-similarity map generation
-  (Sec. 3.7): average+range hashes, linear binning into an M-bit map
-  space, clamping to the declared value range.
+  (Sec. 3.7), the only place a block becomes a map: clamping to the
+  declared value range, the average+range hashes (or the ablations'
+  alternatives in ``HASHES``), linear binning into an M-bit map space.
 * :mod:`repro.core.tag_array` — decoupled, address-indexed tag array
   whose entries carry prev/next tag links, a map value, a dirty bit
   and a precise bit.

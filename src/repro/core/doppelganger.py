@@ -193,54 +193,29 @@ class DoppelgangerCache:
             return map_value
         return self.maps.compute(region_id, values)
 
-    def seed_map_memo(self, pairs, values_table, stats=None) -> int:
-        """Precompute the map memo for ``(region_id, value_id)`` pairs.
+    def seed_map_memo(self, hashed) -> int:
+        """Pre-fill the map memo from a trace's hash step.
 
-        Trace-level batching: the engines enumerate every pair a run can
-        reach and this computes each region's maps in one
-        :meth:`~repro.core.maps.MapGenerator.compute_batch` call instead
-        of per cold miss. With ``stats`` (the per-pair clamped
-        ``(avg, range)`` hashes from
-        :func:`~repro.engine.precompute.quantize_region_values`) even
-        the reductions are skipped — only the config-dependent binning
-        runs, via
-        :meth:`~repro.core.maps.MapGenerator.compute_from_stats`, which
-        ``compute_batch`` itself routes through, so the two paths are
-        identical by construction. Purely a speedup — either path
-        equals the per-row computation bit-for-bit, and
-        ``map_generations`` still counts every simulated hardware
+        ``hashed`` holds ``(region_id, value_ids, hash rows)`` groups
+        of this cache's hashes over every pair a run can reach (the
+        engines pass :func:`~repro.engine.precompute.map_hashes`), so
+        only the config-dependent mapping step runs here, in one
+        :meth:`~repro.core.maps.MapGenerator.compute_from_hashes` call
+        per group instead of per cold miss. Purely a speedup: it is the
+        second half of ``compute_batch``, existing entries are kept,
+        and ``map_generations`` still counts every simulated hardware
         computation at its call sites. Returns the number of entries
         added.
         """
         memo = self._map_memo
-        by_region: dict = {}
-        for rid, vid in pairs:
-            if (rid, vid) not in memo:
-                by_region.setdefault(rid, []).append(vid)
-        added = 0
-        for rid, vids in by_region.items():
+        before = len(memo)
+        for rid, vids, rows in hashed:
             gen = self.maps.generator(rid)
             if gen is None:
                 continue
-            if stats is not None:
-                avgs = np.array([stats[(rid, v)][0] for v in vids])
-                rngs = np.array([stats[(rid, v)][1] for v in vids])
-                for vid, map_value in zip(
-                    vids, gen.compute_from_stats(avgs, rngs)
-                ):
-                    memo[(rid, vid)] = int(map_value)
-                    added += 1
-                continue
-            # Rows of one region share a length, but group defensively.
-            by_len: dict = {}
-            for vid in vids:
-                by_len.setdefault(len(values_table[vid]), []).append(vid)
-            for same_len in by_len.values():
-                stacked = np.stack([values_table[v] for v in same_len])
-                for vid, map_value in zip(same_len, gen.compute_batch(stacked)):
-                    memo[(rid, vid)] = int(map_value)
-                    added += 1
-        return added
+            for vid, map_value in zip(vids, gen.compute_from_hashes(rows).tolist()):
+                memo.setdefault((rid, vid), map_value)
+        return len(memo) - before
 
     # ----------------------------------------------------------- insertions
 

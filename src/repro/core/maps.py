@@ -1,34 +1,76 @@
 """Approximate-similarity map generation (Sec. 3.7 of the paper).
 
 A *map* identifies approximately similar blocks: blocks with equal maps
-share one data-array entry. Map generation is a two-step process:
+share one data-array entry. This module is the only place a block
+becomes a map, in two steps:
 
-1. **Hash.** Two hash functions aggregate the block's element values:
-   the *average* and the *range* (max minus min). Values are clamped to
-   the programmer-declared ``[vmin, vmax]`` before hashing, as the paper
-   specifies for out-of-range runtime values.
-2. **Mapping.** Each hash is linearly binned into an ``M``-bit integer:
-   ``vmin`` maps to 0, ``vmax`` to ``2**M - 1``, dividing the hash space
-   into ``2**M`` equally spaced bins. If ``M`` exceeds the element
-   type's bit width (e.g. 8-bit pixels with M = 14) the mapping step is
-   omitted and the hash itself is used, avoiding always-zero low bits
+1. **Hash.** :func:`hash_values` clamps the block's element values to
+   the programmer-declared ``[vmin, vmax]`` (NaN counts as ``vmin``),
+   as the paper specifies for out-of-range runtime values, then applies
+   each hash function of :data:`HASHES`. The paper's pair is the
+   *average* and the *range* (max minus min); its "other hash functions
+   are possible" is explored by min, max, median, the first element and
+   a fixed random projection.
+2. **Mapping.** Each hash is linearly binned into an ``M``-bit integer
+   over its output interval: ``vmin`` maps to 0 and ``vmax`` to
+   ``2**M - 1``, or ``0`` to ``vmax - vmin`` for a spread hash (the
+   range). If ``M`` exceeds an integer element type's bit width (e.g.
+   8-bit pixels with M = 14) the type's width is used instead
+   (the paper's omitted mapping step), avoiding always-zero low bits
    and the resulting data-array set conflicts.
 
-The final map concatenates the average map (low bits) with the top
-``ceil(M/2)`` bits of the range map (footnote 4), giving 21 bits for the
-base ``M = 14`` — exactly the per-tag "Map" field width in Table 3.
+The final map concatenates the bins, first hash in the low bits. The
+first hash keeps its full width unless it is a spread hash; every
+other hash keeps its top ``ceil(M/2)`` bits (footnote 4). The paper's
+average+range map is 14 + 7 = 21 bits at the base ``M = 14`` —
+exactly the per-tag "Map" field width in Table 3.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.trace.record import DTYPE_INFO, DType
+
+
+def _projection_weights(elements: int) -> np.ndarray:
+    """Fixed random weights summing to 1 (the same on every call)."""
+    weights = np.random.default_rng(12345).uniform(0.0, 1.0, elements)
+    return weights / weights.sum()
+
+
+#: Hash name -> (hash of clamped ``(n, elements)`` blocks, is it a
+#: spread hash). A spread hash is binned over ``[0, vmax - vmin]`` and
+#: keeps only its top ``ceil(M/2)`` bits even when it comes first.
+HASHES = {
+    "average": (lambda c: c.mean(axis=1), False),
+    "range": (lambda c: c.max(axis=1) - c.min(axis=1), True),
+    "min": (lambda c: c.min(axis=1), False),
+    "max": (lambda c: c.max(axis=1), False),
+    "median": (lambda c: np.median(c, axis=1), False),
+    "first": (lambda c: c[:, 0], False),
+    "projection": (lambda c: c @ _projection_weights(c.shape[1]), False),
+}
+
+
+def hash_values(blocks: np.ndarray, hashes, vmin: float, vmax: float) -> np.ndarray:
+    """The hash step: ``(n_blocks, len(hashes))`` clamped hash values.
+
+    Depends only on the declared range, never on ``M``, so the result
+    can be computed once per trace and binned under any
+    :class:`MapConfig` with the same hashes (see
+    :func:`repro.engine.precompute.map_hashes`).
+    """
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim == 1:
+        blocks = blocks[np.newaxis, :]
+    clamped = np.clip(np.nan_to_num(blocks, nan=vmin), vmin, vmax)
+    return np.stack([HASHES[name][0](clamped) for name in hashes], axis=1)
 
 
 @dataclass(frozen=True)
@@ -38,28 +80,31 @@ class MapConfig:
     Attributes:
         bits: the M parameter — size of the map space per hash.
             The paper evaluates 12, 13 and 14 (base design: 14).
-        use_average: include the average hash (ablation knob).
-        use_range: include the range hash (ablation knob).
+        hashes: names from :data:`HASHES`, first in the low bits
+            (ablation knob; the paper's pair by default).
     """
 
     bits: int = 14
-    use_average: bool = True
-    use_range: bool = True
+    hashes: Tuple[str, ...] = ("average", "range")
 
     def __post_init__(self):
         if self.bits < 0:
             raise ConfigError(
                 f"map bits must be non-negative, got {self.bits}", field="bits"
             )
-        if not (self.use_average or self.use_range):
+        object.__setattr__(self, "hashes", tuple(self.hashes))
+        if not self.hashes:
+            raise ConfigError("at least one hash function is needed", field="hashes")
+        unknown = [name for name in self.hashes if name not in HASHES]
+        if unknown:
             raise ConfigError(
-                "at least one hash function must be enabled",
-                field="use_average/use_range",
+                f"unknown hash functions {unknown}; choose from {list(HASHES)}",
+                field="hashes",
             )
 
     @property
-    def range_keep_bits(self) -> int:
-        """High-order bits of the range map kept in the final map."""
+    def keep_bits(self) -> int:
+        """High-order bits every hash after the first keeps."""
         return math.ceil(self.bits / 2)
 
 
@@ -86,79 +131,42 @@ class MapGenerator:
         self.vmax = float(vmax)
         self.dtype = dtype
         info = DTYPE_INFO[dtype]
-        # Omit-mapping rule: never use more map bits than the data type
+        # Omit-mapping rule: never bin into more bits than the data type
         # has; otherwise the low bits of the map would always be zero.
-        if info.is_integer:
-            self.avg_bits = min(config.bits, info.bits)
-            self.range_bits = min(config.bits, info.bits)
-        else:
-            self.avg_bits = config.bits
-            self.range_bits = config.bits
-        self.range_keep = min(config.range_keep_bits, self.range_bits)
-
-    # ------------------------------------------------------------ properties
+        self.hash_bits = min(config.bits, info.bits) if info.is_integer else config.bits
+        keep = min(config.keep_bits, self.hash_bits)
+        #: Bits of each hash's bin that enter the map, in hash order.
+        self.kept_bits = tuple(
+            self.hash_bits if i == 0 and not HASHES[name][1] else keep
+            for i, name in enumerate(config.hashes)
+        )
 
     @property
     def total_bits(self) -> int:
         """Width of the final map value."""
-        bits = 0
-        if self.config.use_average:
-            bits += self.avg_bits
-        if self.config.use_range:
-            bits += self.range_keep
-        return bits
+        return sum(self.kept_bits)
 
     @property
     def map_space_size(self) -> int:
         """Number of distinct map values."""
         return 1 << self.total_bits
 
-    # -------------------------------------------------------------- hashing
+    def compute_from_hashes(self, hashed: np.ndarray) -> np.ndarray:
+        """The mapping step: map values from :func:`hash_values` rows.
 
-    def _bin(self, hashes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
-        """Linearly bin hash values in [lo, hi] into ``2**bits`` bins."""
-        if bits == 0:
-            return np.zeros_like(hashes, dtype=np.int64)
-        span = hi - lo
-        norm = (np.asarray(hashes, dtype=np.float64) - lo) / span
-        bins = np.floor(norm * (1 << bits)).astype(np.int64)
-        return np.clip(bins, 0, (1 << bits) - 1)
-
-    def block_stats(self, blocks: np.ndarray):
-        """Clamped ``(avgs, ranges)`` per block — the hash step.
-
-        This is the config-independent half of map generation: the
-        reductions depend only on the declared ``[vmin, vmax]`` range
-        (a property of the region), never on the map-space knobs, so
-        the results can be quantized once per trace and rebinned under
-        any :class:`MapConfig` (see
-        :func:`repro.engine.precompute.quantize_region_values`).
+        Bins each hash at :attr:`hash_bits`, keeps the top
+        :attr:`kept_bits` of it and concatenates, first hash lowest.
         """
-        blocks = np.asarray(blocks, dtype=np.float64)
-        if blocks.ndim == 1:
-            blocks = blocks[np.newaxis, :]
-        clamped = np.clip(np.nan_to_num(blocks, nan=self.vmin), self.vmin, self.vmax)
-        avgs = clamped.mean(axis=1)
-        rngs = clamped.max(axis=1) - clamped.min(axis=1)
-        return avgs, rngs
-
-    def compute_from_stats(self, avgs: np.ndarray, rngs: np.ndarray) -> np.ndarray:
-        """Map values from precomputed clamped (avg, range) hashes.
-
-        The mapping step alone: linear binning plus the footnote-4
-        concatenation. ``compute_batch`` routes through here, so maps
-        built from quantized stats are structurally identical to maps
-        built from raw block values.
-        """
-        maps = np.zeros(len(avgs), dtype=np.int64)
+        bits = self.hash_bits
+        span = self.vmax - self.vmin
+        maps = np.zeros(len(hashed), dtype=np.int64)
         shift = 0
-        if self.config.use_average:
-            maps |= self._bin(avgs, self.vmin, self.vmax, self.avg_bits)
-            shift = self.avg_bits
-        if self.config.use_range:
-            range_map = self._bin(rngs, 0.0, self.vmax - self.vmin, self.range_bits)
-            kept = range_map >> (self.range_bits - self.range_keep)
-            maps |= kept << shift
+        for column, name, keep in zip(hashed.T, self.config.hashes, self.kept_bits):
+            lo = 0.0 if HASHES[name][1] else self.vmin
+            bins = np.floor((column - lo) / span * (1 << bits)).astype(np.int64)
+            bins = np.clip(bins, 0, (1 << bits) - 1)
+            maps |= (bins >> (bits - keep)) << shift
+            shift += keep
         return maps
 
     def compute_batch(self, blocks: np.ndarray) -> np.ndarray:
@@ -170,8 +178,9 @@ class MapGenerator:
         Returns:
             int64 array of ``n_blocks`` map values.
         """
-        avgs, rngs = self.block_stats(blocks)
-        return self.compute_from_stats(avgs, rngs)
+        return self.compute_from_hashes(
+            hash_values(blocks, self.config.hashes, self.vmin, self.vmax)
+        )
 
     def compute(self, values: np.ndarray) -> int:
         """Map value for a single block."""

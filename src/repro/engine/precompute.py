@@ -10,11 +10,12 @@ Two kinds of work are hoisted out of the per-access loop:
   (``gap + l1_latency × issue_width``), added in the same pass.
 * **Map seeding** — every (region, value-id) pair the run can possibly
   feed to the Doppelgänger map-generation path is enumerated from the
-  trace (initial memory image + write records) and its avg/range map is
-  computed once, in one :meth:`~repro.core.maps.MapGenerator.compute_batch`
-  call per region, instead of per cold miss. Seeding only pre-fills the
-  cache's memo — ``map_generations`` (the energy-model counter) still
-  counts every hardware computation, so stats are unchanged.
+  trace (initial memory image + write records) and hashed once per
+  trace and hash tuple (:func:`map_hashes`); each run only bins the
+  hashes into its maps, in one call per region, instead of hashing per
+  cold miss. Seeding only pre-fills the cache's memo —
+  ``map_generations`` (the energy-model counter) still counts every
+  hardware computation, so stats are unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
+
+from repro.core.maps import hash_values
 
 
 class TraceColumns(NamedTuple):
@@ -87,42 +90,34 @@ def map_seed_pairs(trace) -> List[Tuple[int, int]]:
     return result
 
 
-def quantize_region_values(trace) -> dict:
-    """Clamped ``(avg, range)`` hash per reachable map key, cached.
+def map_hashes(trace, hashes) -> List[tuple]:
+    """The hash step of every reachable map key, cached per hash tuple.
 
-    The hash step of map generation (Sec. 3.7) — clamp to the region's
-    declared ``[vmin, vmax]``, then average and max-minus-min — depends
-    only on the region annotations, never on the map-space config. So
-    it is quantized once per trace and cached; every config simulated
-    over the trace (baseline vs dopp vs uni, any map-bit ablation)
-    rebins the same stats via
-    :meth:`~repro.core.maps.MapGenerator.compute_from_stats` instead
-    of redoing the numpy reductions per cold-miss seed. Keys are the
-    ``(region_id, value_id)`` pairs of :func:`map_seed_pairs`.
+    :func:`~repro.core.maps.hash_values` depends only on the region
+    annotations and the hash names, never on the map bits, so it runs
+    once per trace and hash tuple; every config simulated over the
+    trace (dopp vs uni, any map-bit ablation) only bins the cached
+    values (:meth:`~repro.core.maps.MapGenerator.compute_from_hashes`).
+    Returns ``(region_id, value_ids, hash rows)`` groups covering the
+    pairs of :func:`map_seed_pairs`.
     """
-    cached = getattr(trace, "_region_value_stats", None)
-    if cached is not None:
-        return cached
-    stats: dict = {}
-    by_region: dict = {}
-    for rid, vid in map_seed_pairs(trace):
-        by_region.setdefault(rid, []).append(vid)
+    cache = getattr(trace, "_map_hashes", None)
+    if cache is None:
+        cache = trace._map_hashes = {}
+    groups = cache.get(hashes)
+    if groups is not None:
+        return groups
     values = trace.values
-    for rid, vids in by_region.items():
-        region = trace.regions[rid]
-        vmin, vmax = float(region.vmin), float(region.vmax)
+    by_key: dict = {}
+    for rid, vid in map_seed_pairs(trace):
         # Rows of one region share a length, but group defensively.
-        by_len: dict = {}
-        for vid in vids:
-            by_len.setdefault(len(values[vid]), []).append(vid)
-        for same_len in by_len.values():
-            blocks = np.stack(
-                [np.asarray(values[v], dtype=np.float64) for v in same_len]
-            )
-            clamped = np.clip(np.nan_to_num(blocks, nan=vmin), vmin, vmax)
-            avgs = clamped.mean(axis=1)
-            rngs = clamped.max(axis=1) - clamped.min(axis=1)
-            for i, vid in enumerate(same_len):
-                stats[(rid, vid)] = (avgs[i], rngs[i])
-    trace._region_value_stats = stats
-    return stats
+        by_key.setdefault((rid, len(values[vid])), []).append(vid)
+    groups = cache[hashes] = []
+    for (rid, _), vids in by_key.items():
+        region = trace.regions[rid]
+        rows = hash_values(
+            np.stack([values[v] for v in vids]),
+            hashes, float(region.vmin), float(region.vmax),
+        )
+        groups.append((rid, vids, rows))
+    return groups

@@ -59,13 +59,9 @@ def prepare(system, trace) -> None:
     system._cur_value = dict(trace.initial_image)
     seed = getattr(system.llc, "seed_map_memo", None)
     if seed is not None:
-        from repro.engine.precompute import map_seed_pairs, quantize_region_values
+        from repro.engine.precompute import map_hashes
 
-        seed(
-            map_seed_pairs(trace),
-            trace.values,
-            stats=quantize_region_values(trace),
-        )
+        seed(map_hashes(trace, system.llc.config.map.hashes))
 
 
 def process_access(

@@ -225,9 +225,9 @@ class SplitDoppelgangerLLC:
         """Route protocol events of the Doppelgänger half to ``tracer``."""
         self.dopp.tracer = tracer
 
-    def seed_map_memo(self, pairs, values_table, stats=None) -> int:
+    def seed_map_memo(self, hashed) -> int:
         """Precompute map values for a trace (see engine precompute)."""
-        return self.dopp.seed_map_memo(pairs, values_table, stats)
+        return self.dopp.seed_map_memo(hashed)
 
 
 class UnifiedDoppelgangerLLC:
@@ -296,6 +296,6 @@ class UnifiedDoppelgangerLLC:
         """Route protocol events of the unified cache to ``tracer``."""
         self.uni.tracer = tracer
 
-    def seed_map_memo(self, pairs, values_table, stats=None) -> int:
+    def seed_map_memo(self, hashed) -> int:
         """Precompute map values for a trace (see engine precompute)."""
-        return self.uni.seed_map_memo(pairs, values_table, stats)
+        return self.uni.seed_map_memo(hashed)

@@ -1,20 +1,22 @@
-"""Per-trace quantization of the map hash step (engine precompute).
+"""Per-trace hash step of map generation (engine precompute).
 
-The clamped (avg, range) reductions depend only on region annotations,
-so they are computed once per trace and rebinned per config. These
-tests pin the contract: seeding from quantized stats is bit-identical
-to seeding from raw block values, under every organization and
-map-bit setting.
+The clamped hash values depend only on region annotations and the hash
+names, so they are computed once per trace and binned per config. These
+tests pin the contract: the memo seeded from the cached hashes equals
+per-block ``MapRegistry.compute``, under every organization and map-bit
+setting.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.maps import MapConfig, MapGenerator
-from repro.engine.precompute import map_seed_pairs, quantize_region_values
+from repro.core.maps import MapConfig, MapGenerator, hash_values
+from repro.engine.precompute import map_hashes, map_seed_pairs
 from repro.harness.runner import ConfigSpec, dopp_spec, uni_spec
 from repro.trace.record import DType
 from repro.workloads.registry import get_workload
+
+PAPER = ("average", "range")
 
 
 @pytest.fixture(scope="module")
@@ -30,31 +32,30 @@ class TestMapGeneratorSplit:
     def test_compute_batch_routes_through_stats(self, rng):
         gen = MapGenerator(MapConfig(bits=14), 0.0, 100.0, DType.F32)
         blocks = rng.uniform(-10.0, 110.0, size=(32, 16))  # clamping active
-        avgs, rngs = gen.block_stats(blocks)
         np.testing.assert_array_equal(
-            gen.compute_batch(blocks), gen.compute_from_stats(avgs, rngs)
+            gen.compute_batch(blocks),
+            gen.compute_from_hashes(hash_values(blocks, PAPER, 0.0, 100.0)),
         )
 
     def test_stats_are_config_independent(self, rng):
         blocks = rng.uniform(0.0, 100.0, size=(8, 16))
-        stats = MapGenerator(
-            MapConfig(bits=14), 0.0, 100.0, DType.F32
-        ).block_stats(blocks)
+        hashed = hash_values(blocks, PAPER, 0.0, 100.0)
         for bits in (12, 13, 14):
             gen = MapGenerator(MapConfig(bits=bits), 0.0, 100.0, DType.F32)
             np.testing.assert_array_equal(
-                gen.compute_batch(blocks), gen.compute_from_stats(*stats)
+                gen.compute_batch(blocks), gen.compute_from_hashes(hashed)
             )
 
 
 class TestQuantizedSeeding:
     def test_stats_cover_every_seed_pair(self, trace):
-        stats = quantize_region_values(trace)
-        assert set(stats) == set(map_seed_pairs(trace))
-        assert stats  # jpeg has approximate regions
+        keys = [(rid, vid) for rid, vids, _ in map_hashes(trace, PAPER) for vid in vids]
+        assert sorted(keys) == map_seed_pairs(trace)
+        assert keys  # jpeg has approximate regions
 
     def test_stats_are_cached_on_the_trace(self, trace):
-        assert quantize_region_values(trace) is quantize_region_values(trace)
+        assert map_hashes(trace, PAPER) is map_hashes(trace, PAPER)
+        assert map_hashes(trace, ("median",)) is not map_hashes(trace, PAPER)
 
     @pytest.mark.parametrize(
         "spec",
@@ -68,10 +69,10 @@ class TestQuantizedSeeding:
     )
     def test_seeding_from_stats_matches_raw(self, trace, spec):
         pairs = map_seed_pairs(trace)
-        stats = quantize_region_values(trace)
-        from_stats = spec.build_llc(trace.regions)
-        from_raw = spec.build_llc(trace.regions)
-        added_s = from_stats.seed_map_memo(pairs, trace.values, stats=stats)
-        added_r = from_raw.seed_map_memo(pairs, trace.values)
-        assert added_s == added_r == len(pairs)
-        assert inner(from_stats)._map_memo == inner(from_raw)._map_memo
+        llc = spec.build_llc(trace.regions)
+        added = llc.seed_map_memo(map_hashes(trace, llc.config.map.hashes))
+        assert added == len(pairs)
+        maps = inner(llc).maps
+        assert inner(llc)._map_memo == {
+            (rid, vid): maps.compute(rid, trace.values[vid]) for rid, vid in pairs
+        }

@@ -109,8 +109,8 @@ def test_coarser_maps_never_split_groups(bits, data):
             max_size=2,
         )
     )
-    fine = MapGenerator(MapConfig(bits, use_range=False), 0, 100, DType.F32)
-    coarse = MapGenerator(MapConfig(bits - 1 if bits > 1 else 1, use_range=False), 0, 100, DType.F32)
+    fine = MapGenerator(MapConfig(bits, ("average",)), 0, 100, DType.F32)
+    coarse = MapGenerator(MapConfig(bits - 1 if bits > 1 else 1, ("average",)), 0, 100, DType.F32)
     a, b = (np.array(blk) for blk in blocks)
     if fine.compute(a) == fine.compute(b):
         assert coarse.compute(a) == coarse.compute(b)

@@ -118,7 +118,7 @@ def test_structure_size_accounting_additive(kb_exp):
 def test_map_translation_invariance_of_range_hash(offset, span):
     """The range hash depends only on spread, not position."""
     vmin, vmax = offset, offset + span
-    gen = MapGenerator(MapConfig(14, use_average=False), vmin, vmax, DType.F32)
+    gen = MapGenerator(MapConfig(14, ("range",)), vmin, vmax, DType.F32)
     base = np.linspace(vmin, vmin + span / 4, 16)
     shifted = base + span / 3
     shifted = np.clip(shifted, vmin, vmax)
