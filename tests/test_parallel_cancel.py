@@ -85,19 +85,25 @@ class TestPrefetchCancel:
             )
 
     def test_mid_sweep_cancel_keeps_completed(self, small_scale_ctx):
+        # Cancel when the first unit reports done. The round re-emits
+        # every queued event before it returns, so the sweep always
+        # sees the token, however the host schedules the workers.
         token = CancelToken()
-        timer = threading.Timer(0.2, token.cancel, args=("mid-sweep",))
-        timer.start()
-        try:
-            with pytest.raises(Cancelled, match="mid-sweep"):
-                prefetch_pairs(
-                    small_scale_ctx,
-                    _pairs(small_scale_ctx),
-                    jobs=2,
-                    cancel=token,
-                )
-        finally:
-            timer.cancel()
+
+        def cancel_on_first_done(event):
+            if event["kind"] == "worker_heartbeat" and event["phase"] == "done":
+                token.cancel("mid-sweep")
+
+        small_scale_ctx.listener = cancel_on_first_done
+        with pytest.raises(Cancelled, match="mid-sweep") as info:
+            prefetch_pairs(
+                small_scale_ctx, _pairs(small_scale_ctx), jobs=2, cancel=token
+            )
+        kept = small_scale_ctx._runs
+        assert f"; {len(kept)} completed simulation" in str(info.value)
+        sequential = ExperimentContext(seed=3, scale=0.05, workloads=["swaptions", "kmeans"])
+        for (name, spec), record in kept.items():
+            assert record.system == sequential.run(name, spec).system
 
     def test_uncancelled_sweep_completes(self, small_scale_ctx):
         fetched = prefetch_pairs(
