@@ -16,9 +16,11 @@ when clear; the sharer vectors live in
 bit and ``state >> 1`` the value id, so ``-2`` is an untracked clean
 block and ``-1`` an untracked dirty one. The paper's hardware likewise
 keeps a block's state as a few bits next to its tag (Sec. 3.1). Each
-set is one ``tag -> state`` dict in replacement order, kept by a
-:class:`~repro.cache.replacement.ReplacementSets` like every other
-array's.
+set is one ``block address -> state`` dict in replacement order, kept
+by a :class:`~repro.cache.replacement.ReplacementSets` like every other
+array's. The key is the block-aligned byte address: the hardware's set
+index and tag are both bit fields of it, so a victim's key is already
+its address.
 """
 
 from __future__ import annotations
@@ -95,35 +97,26 @@ class SetAssociativeCache:
         self.level = level
         self.policy_name = policy
         self.stats = CacheStats()
-        # Per set: one tag -> state dict in replacement order, the next
-        # victim first (raises ValueError for an unknown policy name).
+        self._shift = block_size.bit_length() - 1
+        self._set_mask = self.num_sets - 1
+        # Per set: one block address -> state dict in replacement order,
+        # the next victim first (raises ValueError for an unknown policy
+        # name).
         self._repl = ReplacementSets(self.num_sets, ways, policy)
         self._sets: List[Dict[int, int]] = self._repl.sets
 
     # ---------------------------------------------------------------- addressing
 
-    def block_addr(self, addr: int) -> int:
-        """Strip the offset bits from a byte address."""
-        return addr // self.block_size
-
     def set_index(self, addr: int) -> int:
         """Set index for a byte address."""
-        return self.block_addr(addr) % self.num_sets
-
-    def addr_tag(self, addr: int) -> int:
-        """Address tag for a byte address."""
-        return self.block_addr(addr) // self.num_sets
-
-    def _compose_addr(self, set_idx: int, tag: int) -> int:
-        """Reconstruct a byte (block-aligned) address from set and tag."""
-        return (tag * self.num_sets + set_idx) * self.block_size
+        return (addr >> self._shift) & self._set_mask
 
     # ---------------------------------------------------------------- queries
 
     def probe(self, addr: int) -> Optional[int]:
         """State of ``addr`` (None if absent), without touching
         replacement order or stats."""
-        return self._sets[self.set_index(addr)].get(self.addr_tag(addr))
+        return self._sets[self.set_index(addr)].get(addr & -self.block_size)
 
     def contains(self, addr: int) -> bool:
         """Whether ``addr`` is resident."""
@@ -131,9 +124,8 @@ class SetAssociativeCache:
 
     def resident_addrs(self) -> Iterator[int]:
         """Iterate over the byte addresses of every resident block."""
-        for set_idx, blocks in enumerate(self._sets):
-            for tag in blocks:
-                yield self._compose_addr(set_idx, tag)
+        for blocks in self._sets:
+            yield from blocks
 
     def occupancy(self) -> int:
         """Number of resident blocks."""
@@ -172,11 +164,9 @@ class SetAssociativeCache:
         else:
             stats.read_accesses += 1
 
-        block_no = addr // self.block_size
-        set_idx = block_no % self.num_sets
-        tag = block_no // self.num_sets
-        blocks = self._sets[set_idx]
-        state = blocks.get(tag)
+        key = addr & -self.block_size
+        blocks = self._sets[(addr >> self._shift) & self._set_mask]
+        state = blocks.get(key)
         if state is not None:
             stats.hits += 1
             if is_write:
@@ -185,8 +175,8 @@ class SetAssociativeCache:
             else:
                 stats.data_reads += 1
             if self._repl.lru:
-                del blocks[tag]
-            blocks[tag] = state
+                del blocks[key]
+            blocks[key] = state
             return _HIT
 
         stats.misses += 1
@@ -197,22 +187,18 @@ class SetAssociativeCache:
     def _fill(self, addr: int, is_write: bool, value_id: int) -> AccessResult:
         """Install ``addr``, evicting a victim when the set is full."""
         stats = self.stats
-        num_sets = self.num_sets
-        block_no = addr // self.block_size
-        set_idx = block_no % num_sets
-        tag = block_no // num_sets
         result = _MISS
 
-        evicted = self._repl.insert(set_idx, tag, (value_id << 1) | is_write)
+        evicted = self._repl.insert(
+            (addr >> self._shift) & self._set_mask, addr & -self.block_size,
+            (value_id << 1) | is_write,
+        )
         if evicted is not None:
             victim, state = evicted
             writeback = bool(state & 1)
             stats.evictions += 1
             stats.writebacks += writeback
-            result = AccessResult(
-                False, (victim * num_sets + set_idx) * self.block_size,
-                state >> 1, writeback,
-            )
+            result = AccessResult(False, victim, state >> 1, writeback)
         stats.fills += 1
         if is_write:
             stats.data_writes += 1
@@ -227,8 +213,7 @@ class SetAssociativeCache:
         counted) demand miss; fills/evictions/writebacks are still
         recorded. Raises if the address is already resident.
         """
-        block_no = addr // self.block_size
-        if block_no // self.num_sets in self._sets[block_no % self.num_sets]:
+        if self.probe(addr) is not None:
             raise ValueError(f"install of resident address {addr:#x}")
         return self._fill(addr, dirty, value_id)
 
@@ -240,8 +225,7 @@ class SetAssociativeCache:
         The caller decides what to do with a dirty victim (the private
         caches write it back toward the LLC; the LLC writes to memory).
         """
-        block_no = addr // self.block_size
-        state = self._repl.remove(block_no % self.num_sets, block_no // self.num_sets)
+        state = self._repl.remove(self.set_index(addr), addr & -self.block_size)
         if state is not None:
             self.stats.invalidations += 1
         return state

@@ -14,8 +14,11 @@ conventional cache, but each entry additionally carries:
 * for the unified design (Sec. 3.8), a precise bit.
 
 The hardware's 14-bit tag pointers (Table 3) are entry references here,
-None for a null pointer. Each set is one ``address tag -> TagEntry``
-dict in replacement order (:class:`~repro.cache.replacement.ReplacementSets`).
+None for a null pointer. Each set is one ``block address -> TagEntry``
+dict in replacement order (:class:`~repro.cache.replacement.ReplacementSets`):
+the hardware's set index and address tag are both bit fields of the
+block-aligned address, which is the key, as in
+:class:`~repro.cache.set_assoc.SetAssociativeCache`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,13 @@ from repro.cache.replacement import ReplacementSets
 
 
 class TagEntry:
-    """One Doppelgänger tag-array entry."""
+    """One Doppelgänger tag-array entry; ``addr`` is its block address,
+    the key of its set."""
 
-    __slots__ = ("addr", "tag", "set_idx", "dirty", "map_value", "prev", "next", "precise")
+    __slots__ = ("addr", "set_idx", "dirty", "map_value", "prev", "next", "precise")
 
-    def __init__(self, addr: int, tag: int, set_idx: int):
+    def __init__(self, addr: int, set_idx: int):
         self.addr = addr
-        self.tag = tag
         self.set_idx = set_idx
         self.dirty = False
         self.map_value = -1
@@ -88,10 +91,6 @@ class TagArray:
         """Tag-array set index of a byte address."""
         return (addr // self.block_size) % self.num_sets
 
-    def addr_tag(self, addr: int) -> int:
-        """Address tag of a byte address."""
-        return (addr // self.block_size) // self.num_sets
-
     # ------------------------------------------------------------- queries
 
     @property
@@ -101,11 +100,11 @@ class TagArray:
 
     def probe(self, addr: int) -> Optional[TagEntry]:
         """Look up an address without touching replacement state."""
-        return self._sets[self.set_index(addr)].get(self.addr_tag(addr))
+        return self._sets[self.set_index(addr)].get(addr - addr % self.block_size)
 
     def touch(self, entry: TagEntry) -> None:
         """Mark ``entry`` most-recently used."""
-        self._repl.touch(entry.set_idx, entry.tag)
+        self._repl.touch(entry.set_idx, entry.addr)
 
     def resident(self) -> List[TagEntry]:
         """All valid entries (test/diagnostic helper)."""
@@ -120,19 +119,19 @@ class TagArray:
         the caller fills it in. Raises if the address
         is already resident — callers must probe first.
         """
+        addr -= addr % self.block_size
         set_idx = self.set_index(addr)
-        tag = self.addr_tag(addr)
-        if tag in self._sets[set_idx]:
+        if addr in self._sets[set_idx]:
             raise ValueError(f"address {addr:#x} already resident in tag array")
-        entry = TagEntry(addr, tag, set_idx)
-        evicted = self._repl.insert(set_idx, tag, entry)
+        entry = TagEntry(addr, set_idx)
+        evicted = self._repl.insert(set_idx, addr, entry)
         return TagAllocation(entry=entry, victim=None if evicted is None else evicted[1])
 
     def invalidate(self, entry: TagEntry) -> None:
         """Invalidate a resident entry."""
-        if self._sets[entry.set_idx].get(entry.tag) is not entry:
+        if self._sets[entry.set_idx].get(entry.addr) is not entry:
             raise ValueError(f"entry {entry!r} is not resident")
-        self._repl.remove(entry.set_idx, entry.tag)
+        self._repl.remove(entry.set_idx, entry.addr)
 
     # ------------------------------------------------------------ list ops
 

@@ -4,9 +4,9 @@ Two engines share one per-access slow path (:mod:`repro.engine.step`):
 
 * ``reference`` — the straightforward interpreter: every trace record
   walks the full coherence + hierarchy slow path, one at a time.
-* ``batched`` — the production engine: trace columns are converted and
-  pre-masked in bulk, and nearly every access class retires on an
-  inline fast path — private hits, LLC hits and DRAM fills of every
+* ``batched`` — the production engine: the trace streams through in
+  chunks converted by numpy, and nearly every access class retires on
+  an inline fast path — private hits, LLC hits and DRAM fills of every
   LLC organization with eviction and back-invalidation, store
   coherence — with per-class tallies published as
   ``system.engine_stats`` (see ``docs/engine.md``); only a handful of

@@ -1,9 +1,10 @@
 """The batched engine: bulk trace precomputation + inline fast paths.
 
-The trace's columns are converted and block-aligned in one numpy pass
-(:mod:`repro.engine.precompute`), every reachable Doppelgänger map is
-computed in bulk before the scan, and the scan itself retires accesses
-inline:
+The scan reads the trace as a stream of rows, converted and
+block-aligned one chunk at a time (:mod:`repro.engine.precompute`),
+each row leading with its access's L1 set; every reachable
+Doppelgänger map is computed in bulk before the scan, and the scan
+itself retires accesses inline:
 
 * a load or store that hits the issuing core's L1 is retired with an
   LRU touch of its set dict and one integer add to the core's
@@ -57,18 +58,20 @@ many times per chunk, collapsing fast-path coverage to the L1 hits.
 The live probes are exact at every instant and cost two dict lookups.
 
 Every private cache and the baseline LLC replace by LRU. Each set of a
-``SetAssociativeCache`` is one ``tag → state`` dict in LRU order, the
-state an integer ``(value_id << 1) | dirty``, so a probe-and-touch is a
-``pop`` and a store, a fill appends one integer, and the victim is the
-first key. Per-core event counts and each LLC structure's demand hits
-and misses are accumulated in plain integers and flushed once at the
-end.
+``SetAssociativeCache`` is one ``block address → state`` dict in LRU
+order, the state an integer ``(value_id << 1) | dirty``, so a
+probe-and-touch is a ``pop`` and a store of the trace's own address, a
+fill appends one integer, and the victim is the first key, already an
+address. The Doppelgänger tag array is keyed the same way. Per-core
+event counts and each LLC structure's demand hits and misses are
+accumulated in plain integers and flushed once at the end.
 
 *Timing.* Each core keeps two numbers: an integer count of issue slots
 and a float stall offset, and its cycle count is ``slots / width +
 offset``. Every access adds ``gap + l1_latency × issue_width`` slots
-(the gap column arrives converted), which is all a load or store that
-the L1 hits, or any store, costs: ``gap / width + l1_latency`` cycles.
+(the stream's gap field arrives converted), which is all a load or
+store that the L1 hits, or any store, costs: ``gap / width +
+l1_latency`` cycles.
 The offset moves only on a load that misses the L1, by its extra
 latency. A slow-path access is handed the exact cycle count, and the
 offset is re-derived from what it leaves. The L1 hits, the compute-gap
@@ -83,14 +86,13 @@ engine.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from repro.core.data_array import map_set_index
 from repro.engine import reference
-from repro.engine.precompute import trace_columns
+from repro.engine.precompute import run_length, trace_rows
 from repro.engine.step import finalize, make_state, prepare, process_access
 from repro.hierarchy.llc import BaselineLLC, SplitDoppelgangerLLC, UnifiedDoppelgangerLLC
 
@@ -125,8 +127,9 @@ def run(system, trace, limit: Optional[int] = None):
     """Simulate ``trace``, bit-identically to the reference engine."""
     cfg = system.config
     width_i = cfg.issue_width
+    n = run_length(trace, limit)
     if width_i & (width_i - 1):
-        result = reference.run(system, trace, limit)
+        result = reference.run(system, trace, n)
         system.engine_stats["engine"] = "batched"
         system.engine_stats["delegated"] = True
         return result
@@ -134,30 +137,30 @@ def run(system, trace, limit: Optional[int] = None):
     st = make_state(system)
     prepare(system, trace)
     num_cores = cfg.num_cores
-    n = len(trace) if limit is None else min(limit, len(trace))
     # Per-core load and store counts, from which the L1 hits are derived
-    # after the scan. Counted before the column lists exist, so that
-    # numpy's temporary copies do not add to the run's peak memory.
+    # after the scan. Counted before the scan, so that numpy's temporary
+    # copies do not add to the run's peak memory.
     cores = trace.cores[:n]
     stores = np.bincount(cores[trace.is_write[:n]], minlength=num_cores).tolist()
     loads = [x - s for x, s in
              zip(np.bincount(cores, minlength=num_cores).tolist(), stores)]
     # Issue slots of one access on top of its gap: its L1 latency.
     l1w = st.l1_lat * width_i
-    cols = trace_columns(trace, cfg.block_size, slot_base=l1w)
     bshift = cfg.block_size.bit_length() - 1
 
     l1s, l2s = system.l1s, system.l2s
-    # Each cache set is one tag -> state dict in LRU order (see
-    # SetAssociativeCache): the private caches replace by LRU only.
+    # Each cache set is one block address -> state dict in LRU order
+    # (see SetAssociativeCache): the private caches replace by LRU only.
     l1_sets = [c._sets for c in l1s]
     l2_sets = [c._sets for c in l2s]
+    # Every core's L1 sets in one list, indexed by the row's leading
+    # field: core * l1_nsets + set index.
+    l1_flat = [m for sets in l1_sets for m in sets]
 
-    l1_mask = l1s[0].num_sets - 1
-    l1_bits = l1s[0].num_sets.bit_length() - 1
+    l1_nsets = l1s[0].num_sets
+    l1_mask = l1_nsets - 1
     l1_assoc = l1s[0].ways
     l2_mask = l2s[0].num_sets - 1
-    l2_bits = l2s[0].num_sets.bit_length() - 1
     l2_assoc = l2s[0].ways
 
     # Fault injection decides per LLC/DRAM read, so under it every L2
@@ -189,14 +192,12 @@ def run(system, trace, limit: Optional[int] = None):
         llc_lru = raw._repl.lru
         llc_insert = raw._repl.insert
         llc_mask = raw.num_sets - 1
-        llc_sbits = raw.num_sets.bit_length() - 1
     if dopp is not None:
         # Both arrays replace by the configured policy; only LRU moves
         # an entry on a hit.
         dopp_lru = dopp.config.policy == "lru"
         tag_sets = dopp.tags._sets
         tag_mask = dopp.tags.num_sets - 1
-        tag_sbits = dopp.tags.num_sets.bit_length() - 1
         data_sets = dopp.data._sets
         data_nsets = dopp.data.num_sets
         values_of = system._values
@@ -254,18 +255,20 @@ def run(system, trace, limit: Optional[int] = None):
     # Slow-path (fall-through) tallies, by reason.
     n_slow = {"untracked_values": 0, "victim_entangled": 0, "faults": 0}
 
-    def drop_copies(bn, vec):
-        """Pop block ``bn`` from the private caches of every core in the
+    def drop_copies(a, vec):
+        """Pop block ``a`` from the private caches of every core in the
         bit vector ``vec``; returns how many of the copies were dirty."""
+        s1 = (a >> bshift) & l1_mask
+        s2 = (a >> bshift) & l2_mask
         dirty = 0
         c2 = 0
         while vec:
             if vec & 1:
-                state = l1_sets[c2][bn & l1_mask].pop(bn >> l1_bits, None)
+                state = l1_sets[c2][s1].pop(a, None)
                 if state is not None:
                     dirty += state & 1
                     inval1[c2] += 1
-                state = l2_sets[c2][bn & l2_mask].pop(bn >> l2_bits, None)
+                state = l2_sets[c2][s2].pop(a, None)
                 if state is not None:
                     dirty += state & 1
                     inval2[c2] += 1
@@ -273,69 +276,68 @@ def run(system, trace, limit: Optional[int] = None):
             c2 += 1
         return dirty
 
-    def fill_l2(c, m, s, t, state, now):
-        """Install tag ``t`` with ``state`` in set ``s`` (the dict
+    def fill_l2(c, m, a, state, now):
+        """Install block ``a`` with ``state`` in its set (the dict
         ``m``) of core ``c``'s L2, as ``_fill``.
 
         A dirty victim goes down the LLC writeback path; returns that
         path's writeback-buffer stall.
         """
         if len(m) < l2_assoc:
-            m[t] = state
+            m[a] = state
             return 0.0
-        vt = next(iter(m))
-        vs = m.pop(vt)
-        m[t] = state
+        va = next(iter(m))
+        vs = m.pop(va)
+        m[a] = state
         evict2[c] += 1
         if not vs & 1:
             return 0.0
         dirty2[c] += 1
-        return l2wb(c, ((vt << l2_bits) | s) << bshift, vs >> 1, now)
+        return l2wb(c, va, vs >> 1, now)
 
-    def victim_to_l2(c, vbn, vs, now):
+    def victim_to_l2(c, va, vs, now):
         """``System._install_l1_victim``: write the dirty L1 victim
-        ``vbn`` (block number) with state ``vs`` into the L2; returns
-        the writeback-buffer stall of its cascade."""
-        s = vbn & l2_mask
-        t = vbn >> l2_bits
-        m = l2_sets[c][s]
-        state = m.pop(t, None)
+        ``va`` with state ``vs`` into the L2; returns the
+        writeback-buffer stall of its cascade."""
+        m = l2_sets[c][(va >> bshift) & l2_mask]
+        state = m.pop(va, None)
         if state is None:
             vfill2[c] += 1
-            return fill_l2(c, m, s, t, vs, now)
+            return fill_l2(c, m, va, vs, now)
         # A write hit: the victim's value if it has one, else the block's.
-        m[t] = vs if vs >= 0 else state | 1
+        m[va] = vs if vs >= 0 else state | 1
         vhit2[c] += 1
         return 0.0
 
-    # g is the access's issue slots: its gap plus l1w.
-    for c, a, wr, ap, rid, vid, g in islice(zip(*cols), n):
-        b = a >> bshift
-        t1 = b >> l1_bits
-        m1 = l1_sets[c][b & l1_mask]
+    # k is the access's L1 set (core * l1_nsets + set index); a its
+    # block address, the key of every set dict it touches; g its issue
+    # slots: its gap plus l1w.
+    rows = trace_rows(trace, n, cfg.block_size, l1w, l1_nsets)
+    for k, c, a, wr, ap, rid, vid, g in rows:
+        m1 = l1_flat[k]
         if wr:
             rem = sharers.get(a, 0) & ~core_bit[c]
             if rem:
                 # Remote sharers: replay the directory consult inline —
                 # pop every remote private copy and collapse the sharer
                 # vector to the writer.
-                drop_copies(b, rem)
-                k = bin(rem).count("1")
+                drop_copies(a, rem)
+                n_rem = bin(rem).count("1")
                 n_coh_dir += 1
-                n_coh_inv += k
+                n_coh_inv += n_rem
                 if tracer is not None:
                     tracer.emit("coherence_invalidation", addr=a, writer=c,
-                                sharers=k)
+                                sharers=n_rem)
             sharers[a] = core_bit[c]
             if vid >= 0:
                 cur_value[a] = vid
-            state = m1.pop(t1, None)
+            state = m1.pop(a, None)
             if state is not None:
-                m1[t1] = (vid << 1) | 1 if vid >= 0 else state | 1
+                m1[a] = (vid << 1) | 1 if vid >= 0 else state | 1
                 slots[c] += g
                 continue
         else:
-            state = m1.pop(t1, None)
+            state = m1.pop(a, None)
             if state is not None:
                 # No directory write: a block in core c's L1 always has
                 # bit c set in the sharer vector. The access that filled
@@ -343,7 +345,7 @@ def run(system, trace, limit: Optional[int] = None):
                 # (a remote store, a back-invalidation) also pops the
                 # copies of each core whose bit it clears
                 # (tests/test_coherence.py checks the rule).
-                m1[t1] = state
+                m1[a] = state
                 slots[c] += g
                 continue
             sharers[a] = sharers.get(a, 0) | core_bit[c]
@@ -352,15 +354,13 @@ def run(system, trace, limit: Optional[int] = None):
         # the slow path is decided here, before any state changes (the
         # sharer and value updates above are the slow path's first
         # steps too).
-        s2 = b & l2_mask
-        t2 = b >> l2_bits
-        m2 = l2_sets[c][s2]
-        in_l2 = t2 in m2
+        b = a >> bshift
+        m2 = l2_sets[c][b & l2_mask]
+        in_l2 = a in m2
         # The L1 victim (None while the set has a free way) and its
-        # state; 0 stands for "no dirty victim".
+        # state; 0 stands for "no victim", and vs & 1 marks a dirty one.
         vt = next(iter(m1)) if len(m1) == l1_assoc else None
         vs = 0 if vt is None else m1[vt]
-        vbn = ((vt << l1_bits) | (b & l1_mask)) if vs & 1 else None
         slow = None
         if not in_l2:
             # The access reaches the LLC, where faults strike and where
@@ -370,15 +370,15 @@ def run(system, trace, limit: Optional[int] = None):
                 slow = "faults"
             elif ap and cur_value.get(a, -1) < 0:
                 slow = "untracked_values"
-        elif vbn is not None:
+        elif vs & 1:
             # The reference probes the L2 after the victim's write. The
             # predicted hit stands unless that write fills the L2 and
             # evicts the demand block itself, or cascades a dirty L2
             # victim into an LLC whose answer can back-invalidate it.
-            m2v = l2_sets[c][vbn & l2_mask]
-            if len(m2v) == l2_assoc and (vbn >> l2_bits) not in m2v:
-                v2t = next(iter(m2v))
-                if (m2v is m2 and v2t == t2) or (wb_evicts and m2v[v2t] & 1):
+            m2v = l2_sets[c][(vt >> bshift) & l2_mask]
+            if len(m2v) == l2_assoc and vt not in m2v:
+                v2 = next(iter(m2v))
+                if (m2v is m2 and v2 == a) or (wb_evicts and m2v[v2] & 1):
                     slow = "victim_entangled"
         if slow is not None:
             # The slow path reads and writes the exact cycle count.
@@ -398,13 +398,13 @@ def run(system, trace, limit: Optional[int] = None):
         if vt is not None:
             del m1[vt]
             evict1[c] += 1
-        m1[t1] = (vid << 1) | wr
+        m1[a] = (vid << 1) | wr
         # 2. A dirty L1 victim is written into the L2.
-        wb = 0.0 if vbn is None else victim_to_l2(c, vbn, vs, now)
+        wb = victim_to_l2(c, vt, vs, now) if vs & 1 else 0.0
         # 3. The demand L2 hit, or the L2 fill and on to the LLC.
         if in_l2:
-            state = m2.pop(t2)
-            m2[t2] = (((vid << 1) | 1 if vid >= 0 else state | 1) if wr
+            state = m2.pop(a)
+            m2[a] = (((vid << 1) | 1 if vid >= 0 else state | 1) if wr
                       else state)
             hit2[wr][c] += 1
             if not wr:
@@ -412,30 +412,28 @@ def run(system, trace, limit: Optional[int] = None):
             wb_bd += wb
             continue
         miss2[wr][c] += 1
-        wb += fill_l2(c, m2, s2, t2, (vid << 1) | wr, now)
+        wb += fill_l2(c, m2, a, (vid << 1) | wr, now)
         # 4. The LLC sees a demand read probe (a store's too).
         route = routes[ap]
         if route == RAW:
             sl = b & llc_mask
-            tl = b >> llc_sbits
             ml = llc_sets[sl]
             if llc_lru:
-                state = ml.pop(tl, None)
+                state = ml.pop(a, None)
                 hit = state is not None
                 if hit:
-                    ml[tl] = state
+                    ml[a] = state
             else:
-                hit = tl in ml
+                hit = a in ml
         else:
             # DoppelgangerCache.lookup: the tag probe, then the MTag
             # probe by the tag's map; under LRU each hit entry moves to
             # the back of its set.
             tm = tag_sets[b & tag_mask]
-            tt = b >> tag_sbits
-            te = tm.get(tt)
+            te = tm.get(a)
             hit = te is not None
             if hit and dopp_lru:
-                tm[tt] = tm.pop(tt)
+                tm[a] = tm.pop(a)
                 mv = te.map_value
                 dm = data_sets[map_set_index(mv, data_nsets)]
                 dk = (te.precise, mv)
@@ -466,11 +464,9 @@ def run(system, trace, limit: Optional[int] = None):
             # copy (the inclusive hierarchy); a dirty victim also
             # retires through the bounded writeback buffer.
             wbf = 0.0
-            evicted = llc_insert(sl, tl, cur_value.get(a, -1) << 1)
+            evicted = llc_insert(sl, a, cur_value.get(a, -1) << 1)
             if evicted is not None:
-                vtl, vstate = evicted
-                ebn = (vtl << llc_sbits) | sl
-                ea = ebn << bshift
+                ea, vstate = evicted
                 if vstate & 1:
                     llc_dirty += 1
                     wbf = wb_enqueue(ea, int(now))
@@ -478,7 +474,7 @@ def run(system, trace, limit: Optional[int] = None):
                     if tracer is not None:
                         tracer.emit("wb_enqueue", addr=ea, stall=wbf)
                 # Back-invalidation; each dirty private copy goes to memory.
-                mem_wr += drop_copies(ebn, sharers.pop(ea, 0))
+                mem_wr += drop_copies(ea, sharers.pop(ea, 0))
                 if tracer is not None:
                     tracer.emit("back_invalidation", addr=ea, origin=a)
                 llc_evict += 1
@@ -501,7 +497,7 @@ def run(system, trace, limit: Optional[int] = None):
             for ea in out.back_invalidations:
                 if ea != a:
                     n_binv += 1
-                    mem_wr += drop_copies(ea >> bshift, sharers.pop(ea, 0))
+                    mem_wr += drop_copies(ea, sharers.pop(ea, 0))
                     if tracer is not None:
                         tracer.emit("back_invalidation", addr=ea, origin=a)
         if not wr:

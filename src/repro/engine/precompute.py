@@ -2,12 +2,15 @@
 
 Two kinds of work are hoisted out of the per-access loop:
 
-* **Column conversion** — the trace's numpy columns are converted to
-  plain Python lists (scalar indexing into numpy arrays allocates a
-  numpy scalar per touch and dominated the seed profile), with the
-  offset bits of every address cleared in one numpy pass. The batched
-  engine also asks for its gap column as issue slots per access
-  (``gap + l1_latency × issue_width``), added in the same pass.
+* **Row stream** — :func:`trace_rows` converts the trace's numpy
+  columns to plain Python values (scalar indexing into numpy arrays
+  allocates a numpy scalar per touch and dominated the seed profile),
+  :data:`CHUNK` records at a time, with the offset bits of every
+  address cleared in the same numpy pass. Only one chunk is ever held
+  as Python lists, so a run's memory does not grow with its trace.
+  The batched engine also asks for its gaps as issue slots per access
+  (``gap + l1_latency × issue_width``) and for each access's L1 set,
+  both computed in the same pass.
 * **Map seeding** — every (region, value-id) pair the run can possibly
   feed to the Doppelgänger map-generation path is enumerated from the
   trace (initial memory image + write records) and hashed once per
@@ -20,47 +23,75 @@ Two kinds of work are hoisted out of the per-access loop:
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from itertools import chain
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.maps import hash_values
 
+#: Records converted per chunk by :func:`trace_rows`: enough that the
+#: per-chunk numpy calls cost nothing next to the scan, few enough
+#: that one chunk's Python lists stay well under a megabyte.
+CHUNK = 1 << 13
 
-class TraceColumns(NamedTuple):
-    """Per-run plain-Python views of a trace, block-aligned.
 
-    The fields follow the argument order of
-    :func:`~repro.engine.step.process_access`, so ``zip(*columns)``
-    yields its per-access arguments (the gaps offset by ``slot_base``).
+def run_length(trace, limit: Optional[int]) -> int:
+    """Records a run of ``trace`` simulates: all, or the first ``limit``.
+
+    A negative ``limit`` is a ``ValueError``.
     """
-
-    cores: List[int]
-    baddrs: List[int]  # byte addresses with offset bits stripped
-    writes: List[bool]
-    approx: List[bool]
-    region_ids: List[int]
-    value_ids: List[int]
-    gaps: List[int]  # instruction gaps, plus the caller's slot_base
+    if limit is None:
+        return len(trace)
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    return min(limit, len(trace))
 
 
-def trace_columns(trace, block_size: int, slot_base: int = 0) -> TraceColumns:
-    """Convert a trace's columns for fast per-access iteration.
+def trace_rows(trace, n: int, block_size: int, slot_base: int = 0,
+               l1_sets: int = 0) -> Iterator[tuple]:
+    """The first ``n`` records of ``trace`` as rows of Python values.
 
-    ``slot_base`` is added to every gap.
+    Each row follows the argument order of
+    :func:`~repro.engine.step.process_access`: core, block-aligned
+    address, write bit, approximate bit, region id, value id and gap,
+    the gap plus ``slot_base``. With ``l1_sets`` (the L1's set count)
+    each row leads with one more field, ``core × l1_sets + the
+    address's L1 set index``. Rows are converted :data:`CHUNK` at a
+    time.
     """
-    gaps = trace.gaps
-    if slot_base:
-        gaps = np.add(gaps, slot_base, dtype=np.int64)
-    return TraceColumns(
-        cores=trace.cores.tolist(),
-        baddrs=(trace.addrs & np.int64(~(block_size - 1))).tolist(),
-        writes=trace.is_write.tolist(),
-        approx=trace.approx.tolist(),
-        region_ids=trace.region_ids.tolist(),
-        value_ids=trace.value_ids.tolist(),
-        gaps=gaps.tolist(),
-    )
+    return chain.from_iterable(
+        _row_chunks(trace, n, block_size, slot_base, l1_sets))
+
+
+def _row_chunks(trace, n, block_size, slot_base, l1_sets):
+    """One ``zip`` of converted columns per chunk of ``trace_rows``."""
+    align = np.int64(-block_size)
+    shift = block_size.bit_length() - 1
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        cores = trace.cores[lo:hi]
+        addrs = trace.addrs[lo:hi] & align
+        gaps = trace.gaps[lo:hi]
+        if slot_base:
+            gaps = np.add(gaps, slot_base, dtype=np.int64)
+        cols = [
+            cores.tolist(),
+            addrs.tolist(),
+            trace.is_write[lo:hi].tolist(),
+            trace.approx[lo:hi].tolist(),
+            trace.region_ids[lo:hi].tolist(),
+            trace.value_ids[lo:hi].tolist(),
+            gaps.tolist(),
+        ]
+        if l1_sets:
+            sets = np.multiply(cores, l1_sets, dtype=np.int64)
+            sets += (addrs >> shift) & (l1_sets - 1)
+            cols.insert(0, sets.tolist())
+        yield zip(*cols)
+        # The zip is spent: free its lists before converting the next
+        # chunk, so that only one chunk is ever held.
+        del cols
 
 
 def map_seed_pairs(trace) -> List[Tuple[int, int]]:

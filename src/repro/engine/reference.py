@@ -2,28 +2,26 @@
 
 This is the semantics oracle — the batched engine must match it
 bit-for-bit (``tests/test_engine_equivalence.py``). It still benefits
-from the trace-level precomputation (list columns, map seeding) because
-those are behavior-preserving.
+from the trace-level precomputation (the chunked row stream, map
+seeding) because those are behavior-preserving.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Optional
 
-from repro.engine.precompute import trace_columns
+from repro.engine.precompute import run_length, trace_rows
 from repro.engine.step import finalize, make_state, prepare, process_access
 
 
 def run(system, trace, limit: Optional[int] = None):
     """Simulate ``trace`` (optionally only its first ``limit`` records)."""
+    n = run_length(trace, limit)
     st = make_state(system)
     prepare(system, trace)
-    cols = trace_columns(trace, system.config.block_size)
-    n = len(cols.baddrs) if limit is None else min(limit, len(cols.baddrs))
 
     step = process_access
-    for row in islice(zip(*cols), n):
+    for row in trace_rows(trace, n, system.config.block_size):
         step(system, st, *row)
     system.engine_stats = {
         "engine": "reference",

@@ -52,17 +52,17 @@ def _install(cache: SetAssociativeCache, addr: int, value_id: int, dirty: bool) 
 
 
 def _absorb_writeback(cache: SetAssociativeCache, addr: int, value_id: int) -> LLCOutcome:
-    """Absorb a dirty L2 eviction; forward to memory if not resident.
+    """Absorb a dirty L2 eviction of block address ``addr``; forward to
+    memory if not resident.
 
     The block keeps its place in the replacement order.
     """
     blocks = cache._sets[cache.set_index(addr)]
-    tag = cache.addr_tag(addr)
-    state = blocks.get(tag)
+    state = blocks.get(addr)
     if state is None:
         # Raced with an LLC eviction: the writeback goes to memory.
         return LLCOutcome(hit=False, writebacks=(addr,))
-    blocks[tag] = (value_id << 1) | 1 if value_id >= 0 else state | 1
+    blocks[addr] = (value_id << 1) | 1 if value_id >= 0 else state | 1
     cache.stats.write_accesses += 1
     cache.stats.tag_lookups += 1
     cache.stats.data_writes += 1

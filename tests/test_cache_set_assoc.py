@@ -38,11 +38,16 @@ class TestGeometry:
             make_cache(policy="mru")
 
     def test_address_decomposition_roundtrip(self):
+        """Sets are keyed by block address: a filled address comes back
+        as itself from ``probe`` and ``resident_addrs``."""
         cache = make_cache()
-        for addr in (0, 64, 4096, 123456 & ~63):
-            set_idx = cache.set_index(addr)
-            tag = cache.addr_tag(addr)
-            assert cache._compose_addr(set_idx, tag) == addr
+        addrs = (0, 64, 4096, 123456 & ~63)
+        for addr in addrs:
+            assert cache.set_index(addr) == (addr // 64) % cache.num_sets
+            cache.access(addr + 5)
+            assert cache.probe(addr) == -2
+            assert cache.probe(addr + 63) == -2
+        assert sorted(cache.resident_addrs()) == sorted(addrs)
 
 
 class TestAccess:

@@ -243,13 +243,13 @@ def test_tag_array_order_matches_way_model(policy, entries, ways):
         evictions = 0
         for _ in range(40 * entries):
             addr = rng.randrange(3 * entries) * tags.block_size
-            set_idx, key = tags.set_index(addr), tags.addr_tag(addr)
+            set_idx, key = tags.set_index(addr), addr
             entry = tags.probe(addr)
             assert (entry is None) == (model.find(set_idx, key) is None)
             if entry is None:
                 victim = tags.allocate(addr).victim
                 want = model.fill(set_idx, key)
-                assert (None if victim is None else victim.tag) == want
+                assert (None if victim is None else victim.addr) == want
                 assert victim is None or victim.set_idx == set_idx
                 evictions += victim is not None
             elif rng.random() < 0.8:
@@ -260,7 +260,7 @@ def test_tag_array_order_matches_way_model(policy, entries, ways):
                 model.remove(set_idx, key)
         assert evictions
         want = model.resident()
-        assert {(e.set_idx, e.tag) for e in tags.resident()} == want
+        assert {(e.set_idx, e.addr) for e in tags.resident()} == want
         assert tags.occupied == len(want)
 
 

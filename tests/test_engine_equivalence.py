@@ -20,6 +20,7 @@ import pytest
 from repro.core.config import DoppelgangerConfig
 from repro.core.maps import MapConfig
 from repro.engine import ENGINES, engine_names, get_engine
+from repro.engine.precompute import CHUNK
 from repro.harness.runner import (
     ConfigSpec,
     _llc_stats,
@@ -174,6 +175,36 @@ def test_limit_equivalence(traces):
     bat = System(llc_b).run(trace, limit=5000, engine="batched")
     assert_results_equal(ref, bat)
     assert_llcs_equal(llc_r, llc_b, trace.regions)
+
+
+#: Limits around the row stream's chunk boundaries (the swaptions trace
+#: has 33,912 accesses, more than 2 * CHUNK + 1).
+CHUNK_EDGES = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+
+@pytest.mark.parametrize("limit", CHUNK_EDGES)
+def test_limit_equivalence_at_chunk_edges(traces, limit):
+    trace = traces["swaptions"]
+    assert len(trace) > limit
+    llc_r = dopp_spec(14, 0.25).build_llc(trace.regions, 0.0625)
+    llc_b = dopp_spec(14, 0.25).build_llc(trace.regions, 0.0625)
+    ref_sys, bat_sys = System(llc_r), System(llc_b)
+    ref = ref_sys.run(trace, limit=limit, engine="reference")
+    bat = bat_sys.run(trace, limit=limit, engine="batched")
+    assert bat_sys.engine_stats["accesses"] == limit
+    assert_results_equal(ref, bat)
+    assert_llcs_equal(llc_r, llc_b, trace.regions)
+
+
+@pytest.mark.parametrize("engine", ["batched", "reference"])
+def test_negative_limit_rejected(traces, engine):
+    trace = traces["swaptions"]
+    system = System(baseline_spec().build_llc(trace.regions, 0.0625))
+    with pytest.raises(ValueError, match="limit must be non-negative, got -1"):
+        system.run(trace, limit=-1, engine=engine)
+    # Rejected before the engine started: nothing was simulated.
+    assert system.engine_stats is None
+    assert system.l1s[0].stats.accesses == 0
 
 
 def test_engine_registry():
